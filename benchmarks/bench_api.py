@@ -14,9 +14,8 @@ Three measurements back the :mod:`repro.api` subsystem:
 3. **Structured errors.**  Out-of-range nodes, wrong-dtype nodes and
    unknown artifacts must come back as structured 400/422/404 JSON bodies.
 
-The serving stack is recorded in the payload (``http.backend``) because QPS
-is not comparable between the stdlib server and uvicorn — the regression
-gate only compares same-backend runs.
+The serving stack is recorded in the payload (``http.backend``); the
+regression gate only compares runs of the same stack.
 
 Results land in ``BENCH_api.json`` at the repo root plus a readable table
 under ``benchmarks/results/``.
@@ -217,7 +216,7 @@ def main(argv=None) -> int:
     try:
         info = export_result(matrix, root=store, name="bench", index_k=INDEX_K)
         artifact_id = info.artifact_id
-        direct = AlignmentService(cache_size=0)
+        direct = AlignmentService()
         direct.load(store, artifact_id, mode="serve")
         state = ApiState(root=store)
         state.preload()

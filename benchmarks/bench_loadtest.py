@@ -7,7 +7,8 @@ measures *service under offered load*:
 1. **Capacity probe** — a short closed-loop burst establishes what the
    server can absorb on this machine.
 2. **Open-loop phase** — N keep-alive clients issue ``POST /match``
-   requests on a fixed arrival schedule at ~60% of the probed capacity.
+   requests on a fixed arrival schedule at ~60% of the probed capacity,
+   capped at :data:`MAX_OFFERED_QPS`.
    Latency is measured from the *scheduled* send time, not the actual one,
    so queueing delay when the server falls behind is charged to the
    measurement (no coordinated omission).  Reported as sustained
@@ -65,6 +66,11 @@ INDEX_K = 10
 BATCH = 64
 #: Fraction of probed capacity offered during the open-loop phase.
 OFFERED_FRACTION = 0.6
+#: Cap on the offered node-queries/s.  The client threads share the
+#: server's process, so the open loop saturates on the client side (about
+#: 140k node-q/s on a 2-cpu box) well below the closed-loop burst capacity
+#: of a fast server; the cap also keeps two commits at the same offered load.
+MAX_OFFERED_QPS = 100_000.0
 
 MATCH_2XX = 'api_requests_total{endpoint="/match",status="2xx"}'
 SERVE_MATCH = 'serve_queries_total{op="match"}'
@@ -248,6 +254,7 @@ def open_loop(server, artifact_id: str, n_s: int, clients: int,
         "elapsed_s": elapsed,
         "target_qps": target_qps,
         "offered_fraction": OFFERED_FRACTION,
+        "max_offered_qps": MAX_OFFERED_QPS,
         "sustained_qps": achieved_qps,
         "achieved_fraction": achieved_qps / target_qps,
         "p50_ms": float(np.percentile(latencies, 50) * 1000),
@@ -259,7 +266,7 @@ def open_loop(server, artifact_id: str, n_s: int, clients: int,
 
 def bench_overhead(store, artifact_id: str, n_s: int, n_batches: int) -> dict:
     """In-process match throughput with stats recording active vs stubbed."""
-    service = AlignmentService(cache_size=0)
+    service = AlignmentService()
     service.load(store, artifact_id, mode="serve")
     batches = [
         np.random.default_rng(500 + i).integers(0, n_s, size=BATCH)
@@ -358,7 +365,9 @@ def main(argv=None) -> int:
             capacity = closed_loop(
                 server, artifact_id, n_s, clients, probe_requests
             )
-            target_qps = capacity["sustained_qps"] * OFFERED_FRACTION
+            target_qps = min(
+                MAX_OFFERED_QPS, capacity["sustained_qps"] * OFFERED_FRACTION
+            )
             with MidLoadScraper(server) as scraper:
                 open_stats = open_loop(
                     server, artifact_id, n_s, clients, target_qps, duration_s
@@ -377,9 +386,6 @@ def main(argv=None) -> int:
         required_series = {
             "api_request_seconds": 'api_request_seconds_count{endpoint="/match"}',
             "serve_batch_seconds": 'serve_batch_seconds_count{op="match"}',
-            "serve_stage_seconds": (
-                'serve_stage_seconds_count{op="match",stage="index_lookup"}'
-            ),
         }
         series_present = {
             family: series in after.get(family, {})
@@ -416,8 +422,9 @@ def main(argv=None) -> int:
         f"    latency    p50 {capacity['p50_ms']:7.2f} ms   "
         f"p99 {capacity['p99_ms']:7.2f} ms",
         "",
-        f"[2] open loop at {OFFERED_FRACTION:.0%} of capacity "
-        f"({open_stats['target_qps']:.0f} node-q/s offered, "
+        f"[2] open loop at {OFFERED_FRACTION:.0%} of capacity, at most "
+        f"{MAX_OFFERED_QPS:.0f} ({open_stats['target_qps']:.0f} node-q/s "
+        "offered, "
         f"{open_stats['elapsed_s']:.1f}s):",
         f"    sustained  {open_stats['sustained_qps']:12.0f} node-queries/s "
         f"({open_stats['achieved_fraction']:.2f}x offered)",
@@ -434,7 +441,7 @@ def main(argv=None) -> int:
         f"(monotone={under_load['monotone']}, "
         f"errors={under_load['scrape_errors']})",
         "",
-        f"[4] instrumentation overhead (in-process, cache off): "
+        f"[4] instrumentation overhead (in-process): "
         f"{overhead['instrumented_qps']:.0f} vs {overhead['bare_qps']:.0f} "
         f"node-q/s = {overhead['overhead_pct']:.1f}%",
     ]

@@ -8,8 +8,8 @@ Three measurements back the ``repro.serve`` subsystem:
    is a >=10x memory reduction at n >= 1500.
 2. **Query throughput.**  Queries/second through a loaded
    :class:`~repro.serve.service.AlignmentService` (serve mode — only the
-   index in memory) for single and batched ``match`` / ``top_k`` queries,
-   cache-cold and cache-hot.
+   index in memory) for single-node and batched ``match`` / ``top_k``
+   queries.
 3. **Parity.**  Every sampled query is checked bit-identical against the
    dense matrix answers (``argmax`` / ``top_k_indices``).
 
@@ -93,32 +93,22 @@ def bench_queries(service: AlignmentService, aid: str, n_s: int) -> dict:
     rng = np.random.default_rng(1)
     timings = {}
 
-    # single-node match, cache-cold then repeated (cache-hot)
-    cold_nodes = rng.permutation(n_s)[: min(N_SINGLE, n_s)]
+    single_nodes = rng.permutation(n_s)[: min(N_SINGLE, n_s)]
     started = time.perf_counter()
-    for node in cold_nodes:
+    for node in single_nodes:
         service.match(aid, int(node))
-    timings["match_single_cold_qps"] = len(cold_nodes) / (
-        time.perf_counter() - started
-    )
-    started = time.perf_counter()
-    for node in cold_nodes:
-        service.match(aid, int(node))
-    timings["match_single_hot_qps"] = len(cold_nodes) / (
+    timings["match_single_qps"] = len(single_nodes) / (
         time.perf_counter() - started
     )
 
-    # batched match / top-k (fresh nodes each call to avoid the cache)
     batches = [rng.integers(0, n_s, size=BATCH) for _ in range(N_BATCHED)]
-    service_uncached = AlignmentService(cache_size=0)
-    service_uncached.add_index(aid, service._indexes[aid])
     started = time.perf_counter()
     for nodes in batches:
-        service_uncached.match(aid, nodes)
+        service.match(aid, nodes)
     timings["match_batch_qps"] = N_BATCHED * BATCH / (time.perf_counter() - started)
     started = time.perf_counter()
     for nodes in batches:
-        service_uncached.top_k(aid, nodes, QUERY_K)
+        service.top_k(aid, nodes, QUERY_K)
     timings["topk_batch_qps"] = N_BATCHED * BATCH / (time.perf_counter() - started)
     return timings
 
@@ -172,14 +162,9 @@ def main(argv=None) -> int:
         f" serve-mode load {compression['serve_load_s']:.3f}s",
         "",
         f"[2] query throughput (k={QUERY_K}):",
-        f"    match, single node, cache-cold: "
-        f"{queries['match_single_cold_qps']:10.0f} q/s",
-        f"    match, single node, cache-hot:  "
-        f"{queries['match_single_hot_qps']:10.0f} q/s",
-        f"    match, batches of {BATCH}:        "
-        f"{queries['match_batch_qps']:10.0f} q/s",
-        f"    top-k, batches of {BATCH}:        "
-        f"{queries['topk_batch_qps']:10.0f} q/s",
+        f"    match, single node:  {queries['match_single_qps']:10.0f} q/s",
+        f"    match, batches of {BATCH}: {queries['match_batch_qps']:10.0f} q/s",
+        f"    top-k, batches of {BATCH}: {queries['topk_batch_qps']:10.0f} q/s",
         "",
         f"[3] parity with dense argmax/top-k over 1000 sampled nodes: {parity}",
     ]
@@ -192,10 +177,7 @@ def main(argv=None) -> int:
         + (" --quick" if args.quick else ""),
         "compression": compression,
         "queries_per_second": queries,
-        "service_stats": {
-            "queries": stats["queries"],
-            "hit_rate": round(stats["hit_rate"], 4),
-        },
+        "service_stats": {"queries": stats["queries"]},
         "parity_with_dense": parity,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,19 +1,15 @@
-"""Network-facing alignment API: one typed query surface, many transports.
+"""Network-facing alignment API: one typed query surface, one transport.
 
 This package makes the :mod:`repro.serve` stack reachable over the network
 without changing what a query *means* anywhere:
 
-* :mod:`repro.api.models` — versioned request/response payloads (pydantic
-  models when pydantic v2 is installed, mirrored dataclasses otherwise) and
-  the single wire validator every transport shares,
-* :mod:`repro.api.core` — transport-agnostic routing into the one shared
+* :mod:`repro.api.models` — versioned request/response dataclasses and the
+  single wire validator,
+* :mod:`repro.api.core` — routing into the one shared
   :meth:`~repro.serve.service.AlignmentService.query` entry point, plus the
   SQLite-catalog-backed ``/artifacts`` listing,
-* :mod:`repro.api.http` — a dependency-free threaded stdlib server (always
-  available; what the benchmark and CI parity checks run against),
-* :mod:`repro.api.asgi` — the FastAPI/ASGI app for production serving under
-  uvicorn.  FastAPI is an optional dependency probed lazily, exactly like
-  the accelerated compute backends: nothing here imports it at module load.
+* :mod:`repro.api.http` — a dependency-free threaded server built on the
+  standard library's :mod:`http.server`.
 
 The CLI front door is ``repro.cli serve``; in-process callers can skip HTTP
 entirely and call ``AlignmentService.query`` with the same typed models.
@@ -27,7 +23,6 @@ import importlib
 
 from repro.api.models import (
     API_SCHEMA_VERSION,
-    USING_PYDANTIC,
     ApiBadRequestError,
     ApiError,
     ApiNotFoundError,
@@ -47,10 +42,6 @@ _LAZY = {
     "ApiHTTPServer": "repro.api.http",
     "BackgroundServer": "repro.api.http",
     "make_server": "repro.api.http",
-    "create_app": "repro.api.asgi",
-    "create_default_app": "repro.api.asgi",
-    "fastapi_available": "repro.api.asgi",
-    "run_uvicorn": "repro.api.asgi",
 }
 
 
@@ -77,14 +68,9 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "RawResponse",
-    "USING_PYDANTIC",
-    "create_app",
-    "create_default_app",
     "dispatch",
-    "fastapi_available",
     "make_query_request",
     "make_server",
     "parse_query_request",
     "response_payload",
-    "run_uvicorn",
 ]

@@ -1,12 +1,11 @@
-"""Transport-agnostic request handling for the alignment API.
+"""Request handling for the alignment API.
 
-Every HTTP transport — the FastAPI/ASGI app (:mod:`repro.api.asgi`) and the
-dependency-free stdlib server (:mod:`repro.api.http`) — routes into the
+The stdlib HTTP server (:mod:`repro.api.http`) routes every request into the
 handlers here, which in turn route into the one shared
-:meth:`~repro.serve.service.AlignmentService.query` entry point.  The
-transports only move bytes; validation, artifact resolution and stats all
-happen once, in one place, so responses are byte-for-byte identical no
-matter which server fronted them.
+:meth:`~repro.serve.service.AlignmentService.query` entry point.  The server
+only moves bytes; validation, artifact resolution and stats all happen once,
+in one place, so an HTTP response is byte-for-byte what an in-process
+:func:`dispatch` call returns.
 
 Endpoints (all JSON)::
 
@@ -68,8 +67,8 @@ from repro.serve.service import AlignmentService
 class RawResponse:
     """A non-JSON response body (the ``/metrics`` exposition page).
 
-    Both transports send ``text`` verbatim with ``content_type``, so the
-    page is byte-identical no matter which server fronted it.
+    The HTTP server sends ``text`` verbatim with ``content_type``, so the
+    page over a socket is byte-identical to the in-process one.
     """
 
     text: str
@@ -97,7 +96,7 @@ class ApiState:
     metrics:
         Registry receiving the API-layer request series.  Defaults to the
         process-global registry so ``/metrics`` also exposes whatever else
-        the process recorded (spans, cache counters); tests pass a private
+        the process recorded (spans, orbit-cache counters); tests pass a private
         registry for isolation.
     """
 
@@ -152,7 +151,7 @@ def handle_metrics(
     Exposes the API request series plus the service's per-op registry in
     one page.  The scrape itself is deliberately *not* counted in
     ``api_requests_total`` so back-to-back scrapes are identical — the
-    transport-parity guarantee extends to this endpoint.
+    socket == in-process parity guarantee extends to this endpoint.
     """
     fmt = (params or {}).get("format", "prometheus")
     if fmt == "json":
@@ -415,15 +414,15 @@ def dispatch(
 ) -> Tuple[int, Union[Dict[str, object], RawResponse]]:
     """Route one request; returns ``(status, json_body)`` and never raises.
 
-    This is the whole HTTP surface in one function — both bundled servers
-    call it, and tests can drive it directly without opening a socket.
+    This is the whole HTTP surface in one function — the stdlib server
+    calls it, and tests can drive it directly without opening a socket.
     Every request except ``/metrics`` scrapes is recorded into the state's
     registry as ``api_requests_total{endpoint,status}`` (status classes:
     2xx/4xx/...) and an ``api_request_seconds{endpoint}`` histogram.
     """
     if method == "GET" and path == "/metrics":
-        # Scrapes are served un-instrumented so consecutive scrapes (and
-        # scrapes through different transports) return identical bytes.
+        # Scrapes are served un-instrumented so consecutive scrapes return
+        # identical bytes.
         return _route(state, method, path, params, body)
     started = time.perf_counter()
     status, payload = _route(state, method, path, params, body)

@@ -1,10 +1,9 @@
 """Dependency-free threaded HTTP server for the alignment API.
 
-FastAPI/uvicorn are optional; this server is the guaranteed-available
-fallback built on :mod:`http.server` from the standard library.  It speaks
-exactly the same endpoints and bodies as the ASGI app because both route
-into :func:`repro.api.core.dispatch` — the transport changes, the payloads
-do not (the bench and the parity tests rely on this).
+Built on :mod:`http.server` from the standard library.  Every request is
+routed through :func:`repro.api.core.dispatch`, so an HTTP body is the same
+payload an in-process ``dispatch`` call returns (the bench and the parity
+tests rely on this).
 
 ``ThreadingHTTPServer`` gives one thread per connection;
 :class:`~repro.serve.service.AlignmentService` is thread-safe, so
@@ -52,7 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: ApiHTTPServer
 
-    def _send(self, status: int, payload) -> None:
+    def _send(self, status: int, payload, close: bool = False) -> None:
         if isinstance(payload, RawResponse):
             body = payload.encode()
             content_type = payload.content_type
@@ -62,23 +61,36 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: the server hangs up after this.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The decoded JSON body, or ``None`` once an error was answered.
+
+        A request whose body is left unread (a malformed or oversized
+        ``Content-Length``) closes the connection after its error: the
+        unread bytes would otherwise be parsed as the next request.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            message = f"invalid Content-Length header {header!r}"
+            self._send(400, ApiValidationError(message).body(), close=True)
+            return None
         if length > MAX_BODY_BYTES:
-            self._send(
-                413,
-                ApiValidationError(
-                    f"request body exceeds {MAX_BODY_BYTES} bytes"
-                ).body(),
-            )
+            message = f"request body exceeds {MAX_BODY_BYTES} bytes"
+            self._send(413, ApiValidationError(message).body(), close=True)
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # bad JSON or bytes that are not UTF-8
             self._send(
                 400,
                 ApiValidationError(f"request body is not valid JSON: {error}").body(),

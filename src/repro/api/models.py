@@ -1,25 +1,21 @@
 """Typed request/response models of the alignment query surface.
 
-One schema, three transports.  The HTTP endpoints (:mod:`repro.api.asgi`,
-:mod:`repro.api.http`), the CLI ``query`` command and direct in-process
-callers all speak the payload shapes defined here, and every wire payload
-goes through the *same* validator (:func:`parse_query_request`) regardless
-of transport — so a request that is invalid over HTTP is invalid everywhere,
-with the same structured error body.
+One schema for every caller.  The HTTP endpoints (:mod:`repro.api.http`),
+the CLI ``query`` command and direct in-process callers all speak the
+payload shapes defined here, and every wire payload goes through the *same*
+validator (:func:`parse_query_request`) — so a request that is invalid over
+HTTP is invalid everywhere, with the same structured error body.
 
 Every response carries ``schema_version`` (this payload schema),
 ``engine_version`` (the serving :mod:`repro` build), ``artifact_id`` and
 ``score_dtype``, so clients can pin what they are talking to.
 
-The model classes themselves are **pydantic models when pydantic v2 is
-importable and plain dataclasses otherwise** — mirroring the same fields
-either way (``USING_PYDANTIC`` says which flavour is active).  pydantic is
-an optional dependency exactly like FastAPI: nothing in this module (or in
-the packages that import it) requires it.
+The models are plain dataclasses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -32,7 +28,8 @@ from repro import __version__ as ENGINE_VERSION
 #: 1.2: ``GET /backends`` appeared; ``/artifacts`` gained ``limit``/``offset``
 #: pagination with a ``total`` count and stable ordering; query responses and
 #: ``/stats`` gained ``orbit_backend`` provenance (additive, same major).
-API_SCHEMA_VERSION = "1.2"
+#: 2.0: ``/stats`` lost its query-cache fields and ``latency.<op>.stages``.
+API_SCHEMA_VERSION = "2.0"
 
 #: Query operations, mirroring :class:`~repro.serve.service.AlignmentService`.
 QUERY_OPS = ("match", "top_k", "reverse_match", "reverse_top_k")
@@ -44,7 +41,7 @@ _REQUEST_FIELDS = ("artifact_id", "op", "nodes", "k")
 
 
 # ----------------------------------------------------------------------
-# structured errors (transport-independent; HTTP layers map them to codes)
+# structured errors (the HTTP layer maps them to status codes)
 # ----------------------------------------------------------------------
 class ApiError(Exception):
     """A request failure with a structured, versioned JSON body."""
@@ -58,7 +55,7 @@ class ApiError(Exception):
         self.detail = list(detail or [])
 
     def body(self) -> Dict[str, object]:
-        """The JSON error body every transport returns."""
+        """The JSON error body of a failed request."""
         return {
             "schema_version": API_SCHEMA_VERSION,
             "engine_version": ENGINE_VERSION,
@@ -92,118 +89,44 @@ class ApiNotFoundError(ApiError):
 
 
 # ----------------------------------------------------------------------
-# model classes: pydantic when importable, dataclasses otherwise
+# model classes
 # ----------------------------------------------------------------------
-def _probe_pydantic():
-    try:
-        import pydantic
-    except ImportError:
-        return None
-    try:
-        major = int(str(pydantic.VERSION).split(".")[0])
-    except (AttributeError, ValueError):  # pragma: no cover - exotic builds
-        return None
-    return pydantic if major >= 2 else None
+@dataclasses.dataclass
+class QueryRequest:
+    """One batched query against one hosted artifact."""
+
+    artifact_id: str
+    op: str
+    #: Node ids — a list on the wire; in-process callers may pass the
+    #: ndarray straight through (validated by :func:`parse_query_request`
+    #: for wire payloads, trusted for direct construction).
+    nodes: Any
+    k: Optional[int] = None
 
 
-_pydantic = _probe_pydantic()
+@dataclasses.dataclass
+class QueryResponse:
+    """The versioned answer to one :class:`QueryRequest`."""
 
-#: Whether the model classes below are pydantic models (vs dataclasses).
-USING_PYDANTIC = _pydantic is not None
-
-if USING_PYDANTIC:
-    _config = _pydantic.ConfigDict(arbitrary_types_allowed=True, extra="forbid")
-
-    class QueryRequest(_pydantic.BaseModel):
-        """One batched query against one hosted artifact."""
-
-        model_config = _config
-
-        artifact_id: str
-        op: str
-        #: Node ids — a list on the wire; in-process callers may pass the
-        #: ndarray straight through (validated by :func:`parse_query_request`
-        #: for wire payloads, trusted for direct construction).
-        nodes: Any
-        k: Optional[int] = None
-
-    class QueryResponse(_pydantic.BaseModel):
-        """The versioned answer to one :class:`QueryRequest`."""
-
-        model_config = _config
-
-        schema_version: str
-        engine_version: str
-        artifact_id: str
-        op: str
-        k: Optional[int]
-        score_dtype: str
-        #: Orbit-counting backend that produced the artifact's orbits
-        #: (``"unknown"`` when the artifact predates the provenance tag).
-        orbit_backend: str
-        n_nodes: int
-        #: ``np.ndarray`` internally; :func:`response_payload` serialises.
-        results: Any
-
-else:
-    import dataclasses
-
-    @dataclasses.dataclass
-    class QueryRequest:  # type: ignore[no-redef]
-        """One batched query against one hosted artifact."""
-
-        artifact_id: str
-        op: str
-        nodes: Any
-        k: Optional[int] = None
-
-    @dataclasses.dataclass
-    class QueryResponse:  # type: ignore[no-redef]
-        """The versioned answer to one :class:`QueryRequest`."""
-
-        schema_version: str
-        engine_version: str
-        artifact_id: str
-        op: str
-        k: Optional[int]
-        score_dtype: str
-        orbit_backend: str
-        n_nodes: int
-        results: Any
-
-
-if USING_PYDANTIC:
-
-    def _construct(cls, values: Dict[str, Any]):
-        """What ``model_construct`` does, minus per-field default handling.
-
-        The query wrappers sit on an ~8M q/s hot path; the generic
-        ``model_construct`` costs microseconds per call in field iteration
-        we don't need because every field is always supplied.
-        """
-        model = cls.__new__(cls)
-        object.__setattr__(model, "__dict__", values)
-        object.__setattr__(model, "__pydantic_fields_set__", set(values))
-        object.__setattr__(model, "__pydantic_extra__", None)
-        object.__setattr__(model, "__pydantic_private__", None)
-        return model
-
-else:
-
-    def _construct(cls, values: Dict[str, Any]):
-        model = cls.__new__(cls)
-        model.__dict__ = values
-        return model
+    schema_version: str
+    engine_version: str
+    artifact_id: str
+    op: str
+    k: Optional[int]
+    score_dtype: str
+    #: Orbit-counting backend that produced the artifact's orbits
+    #: (``"unknown"`` when the artifact predates the provenance tag).
+    orbit_backend: str
+    n_nodes: int
+    #: ``np.ndarray`` internally; :func:`response_payload` serialises.
+    results: Any
 
 
 def make_query_request(
     artifact_id: str, op: str, nodes: Any, k: Optional[int] = None
 ) -> QueryRequest:
-    """Cheap trusted constructor for in-process callers (no re-validation)."""
-    return _construct(
-        QueryRequest,
-        {"artifact_id": artifact_id, "op": op, "nodes": nodes, "k": k},
-    )
+    """Trusted constructor for in-process callers (no re-validation)."""
+    return QueryRequest(artifact_id, op, nodes, k)
 
 
 def make_query_response(
@@ -213,23 +136,20 @@ def make_query_response(
     orbit_backend: str = "unknown",
 ) -> QueryResponse:
     """Build the response for a served request (results stay an ndarray)."""
-    return _construct(
-        QueryResponse,
-        {
-            "schema_version": API_SCHEMA_VERSION,
-            "engine_version": ENGINE_VERSION,
-            "artifact_id": request.artifact_id,
-            "op": request.op,
-            "k": request.k if request.op in TOP_K_OPS else None,
-            "score_dtype": score_dtype,
-            "orbit_backend": orbit_backend,
-            "n_nodes": (
-                int(results.shape[0])
-                if isinstance(results, np.ndarray)
-                else len(results)
-            ),
-            "results": results,
-        },
+    return QueryResponse(
+        schema_version=API_SCHEMA_VERSION,
+        engine_version=ENGINE_VERSION,
+        artifact_id=request.artifact_id,
+        op=request.op,
+        k=request.k if request.op in TOP_K_OPS else None,
+        score_dtype=score_dtype,
+        orbit_backend=orbit_backend,
+        n_nodes=(
+            int(results.shape[0])
+            if isinstance(results, np.ndarray)
+            else len(results)
+        ),
+        results=results,
     )
 
 
@@ -248,7 +168,7 @@ def parse_query_request(
 ) -> QueryRequest:
     """Validate one wire payload into a :class:`QueryRequest`.
 
-    This is the single validation path shared by every transport.  Raises
+    This is the single validation path shared by every caller.  Raises
     :class:`ApiValidationError` carrying ``[{loc, msg}, ...]`` entries on any
     schema violation: missing/unknown fields, a wrong-typed ``artifact_id``,
     an unknown ``op``, node ids that are not a flat integer sequence (floats,
@@ -350,7 +270,7 @@ def response_payload(response: QueryResponse) -> Dict[str, object]:
         "op": response.op,
         "k": response.k,
         "score_dtype": response.score_dtype,
-        "orbit_backend": getattr(response, "orbit_backend", "unknown"),
+        "orbit_backend": response.orbit_backend,
         "n_nodes": response.n_nodes,
         "results": results,
     }
@@ -415,7 +335,6 @@ __all__ = [
     "ENGINE_VERSION",
     "QUERY_OPS",
     "TOP_K_OPS",
-    "USING_PYDANTIC",
     "ApiError",
     "ApiValidationError",
     "ApiBadRequestError",

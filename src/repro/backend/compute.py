@@ -63,22 +63,10 @@ NUMPY_BACKEND = ComputeBackend(name="numpy", matmul=_numpy_matmul, clip=_numpy_c
 
 
 def compute_registry() -> BackendRegistry:
-    """The process-global compute registry.
-
-    ``"numpy"`` is the built-in default; ``"sparse"``
-    (:mod:`repro.backend.sparse`) registers with negative priority so that
-    ``"auto"`` never picks it implicitly — sparse GEMM accumulation order
-    can differ from dense in the last float ulp, so it is opt-in only.
-    """
+    """The process-global compute registry (``"numpy"`` is built in)."""
     registry = get_registry(COMPUTE_KIND)
     if "numpy" not in registry.names():
         registry.register("numpy", NUMPY_BACKEND, priority=0)
-    if "sparse" not in registry.names():
-        from repro.backend.sparse import SPARSE_BACKEND, scipy_available
-
-        registry.register(
-            "sparse", SPARSE_BACKEND, priority=-10, available=scipy_available
-        )
     return registry
 
 

@@ -10,7 +10,6 @@ plain configuration fields.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -24,26 +23,6 @@ from repro.utils.random import RandomStateLike
 
 #: Valid values for :attr:`HTCConfig.topology_mode`.
 TOPOLOGY_MODES = ("orbit", "adjacency", "diffusion")
-
-#: Warn-once latch for the ``orbit_backend`` deprecation (PR 5 made the
-#: field an alias for the shared ``"orbit"`` registry kind).  Module-level
-#: so the warning fires once per process, not once per config.
-_ORBIT_BACKEND_WARNED = False
-
-
-def _warn_orbit_backend_deprecated() -> None:
-    global _ORBIT_BACKEND_WARNED
-    if _ORBIT_BACKEND_WARNED:
-        return
-    _ORBIT_BACKEND_WARNED = True
-    warnings.warn(
-        "HTCConfig.orbit_backend is a deprecated alias for the shared "
-        '"orbit" backend registry (repro.backend.get_registry("orbit")); '
-        "it keeps resolving through that registry, but new code should "
-        "register/select orbit counters via repro.orbits.engine instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -98,16 +77,9 @@ class HTCConfig:
     orbit_backend:
         Orbit-counting backend: ``"auto"`` (default; the fastest available),
         ``"numpy"`` (vectorized bitset counters), or ``"python"`` (the
-        pure-Python reference).  All backends are bit-identical.
-
-        .. deprecated:: PR 5
-            This field is now a thin alias for the ``"orbit"`` kind of the
-            shared :mod:`repro.backend` registry (where the counters are
-            registered); it keeps working unchanged, but new code extending
-            the backend set should register through
-            :func:`repro.orbits.engine.register_backend` /
-            ``repro.backend.get_registry("orbit")`` rather than assume the
-            selection logic is private to the orbit engine.
+        pure-Python reference).  All backends are bit-identical.  The names
+        are those of the ``"orbit"`` kind of the shared :mod:`repro.backend`
+        registry.
     orbit_cache:
         Orbit-count memoisation spec: ``"memory"`` (default; process-wide
         in-memory cache keyed by graph content hash), ``"off"``, a directory
@@ -226,8 +198,6 @@ class HTCConfig:
                 f"orbit_backend must be one of {valid_backends}, "
                 f"got {self.orbit_backend!r}"
             )
-        if self.orbit_backend != AUTO_BACKEND:
-            _warn_orbit_backend_deprecated()
         valid_executors = (AUTO_BACKEND,) + executor_registry().available()
         if self.executor_backend not in valid_executors:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Render a :class:`~repro.obs.metrics.MetricsRegistry` for scraping.
 
 Two formats, both deterministic (families and series sorted, fixed float
-formatting) so the stdlib and FastAPI transports serve **byte-identical**
-``/metrics`` bodies from the same registry state:
+formatting) so the same registry state always renders **byte-identical**
+``/metrics`` bodies:
 
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``text/plain; version=0.0.4``): ``# TYPE`` headers, ``_bucket{le=...}``

@@ -13,8 +13,8 @@ servable asset, in three layers:
   ``O(n·k)`` memory instead of ``O(n_s·n_t)`` while answering every
   ``match`` / ``top_k(k' <= k)`` query bit-identically to the dense matrix,
 * :mod:`repro.serve.service` — a thread-safe :class:`AlignmentService`
-  hosting many artifacts at once, with batched query APIs, an LRU query
-  cache and hit/miss/latency counters.
+  hosting many artifacts at once, with batched query APIs and per-op
+  query/latency counters.
 
 The CLI exposes the stack as ``export-artifact`` / ``query`` /
 ``serve-stats``, and ``run-suite --emit-artifacts`` makes every suite job

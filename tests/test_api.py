@@ -1,20 +1,19 @@
-"""The repro.api surface: models, dispatch, HTTP servers, catalog, versions.
+"""The repro.api surface: models, dispatch, the HTTP server, catalog, versions.
 
-The stdlib HTTP server is always available, so the end-to-end tests below
-(structured 4xx bodies over a real socket, bit-parity of HTTP responses with
-direct ``AlignmentService`` calls) run everywhere; the FastAPI-specific tests
-skip themselves when the optional dependency is absent.
+The end-to-end tests below run against the stdlib HTTP server over a real
+socket: structured 4xx bodies, request framing, and bit-parity of HTTP
+responses with direct ``AlignmentService`` calls.
 """
 
 import http.client
-import importlib.util
 import json
-import sys
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+import repro.api.http as api_http
 from repro.api.core import ApiState, dispatch
 from repro.api.http import BackgroundServer
 from repro.api.models import (
@@ -119,39 +118,6 @@ class TestParseQueryRequest:
         assert body["schema_version"] == API_SCHEMA_VERSION
         assert body["error"]["code"] == "validation_error"
         assert body["error"]["detail"]
-
-    def test_dataclass_fallback_mirrors_schema(self):
-        """Re-execute models.py with pydantic blocked: same behaviour."""
-        import repro.api.models as canonical
-
-        spec = importlib.util.spec_from_file_location(
-            "repro_api_models_nopydantic", canonical.__file__
-        )
-        module = importlib.util.module_from_spec(spec)
-        saved = sys.modules.get("pydantic")
-        sys.modules["pydantic"] = None  # forces ImportError in the probe
-        sys.modules[spec.name] = module  # @dataclass resolves the module
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            del sys.modules[spec.name]
-            if saved is not None:
-                sys.modules["pydantic"] = saved
-            else:
-                del sys.modules["pydantic"]
-        assert module.USING_PYDANTIC is False
-        request = module.parse_query_request(
-            {"artifact_id": "a", "op": "top_k", "nodes": [0, 1], "k": 2}
-        )
-        assert (request.artifact_id, request.op, request.k) == ("a", "top_k", 2)
-        response = module.make_query_response(request, np.array([[1, 2], [3, 4]]), "float64")
-        payload = module.response_payload(response)
-        assert payload["results"] == [[1, 2], [3, 4]]
-        assert payload["schema_version"] == canonical.API_SCHEMA_VERSION
-        with pytest.raises(module.ApiValidationError):
-            module.parse_query_request(
-                {"artifact_id": "a", "op": "match", "nodes": [0.5]}
-            )
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +318,29 @@ class TestDispatch:
         status, payload = dispatch(ApiState(root=root), "POST", "/bogus", body={})
         assert status == 404
 
+    def test_stats_key_set_of_schema_2_0(self, store):
+        root, artifact_id, _ = store
+        state = ApiState(root=root)
+        dispatch(state, "POST", "/match", body={"artifact_id": artifact_id, "nodes": [0]})
+        status, payload = dispatch(state, "GET", "/stats")
+        assert status == 200
+        assert API_SCHEMA_VERSION == payload["schema_version"] == "2.0"
+        assert set(payload) == {
+            "schema_version",
+            "engine_version",
+            "artifacts",
+            "orbit_backend",
+            "queries",
+            "batches",
+            "total_latency_s",
+            "avg_batch_latency_ms",
+            "queries_per_second",
+            "per_op",
+            "latency",
+        }
+        assert set(payload["latency"]) == {"match"}
+        assert set(payload["latency"]["match"]) == {"batch"}
+
     def test_stateless_service_without_root(self):
         state = ApiState()  # no store at all
         status, payload = dispatch(state, "GET", "/artifacts")
@@ -382,10 +371,11 @@ class TestBackendsEndpoint:
             available = [b["name"] for b in entry["backends"] if b["available"]]
             if available:
                 assert entry["auto"] in available
-        # The concrete expectations of this environment: numpy orbits and
-        # compute are available; auto never picks the opt-in sparse backend.
+        # The concrete expectations of this environment: numpy orbits are
+        # available and numpy is the one compute backend.
         orbit_names = {b["name"]: b for b in kinds["orbit"]["backends"]}
         assert {"python", "numpy", "numba"} <= set(orbit_names)
+        assert [b["name"] for b in kinds["compute"]["backends"]] == ["numpy"]
         assert kinds["compute"]["auto"] == "numpy"
 
     def test_reports_absent_accelerator_unavailable_without_import(self):
@@ -426,7 +416,7 @@ class TestBackendsEndpoint:
 
 
 # ----------------------------------------------------------------------
-# real sockets: the always-available stdlib server
+# real sockets: the stdlib server
 # ----------------------------------------------------------------------
 def _http(server, method, path, body=None):
     connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
@@ -542,6 +532,104 @@ class TestHTTPServer:
 
 
 # ----------------------------------------------------------------------
+# request framing: raw bytes on one keep-alive connection
+# ----------------------------------------------------------------------
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send ``request`` and read until the server closes the connection."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with our bytes unread
+                chunk = b""
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _split_response(data: bytes):
+    """``(status, headers, json body, trailing bytes)`` of the first response."""
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = dict(
+        (name.strip().lower(), value.strip())
+        for name, value in (line.split(":", 1) for line in lines[1:])
+    )
+    length = int(headers["content-length"])
+    return status, headers, json.loads(rest[:length]), rest[length:]
+
+
+_FOLLOW_UP = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", [b"twelve", b"-1"])
+    def test_bad_content_length_is_structured_400(self, length):
+        request = (
+            b"POST /match HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: " + length
+            + b"\r\n\r\n{}" + _FOLLOW_UP
+        )
+        with BackgroundServer(ApiState()) as server:
+            data = _raw_exchange(server, request)
+        status, headers, payload, trailing = _split_response(data)
+        assert status == 400
+        assert payload["error"]["code"] == "validation_error"
+        assert "Content-Length" in payload["error"]["message"]
+        # The body was not read, so the connection closes after the error.
+        assert headers["connection"] == "close"
+        assert trailing == b""
+
+    def test_oversized_body_closes_connection(self, monkeypatch):
+        monkeypatch.setattr(api_http, "MAX_BODY_BYTES", 16)
+        body = json.dumps({"artifact_id": "a" * 40, "nodes": [0]}).encode()
+        request = (
+            b"POST /match HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body + _FOLLOW_UP
+        )
+        with BackgroundServer(ApiState()) as server:
+            data = _raw_exchange(server, request)
+        status, headers, payload, trailing = _split_response(data)
+        assert status == 413
+        assert payload["error"]["code"] == "validation_error"
+        assert headers["connection"] == "close"
+        # The unread body is never parsed as a next request.
+        assert trailing == b""
+
+    def test_non_utf8_body_is_structured_400(self):
+        request = (
+            b"POST /match HTTP/1.1\r\nHost: test\r\nContent-Length: 1\r\n"
+            b"Connection: close\r\n\r\n\x80"
+        )
+        with BackgroundServer(ApiState()) as server:
+            data = _raw_exchange(server, request)
+        status, _, payload, _ = _split_response(data)
+        assert status == 400
+        assert payload["error"]["code"] == "validation_error"
+
+    def test_well_framed_requests_keep_the_connection(self, store):
+        root, artifact_id, matrix = store
+        body = json.dumps({"artifact_id": artifact_id, "nodes": [0]}).encode()
+        request = (
+            b"POST /match HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+            + b"GET /health HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        )
+        with BackgroundServer(ApiState(root=root)) as server:
+            data = _raw_exchange(server, request)
+        status, _, payload, trailing = _split_response(data)
+        assert status == 200
+        assert payload["results"] == [int(matrix[0].argmax())]
+        status, _, payload, trailing = _split_response(trailing)
+        assert (status, payload["status"], trailing) == (200, "ok", b"")
+
+
+# ----------------------------------------------------------------------
 # the SQLite catalog
 # ----------------------------------------------------------------------
 def _make_manifest(artifact_id, dataset="tiny", method="HTC", created=1.0):
@@ -644,51 +732,6 @@ class TestCatalog:
         record = record_from_manifest(manifest)
         assert record["config_hash"]
         assert record["schema_version"] == "1.1"
-
-
-# ----------------------------------------------------------------------
-# optional FastAPI transport (skips when not installed)
-# ----------------------------------------------------------------------
-class TestAsgi:
-    def test_create_app_without_fastapi_raises(self, monkeypatch):
-        import repro.api.asgi as asgi
-
-        monkeypatch.setattr(asgi, "fastapi_available", lambda: False)
-        with pytest.raises(RuntimeError, match="stdlib"):
-            asgi.create_app()
-
-    def test_fastapi_parity_with_stdlib(self, store):
-        pytest.importorskip("fastapi")
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.api.asgi import create_app
-
-        root, artifact_id, _ = store
-        state = ApiState(root=root)
-        client = testclient.TestClient(create_app(state))
-        body = {"artifact_id": artifact_id, "nodes": [0, 1, 2], "k": 3}
-        asgi_response = client.post("/top_k", json=body)
-        status, stdlib_payload = dispatch(
-            ApiState(root=root), "POST", "/top_k", body=body
-        )
-        assert asgi_response.status_code == status == 200
-        assert asgi_response.json() == stdlib_payload
-        # GET parity: /backends and the paginated /artifacts listing must be
-        # byte-identical across transports (both render the same dispatch
-        # payload).
-        for path, params in [
-            ("/backends", None),
-            ("/artifacts", {"limit": "1", "offset": "0"}),
-        ]:
-            asgi_response = client.get(path, params=params)
-            status, stdlib_payload = dispatch(
-                ApiState(root=root), "GET", path, params=params
-            )
-            assert asgi_response.status_code == status == 200
-            assert asgi_response.json() == json.loads(json.dumps(stdlib_payload))
-        assert client.get("/health").json()["status"] == "ok"
-        assert client.post(
-            "/match", json={"artifact_id": "nope", "nodes": [0]}
-        ).status_code == 404
 
 
 class TestPackageSurface:

@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-import repro.core.config as config_module
 from repro.core.config import HTCConfig
 
 
@@ -66,27 +65,22 @@ class TestHTCConfig:
 
 
 class TestOrbitBackendDeprecation:
-    """Locks the PR-5 ``orbit_backend`` alias: warns once, still works."""
+    """The ``orbit_backend`` warning is withdrawn: the field is the one
+    orbit-backend selector, so it never warns and still validates."""
 
-    def test_explicit_backend_warns_once_and_still_resolves(self, monkeypatch):
+    def test_explicit_backend_resolves_without_warning(self):
         from repro.orbits.engine import orbit_registry
 
-        monkeypatch.setattr(config_module, "_ORBIT_BACKEND_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="orbit_backend"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             config = HTCConfig(orbit_backend="numpy")
-        # The alias keeps resolving through the shared "orbit" registry.
         assert config.orbit_backend == "numpy"
         assert orbit_registry().resolve(config.orbit_backend) == "numpy"
-        # Warn-once: a second explicit use stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            HTCConfig(orbit_backend="numpy")
 
-    def test_auto_default_never_warns(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_ORBIT_BACKEND_WARNED", False)
+    def test_auto_default_never_warns(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            HTCConfig()
+            warnings.simplefilter("error")
+            assert HTCConfig().orbit_backend == "auto"
 
     def test_invalid_backend_still_rejected(self):
         with pytest.raises(ValueError, match="orbit_backend"):
