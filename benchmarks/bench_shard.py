@@ -7,8 +7,9 @@ Three measurements back the ``repro.shard`` subsystem:
    single-shot ``HTCAligner.align`` on the same pair.  Sharding bounds the
    quadratic scoring/refinement stages by the shard size, so the peak drops
    roughly with the square of the shard count.
-2. **Wall clock.**  End-to-end seconds for both paths (single CPU; the
-   speedup is algorithmic — smaller quadratic stages — not parallelism).
+2. **Wall clock.**  End-to-end seconds for both paths (shard jobs run
+   serially, so the ratio is algorithmic — smaller quadratic stages
+   against per-shard overheads — not parallelism).
 3. **Accuracy.**  p@1 of the stitched sparse alignment against the
    single-shot dense matrix; the acceptance bar is a drop of at most
    ``P1_TOLERANCE``.

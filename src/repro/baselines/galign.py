@@ -86,8 +86,6 @@ class GAlign(BaseAligner):
 
         source_views = self._views(pair.source, rng)
         target_views = self._views(pair.target, rng)
-        source_targets = [np.asarray(view.todense()) for view in source_views]
-        target_targets = [np.asarray(view.todense()) for view in target_views]
 
         encoder = SharedGCNEncoder(
             in_features=pair.source.n_attributes,
@@ -100,13 +98,12 @@ class GAlign(BaseAligner):
         for _ in range(self.epochs):
             optimizer.zero_grad()
             total = None
-            for views, targets, attributes in (
-                (source_views, source_targets, pair.source.attributes),
-                (target_views, target_targets, pair.target.attributes),
+            for views, attributes in (
+                (source_views, pair.source.attributes),
+                (target_views, pair.target.attributes),
             ):
-                for view, target_dense in zip(views, targets):
-                    embedding = encoder(view, attributes)
-                    loss = frobenius_loss(embedding @ embedding.T, target_dense)
+                for view in views:
+                    loss = frobenius_loss(encoder(view, attributes), view)
                     total = loss if total is None else total + loss
             total.backward()
             optimizer.step()

@@ -30,16 +30,14 @@ def reconstruction_loss(
     encoder: SharedGCNEncoder,
     laplacian: sp.spmatrix,
     attributes: np.ndarray,
-    target_dense: np.ndarray,
 ) -> Tensor:
     """Orbit-reconstruction loss of one graph on one view (Eq. 6-7).
 
-    ``target_dense`` is the densified Laplacian the inner product
-    ``H H^T`` must reconstruct.
+    ``laplacian`` is both the view the encoder propagates over and the
+    target the inner product ``H H^T`` must reconstruct.
     """
     embedding = encoder(laplacian, attributes)
-    reconstruction = embedding @ embedding.T
-    return frobenius_loss(reconstruction, target_dense)
+    return frobenius_loss(embedding, laplacian)
 
 
 class MultiOrbitTrainer:
@@ -63,6 +61,8 @@ class MultiOrbitTrainer:
         """
         if set(source_views) != set(target_views):
             raise ValueError("source and target must expose the same view ids")
+        if not source_views:
+            raise ValueError("training needs at least one view")
 
         optimizer = Adam(
             encoder.parameters(),
@@ -70,26 +70,16 @@ class MultiOrbitTrainer:
             weight_decay=self.config.weight_decay,
         )
 
-        # Densify the reconstruction targets once (they are constants).
-        source_targets = {k: np.asarray(v.todense()) for k, v in source_views.items()}
-        target_targets = {k: np.asarray(v.todense()) for k, v in target_views.items()}
-
         losses: List[float] = []
         for epoch in range(self.config.epochs):
             optimizer.zero_grad()
             total = None
             for view_id in source_views:
                 loss_source = reconstruction_loss(
-                    encoder,
-                    source_views[view_id],
-                    source_attributes,
-                    source_targets[view_id],
+                    encoder, source_views[view_id], source_attributes
                 )
                 loss_target = reconstruction_loss(
-                    encoder,
-                    target_views[view_id],
-                    target_attributes,
-                    target_targets[view_id],
+                    encoder, target_views[view_id], target_attributes
                 )
                 view_loss = loss_source + loss_target
                 total = view_loss if total is None else total + view_loss

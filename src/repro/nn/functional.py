@@ -138,22 +138,47 @@ def softmax_rows(tensor: Tensor) -> Tensor:
     return out
 
 
-def frobenius_loss(reconstruction: Tensor, target: Union[np.ndarray, sp.spmatrix]) -> Tensor:
-    """Frobenius-norm reconstruction loss ``||target - reconstruction||_F``.
+def frobenius_loss(embedding: Tensor, target: sp.spmatrix) -> Tensor:
+    """Reconstruction loss ``||H H^T - target||_F`` of Eq. 7, matrix-free.
 
-    ``target`` is a constant (dense array or sparse matrix densified once).
-    A small epsilon keeps the square root differentiable at zero.
+    ``embedding`` is ``H`` (n x d) and ``target`` the constant scipy-sparse
+    view ``L`` (n x n) that the inner-product decoder must reconstruct.  The
+    loss uses the exact factored form
+
+        ||H H^T - L||_F^2 = ||H^T H||_F^2 - 2 <H, L H> + ||L||_F^2
+
+    and is one graph node whose vector-Jacobian product is
+    ``(2 H (H^T H) - (L + L^T) H) / loss``, so an evaluation costs
+    O(n d^2 + nnz d) and allocates no n x n array.  A small epsilon keeps the
+    square root differentiable at zero; the factored sum is clamped at zero
+    first because rounding can push it just below at an exact fit.
     """
-    if sp.issparse(target):
-        target = np.asarray(target.todense())
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != reconstruction.shape:
+    if not sp.issparse(target):
+        raise TypeError("frobenius_loss expects a scipy sparse target")
+    n_nodes = embedding.shape[0]
+    if target.shape != (n_nodes, n_nodes):
         raise ValueError(
-            f"target shape {target.shape} != reconstruction shape {reconstruction.shape}"
+            f"target shape {target.shape} != reconstruction shape {(n_nodes, n_nodes)}"
         )
-    diff = reconstruction - Tensor(target)
-    squared = (diff * diff).sum()
-    return (squared + 1e-12) ** 0.5
+    target = target.tocsr()
+    h = embedding.data
+    gram = h.T @ h
+    propagated = target.dot(h)
+    squared = (
+        np.sum(gram * gram)
+        - 2.0 * np.sum(h * propagated)
+        + target.multiply(target).sum()
+    )
+    value = np.sqrt(max(squared, 0.0) + 1e-12)
+    out = Tensor(value, requires_grad=embedding.requires_grad, _parents=(embedding,))
+
+    def backward(gradient: np.ndarray) -> None:
+        if embedding.requires_grad:
+            symmetric = propagated + target.T.dot(h)
+            embedding._accumulate(gradient * (2.0 * (h @ gram) - symmetric) / value)
+
+    out._backward = backward
+    return out
 
 
 def mse_loss(prediction: Tensor, target: Union[np.ndarray, Tensor]) -> Tensor:

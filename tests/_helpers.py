@@ -8,6 +8,9 @@ modules lives here and is imported absolutely: ``from _helpers import ...``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+from repro.nn.tensor import Tensor
 
 
 def numerical_gradient(func, value, epsilon=1e-6):
@@ -25,3 +28,23 @@ def numerical_gradient(func, value, epsilon=1e-6):
         flat[index] = original
         grad_flat[index] = (plus - minus) / (2 * epsilon)
     return gradient
+
+
+def dense_frobenius_loss(reconstruction, target):
+    """Dense oracle for ``repro.nn.functional.frobenius_loss``.
+
+    ``||target - reconstruction||_F`` built from elementwise autograd nodes
+    on the n x n reconstruction ``H @ H.T``; ``target`` may be dense or
+    sparse.  The matrix-free op sums in another order, so tests compare it
+    with this oracle at a tolerance, not bit for bit.
+    """
+    if sp.issparse(target):
+        target = target.toarray()
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != reconstruction.shape:
+        raise ValueError(
+            f"target shape {target.shape} != reconstruction shape {reconstruction.shape}"
+        )
+    diff = reconstruction - Tensor(target)
+    squared = (diff * diff).sum()
+    return (squared + 1e-12) ** 0.5

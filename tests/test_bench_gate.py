@@ -19,6 +19,7 @@ SHARD_PAYLOAD = {
     "within_tolerance": True,
     "memory_ratio": 4.0,
     "speedup": 2.0,
+    "single_shot": {"wall_s": 1.5, "peak_mb": 100.0, "p_at_1": 0.87},
     "sharded": {"wall_s": 3.0},
     "stitch_phase": {
         "identical": True,
@@ -181,6 +182,22 @@ class TestGate:
             ]
         )
         assert code == 1
+
+    def test_single_shot_accuracy_floor_enforced(self, tmp_path, capsys):
+        bad = dict(
+            SHARD_PAYLOAD, single_shot=dict(SHARD_PAYLOAD["single_shot"], p_at_1=0.8)
+        )
+        _write(tmp_path / "baselines", "BENCH_shard.json", SHARD_PAYLOAD)
+        _write(tmp_path / "fresh", "BENCH_shard.json", bad)
+        code = check_regression.main(
+            [
+                "--baseline-dir", str(tmp_path / "baselines"),
+                "--fresh-dir", str(tmp_path / "fresh"),
+                "--files", "BENCH_shard.json",
+            ]
+        )
+        assert code == 1
+        assert "single_shot.p_at_1" in capsys.readouterr().out
 
     def test_slowdown_fails_in_same_mode(self, tmp_path, capsys):
         slow = dict(SHARD_PAYLOAD, sharded={"wall_s": 30.0})

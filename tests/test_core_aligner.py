@@ -12,6 +12,7 @@ from repro.core.aligner import (
     STAGE_TRAINING,
 )
 from repro.eval.metrics import precision_at_q
+from repro.graph.builders import from_edge_list
 
 
 class TestAlignmentResultContents:
@@ -138,3 +139,47 @@ class TestPartialOverlapPair:
             pair.source.n_nodes,
             pair.target.n_nodes,
         )
+
+
+def _graph(edges, n_nodes, attributes=None, seed=0):
+    if attributes is None:
+        attributes = np.random.default_rng(seed).random((n_nodes, 3))
+    return from_edge_list(edges, n_nodes=n_nodes, attributes=attributes)
+
+
+_RING = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+
+class TestDegenerateInputs:
+    """Inputs with no edges, too few nodes or no attribute signal.
+
+    Only the invariants are pinned: with tied scores the trusted counts and
+    the exact gamma values follow argmax tie-breaking.
+    """
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (_graph([], 6), _graph([], 6, seed=1)),
+            (_graph([], 1), _graph([], 1, seed=1)),
+            (_graph(_RING, 8), _graph(_RING, 8, seed=1)),
+            (_graph(_RING + [(5, 6), (6, 7)], 8), _graph([(0, 1), (1, 2)], 3)),
+            (
+                _graph(_RING, 5, attributes=np.zeros((5, 3))),
+                _graph(_RING, 5, attributes=np.zeros((5, 3))),
+            ),
+        ],
+        ids=["no-edges", "one-node", "isolated-nodes", "size-mismatch", "zero-attributes"],
+    )
+    def test_outputs_are_defined(self, source, target):
+        config = HTCConfig(epochs=3, embedding_dim=4, random_state=0)
+        result = HTCAligner(config).align_graphs(source, target)
+        matrix = result.alignment_matrix
+        assert matrix.shape == (source.n_nodes, target.n_nodes)
+        assert np.all(np.isfinite(matrix))
+        assert len(result.training_losses) == config.epochs
+        assert np.all(np.isfinite(result.training_losses))
+        gamma = np.array(list(result.orbit_importance.values()))
+        assert np.all(np.isfinite(gamma))
+        assert np.all(gamma >= 0.0)
+        assert gamma.sum() == pytest.approx(1.0)

@@ -6,17 +6,36 @@ consistency, the shared orbit-weighted encoder maps them to identical
 embeddings.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.core.training as training
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.training import MultiOrbitTrainer, reconstruction_loss
-from repro.datasets.synthetic import tiny_pair
+from repro.datasets.synthetic import douban, tiny_pair
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.perturbation import permute_graph
 from repro.nn.layers import SharedGCNEncoder
+
+from _helpers import dense_frobenius_loss
+
+
+def _train(pair, config):
+    """Per-epoch losses of ``MultiOrbitTrainer`` on ``pair``."""
+    source_views = build_topology_views(pair.source, config)
+    target_views = build_topology_views(pair.target, config)
+    encoder = make_encoder(pair.source.n_attributes, config)
+    return MultiOrbitTrainer(config).train(
+        encoder,
+        source_views,
+        target_views,
+        pair.source.attributes,
+        pair.target.attributes,
+    )
 
 
 class TestReconstructionLoss:
@@ -25,9 +44,7 @@ class TestReconstructionLoss:
         config = HTCConfig(orbits=[0], embedding_dim=8)
         views = build_topology_views(graph, config)
         encoder = make_encoder(3, config)
-        loss = reconstruction_loss(
-            encoder, views[0], graph.attributes, np.asarray(views[0].todense())
-        )
+        loss = reconstruction_loss(encoder, views[0], graph.attributes)
         assert loss.data.size == 1
         assert loss.item() > 0
 
@@ -63,6 +80,50 @@ class TestMultiOrbitTrainer:
                 pair.source.attributes,
                 pair.target.attributes,
             )
+
+    def test_empty_views_rejected(self):
+        config = HTCConfig(embedding_dim=4, epochs=2)
+        encoder = make_encoder(3, config)
+        attributes = np.zeros((5, 3))
+        with pytest.raises(ValueError, match="at least one view"):
+            MultiOrbitTrainer(config).train(encoder, {}, {}, attributes, attributes)
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: tiny_pair(n_nodes=60, random_state=0),
+            lambda: douban(scale=1.25, random_state=0),
+        ],
+        ids=["tiny-60", "sparse-400"],
+    )
+    def test_losses_match_dense_oracle(self, monkeypatch, make_pair):
+        pair = make_pair()
+        config = HTCConfig(embedding_dim=8, epochs=20, random_state=0)
+        losses = _train(pair, config)
+        monkeypatch.setattr(
+            training,
+            "frobenius_loss",
+            lambda embedding, target: dense_frobenius_loss(
+                embedding @ embedding.T, target
+            ),
+        )
+        oracle = _train(pair, config)
+        assert len(losses) == 20
+        np.testing.assert_allclose(losses, oracle, rtol=1e-10)
+
+    def test_epoch_allocates_no_dense_square(self):
+        pair = tiny_pair(n_nodes=2000, random_state=0)
+        config = HTCConfig(
+            topology_mode="adjacency", embedding_dim=16, epochs=1, random_state=0
+        )
+        tracemalloc.start()
+        try:
+            _train(pair, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n x n float64 array; the dense loss built several per view.
+        assert peak < pair.source.n_nodes**2 * 8
 
     def test_training_changes_parameters(self):
         pair = tiny_pair(n_nodes=25, random_state=1)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.config import HTCConfig
+from repro.core.encoder import build_topology_views
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.nn.functional import (
     frobenius_loss,
     get_activation,
@@ -17,7 +20,7 @@ from repro.nn.functional import (
 )
 from repro.nn.tensor import Tensor
 
-from _helpers import numerical_gradient
+from _helpers import dense_frobenius_loss, numerical_gradient
 
 
 class TestActivations:
@@ -98,37 +101,93 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(x.grad, numerical_gradient(loss, value), atol=1e-5)
 
 
+def _random_embedding(n_nodes, dim, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=0.3, size=(n_nodes, dim)).astype(dtype)
+
+
+def _loss_and_gradient(loss_fn, value):
+    x = Tensor(value.copy(), requires_grad=True)
+    loss = loss_fn(x)
+    loss.backward()
+    return loss.item(), x.grad
+
+
+def _assert_matches_oracle(value, target, rtol=1e-10):
+    """The matrix-free loss and gradient agree with the dense oracle."""
+    loss, grad = _loss_and_gradient(lambda x: frobenius_loss(x, target), value)
+    oracle_loss, oracle_grad = _loss_and_gradient(
+        lambda x: dense_frobenius_loss(x @ x.T, target), value
+    )
+    assert loss == pytest.approx(oracle_loss, rel=rtol)
+    np.testing.assert_allclose(
+        grad, oracle_grad, rtol=rtol, atol=rtol * np.abs(oracle_grad).max()
+    )
+
+
 class TestLosses:
     def test_frobenius_loss_zero_for_exact_reconstruction(self):
-        target = np.eye(3)
-        loss = frobenius_loss(Tensor(target.copy(), requires_grad=True), target)
+        value = np.eye(3)
+        loss = frobenius_loss(
+            Tensor(value, requires_grad=True), sp.identity(3, format="csr")
+        )
         assert loss.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_frobenius_loss_value(self):
-        target = np.zeros((2, 2))
-        loss = frobenius_loss(Tensor(np.ones((2, 2))), target)
+        # H H^T is the all-ones 2x2 matrix; its distance from zero is 2.
+        loss = frobenius_loss(Tensor(np.ones((2, 1))), sp.csr_matrix((2, 2)))
         assert loss.item() == pytest.approx(2.0)
 
     def test_frobenius_loss_gradient(self):
-        rng = np.random.default_rng(2)
-        target = rng.normal(size=(3, 3))
-        value = rng.normal(size=(3, 3))
+        value = _random_embedding(4, 2, seed=2)
+        target = sp.random(4, 4, density=0.5, random_state=2, format="csr")
+        dense_target = target.toarray()
 
         def loss_fn(v):
-            return float(np.sqrt(((v - target) ** 2).sum() + 1e-12))
+            return float(np.sqrt(((v @ v.T - dense_target) ** 2).sum() + 1e-12))
 
         x = Tensor(value.copy(), requires_grad=True)
         frobenius_loss(x, target).backward()
         np.testing.assert_allclose(x.grad, numerical_gradient(loss_fn, value), atol=1e-4)
 
     def test_frobenius_loss_accepts_sparse_target(self):
-        target = sp.identity(3, format="csr")
-        loss = frobenius_loss(Tensor(np.zeros((3, 3))), target)
-        assert loss.item() == pytest.approx(np.sqrt(3.0))
+        for fmt in ("csr", "csc", "coo"):
+            target = sp.identity(3, format=fmt)
+            loss = frobenius_loss(Tensor(np.zeros((3, 2))), target)
+            assert loss.item() == pytest.approx(np.sqrt(3.0))
 
     def test_frobenius_shape_mismatch(self):
         with pytest.raises(ValueError):
-            frobenius_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
+            frobenius_loss(Tensor(np.zeros((2, 2))), sp.identity(3, format="csr"))
+
+    def test_frobenius_loss_matches_dense_oracle_on_orbit_views(self):
+        graph = powerlaw_cluster_graph(60, 3, n_attributes=4, random_state=0)
+        views = build_topology_views(graph, HTCConfig())
+        assert len(views) == 13
+        for view_id, view in views.items():
+            _assert_matches_oracle(_random_embedding(60, 8, seed=view_id), view)
+
+    def test_frobenius_loss_non_symmetric_target(self):
+        target = sp.random(7, 7, density=0.4, random_state=3, format="csr")
+        assert (target != target.T).nnz > 0
+        _assert_matches_oracle(_random_embedding(7, 3, seed=3), target)
+
+    def test_frobenius_loss_exact_fit_is_finite(self):
+        value = _random_embedding(12, 4, seed=4)
+        target = sp.csr_matrix(value @ value.T)
+        loss, grad = _loss_and_gradient(lambda x: frobenius_loss(x, target), value)
+        assert np.isfinite(loss) and loss >= 0.0
+        assert np.all(np.isfinite(grad))
+
+    def test_frobenius_loss_float32_embedding_gets_float32_gradient(self):
+        value = _random_embedding(5, 2, seed=5, dtype=np.float32)
+        x = Tensor(value, requires_grad=True)
+        frobenius_loss(x, sp.identity(5, format="csr", dtype=np.float32)).backward()
+        assert x.grad.dtype == np.float32
+
+    def test_frobenius_loss_rejects_dense_target(self):
+        with pytest.raises(TypeError):
+            frobenius_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_mse_loss(self):
         loss = mse_loss(Tensor([1.0, 3.0]), np.array([0.0, 1.0]))
