@@ -24,7 +24,10 @@ strategy per execution model:
     ``SIGALRM``, plus worker-crash recovery — when a worker dies mid-job
     (``BrokenProcessPool``), every job left without a result is retried once
     in an isolated single-worker pool, so the actual crasher is identified
-    and marked failed while its innocent neighbours still complete.
+    and marked failed while its innocent neighbours still complete.  Each
+    worker caps its BLAS/OpenMP threads to the fair share
+    ``max(1, cpus // workers)`` (:func:`repro.backend.shm.shm_worker_init`),
+    so N workers never stack N full-width BLAS pools on one box.
 
 ``"thread-pool"``
     Jobs run on daemon worker threads in one process.  ``SIGALRM`` cannot
@@ -40,16 +43,12 @@ strategy per execution model:
 
 ``"process-pool-shm"``
     The process pool plus the zero-copy substrate of
-    :mod:`repro.backend.shm`: each worker is warmed by an ``initializer``
-    that caps BLAS/OpenMP threads to the fair share
-    ``max(1, cpus // workers)`` and installs a per-worker dataset cache,
-    and callers that stage job payloads in a :class:`~repro.backend.shm.
-    SharedArena` (the suite runner does — graph CSR arrays ship as
-    shared-memory handles, attached rather than copied) skip the per-job
-    pickle + dataset reload entirely.  Scheduling, crash recovery and
-    timeouts are inherited unchanged from ``process-pool``.  The same
-    governance is available on the plain pool via
-    ``ProcessPoolExecutorBackend(cap_blas_threads=True)``.
+    :mod:`repro.backend.shm`: callers that stage job payloads in a
+    :class:`~repro.backend.shm.SharedArena` (the suite runner does — graph
+    CSR arrays ship as shared-memory handles, attached rather than copied)
+    skip the per-job pickle + dataset reload entirely, through a
+    per-worker dataset cache.  Scheduling, BLAS capping, crash recovery and
+    timeouts are inherited unchanged from ``process-pool``.
 
 ``"auto"`` resolves through the registry's priority order to
 ``process-pool`` when the interpreter supports it (lazy availability
@@ -285,41 +284,32 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
     isolated single-worker pool: the crasher reproducibly kills its solo
     pool and is marked failed through ``on_crash``; every other job
     completes normally.
+
+    Every worker, the solo ones included, starts with
+    :func:`~repro.backend.shm.shm_worker_init`, which caps its BLAS/OpenMP
+    threads to ``max(1, cpus // workers)`` for the requested worker count.
     """
 
     name = PROCESS_POOL
 
-    def __init__(self, *, cap_blas_threads: bool = False) -> None:
-        #: Opt-in BLAS thread governance on the plain pool: workers are
-        #: initialised with a ``max(1, cpus // workers)`` threadpool cap
-        #: so N workers never stack N full-width BLAS pools on one box.
-        self.cap_blas_threads = bool(cap_blas_threads)
-
-    # Pool construction is a hook so the shm backend can warm its workers
-    # (BLAS cap + per-worker dataset cache) without duplicating the
-    # scheduling / crash-recovery machinery below.
-    def _make_pool(self, max_workers: int, total_workers: int) -> ProcessPoolExecutor:
-        if self.cap_blas_threads:
-            cap = blas_thread_cap(total_workers)
-            return ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=shm_worker_init,
-                initargs=(cap,),
-            )
-        return ProcessPoolExecutor(max_workers=max_workers)
+    @staticmethod
+    def _make_pool(max_workers: int, total_workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=shm_worker_init,
+            initargs=(blas_thread_cap(total_workers),),
+        )
 
     @contextlib.contextmanager
     def _pool_env(self, total_workers: int):
         """Export the BLAS cap to the environment while the pool may spawn.
 
         Spawned workers read these knobs before their BLAS loads — earlier
-        than the initializer can run; forked workers are covered by
-        :func:`~repro.backend.shm.shm_worker_init` instead (threadpoolctl
-        when importable).  The parent's values are restored afterwards.
+        than the initializer can run; forked workers inherit a BLAS that
+        read them long ago and are capped by
+        :func:`~repro.backend.shm.shm_worker_init` instead.  The parent's
+        values are restored afterwards.
         """
-        if not self.cap_blas_threads:
-            yield
-            return
         cap = str(blas_thread_cap(total_workers))
         saved = {name: os.environ.get(name) for name in BLAS_ENV_VARS}
         for name in BLAS_ENV_VARS:
@@ -438,19 +428,14 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
 class SharedMemoryProcessPoolExecutorBackend(ProcessPoolExecutorBackend):
     """The warm zero-copy process pool (``"process-pool-shm"``).
 
-    Identical scheduling, timeout and crash-recovery behaviour to
-    ``process-pool`` — same base class, same isolation retries — with the
-    per-job overhead removed:
-
-    * every worker runs :func:`repro.backend.shm.shm_worker_init` once at
-      start-up, capping its BLAS/OpenMP threadpool to the fair share
-      ``max(1, cpus // workers)`` and installing the per-worker dataset
-      cache;
-    * callers that stage datasets in a :class:`~repro.backend.shm.
-      SharedArena` (``run_suite`` does) pass shared-memory handles in the
-      job kwargs, so workers attach graph CSR arrays read-only instead of
-      unpickling copies, and each dataset is materialised once per worker
-      instead of once per job.
+    Identical scheduling, BLAS capping, timeout and crash-recovery
+    behaviour to ``process-pool`` — same base class, same worker
+    initializer, same isolation retries — with the per-job overhead
+    removed: callers that stage datasets in a :class:`~repro.backend.shm.
+    SharedArena` (``run_suite`` does) pass shared-memory handles in the job
+    kwargs, so workers attach graph CSR arrays read-only instead of
+    unpickling copies, and each dataset is materialised once per worker
+    instead of once per job.
 
     ``supports_shared_datasets`` is the capability flag coordinators key
     on to decide whether staging is worth the parent-side load.
@@ -458,9 +443,6 @@ class SharedMemoryProcessPoolExecutorBackend(ProcessPoolExecutorBackend):
 
     name = PROCESS_POOL_SHM
     supports_shared_datasets = True
-
-    def __init__(self) -> None:
-        super().__init__(cap_blas_threads=True)
 
 
 def _process_pool_available() -> bool:

@@ -31,20 +31,21 @@ Graph-pair transport
 Per-worker dataset cache + BLAS thread governance
     :func:`shm_worker_init` is the process-pool ``initializer``: it caps
     BLAS/OpenMP threads to the fair share ``max(1, cpus // workers)``
-    (threadpoolctl when importable, the standard env knobs otherwise) and
-    installs a per-worker dataset cache keyed by the pair content hash, so
-    a suite touching D datasets attaches each one once per worker instead
-    of loading it once per job.
+    (threadpoolctl when importable, else every loaded OpenBLAS directly,
+    plus the standard env knobs) and installs a per-worker dataset cache
+    keyed by the pair content hash, so a suite touching D datasets attaches
+    each one once per worker instead of loading it once per job.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,13 +75,60 @@ def blas_thread_cap(workers: int, cpus: Optional[int] = None) -> int:
     return max(1, int(cpus) // max(1, int(workers)))
 
 
+#: OpenBLAS's thread-control symbols across builds: plain, the 64-bit
+#: integer ABI, and the renamed copies numpy and scipy wheels bundle
+#: (``scipy_openblas_set_num_threads64_``).
+_OPENBLAS_SYMBOLS = tuple(
+    f"{prefix}openblas_{{}}{suffix}"
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_", "_64")
+)
+
+
+def _openblas_functions(action: str) -> List[Callable]:
+    """``openblas_<action>`` of every OpenBLAS this process has loaded.
+
+    ``action`` is ``"set_num_threads"`` or ``"get_num_threads"``.  The
+    loaded libraries are read from ``/proc/self/maps`` (Linux) and opened
+    with ``RTLD_NOLOAD``, so nothing new is loaded; the list is empty where
+    no OpenBLAS is found.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+            )
+    except OSError:
+        return []
+    functions = []
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(library, symbol.format(action), None)
+            if function is not None:
+                if action == "set_num_threads":
+                    function.argtypes, function.restype = [ctypes.c_int], None
+                else:
+                    function.argtypes, function.restype = [], ctypes.c_int
+                functions.append(function)
+                break
+    return functions
+
+
 def apply_blas_thread_cap(cap: int) -> str:
     """Limit BLAS/OpenMP threadpools to ``cap`` threads; returns the method.
 
-    Prefers :mod:`threadpoolctl` (caps already-loaded pools, so it works
-    under the ``fork`` start method where the env is read too late) and
-    falls back to the standard env knobs, which cover ``spawn`` workers
-    and any library loaded after the initializer ran.
+    Prefers :mod:`threadpoolctl`; without it, sets the thread count of every
+    OpenBLAS already loaded (``"openblas"``).  Either caps a pool that read
+    its env knobs before the cap existed, as in a worker forked from a
+    parent that had imported numpy.  The env knobs are set too: they cover
+    ``spawn`` workers and any library loaded later (``"env"`` when they are
+    all that applied).
     """
     cap = max(1, int(cap))
     for name in BLAS_ENV_VARS:
@@ -88,7 +136,10 @@ def apply_blas_thread_cap(cap: int) -> str:
     try:
         import threadpoolctl
     except ImportError:
-        return "env"
+        setters = _openblas_functions("set_num_threads")
+        for set_threads in setters:
+            set_threads(cap)
+        return "openblas" if setters else "env"
     try:
         threadpoolctl.threadpool_limits(limits=cap)
     except Exception:  # pragma: no cover - defensive: never fail a worker

@@ -7,11 +7,16 @@ product decoder.  Because the encoder parameters are shared across *all*
 views and both graphs, minimising the summed loss makes the encoder
 multi-orbit-aware — it cannot overfit to any single topological pattern,
 which is also the mechanism behind HTC's robustness to edge removal.
+
+An epoch encodes each graph's K views in one pass: the block-diagonal stack
+of the views is the propagation matrix of K independent GCNs that share
+weights, over the K-fold tiled attributes, and one blockwise loss node sums
+the K per-view losses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,14 +35,27 @@ def reconstruction_loss(
     encoder: SharedGCNEncoder,
     laplacian: sp.spmatrix,
     attributes: np.ndarray,
+    blocks: int = 1,
 ) -> Tensor:
     """Orbit-reconstruction loss of one graph on one view (Eq. 6-7).
 
     ``laplacian`` is both the view the encoder propagates over and the
-    target the inner product ``H H^T`` must reconstruct.
+    target the inner product ``H H^T`` must reconstruct.  With ``blocks=K``
+    it is the block-diagonal stack of K views, ``attributes`` the K-fold
+    tiled features, and the loss the sum of the K per-view losses.
     """
     embedding = encoder(laplacian, attributes)
-    return frobenius_loss(embedding, laplacian)
+    return frobenius_loss(embedding, laplacian, blocks)
+
+
+def _stack(
+    views: Dict[int, sp.csr_matrix], view_ids: List[int], attributes: np.ndarray
+) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """One graph's views as a block-diagonal matrix, with tiled attributes."""
+    return (
+        sp.block_diag([views[k] for k in view_ids], format="csr"),
+        np.tile(attributes, (len(view_ids), 1)),
+    )
 
 
 class MultiOrbitTrainer:
@@ -70,19 +88,20 @@ class MultiOrbitTrainer:
             weight_decay=self.config.weight_decay,
         )
 
+        view_ids = list(source_views)
+        blocks = len(view_ids)
+        source_stack = _stack(source_views, view_ids, source_attributes)
+        target_stack = _stack(target_views, view_ids, target_attributes)
+
         losses: List[float] = []
         for epoch in range(self.config.epochs):
             optimizer.zero_grad()
-            total = None
-            for view_id in source_views:
-                loss_source = reconstruction_loss(
-                    encoder, source_views[view_id], source_attributes
-                )
-                loss_target = reconstruction_loss(
-                    encoder, target_views[view_id], target_attributes
-                )
-                view_loss = loss_source + loss_target
-                total = view_loss if total is None else total + view_loss
+            source_loss = reconstruction_loss(encoder, *source_stack, blocks)
+            target_loss = reconstruction_loss(encoder, *target_stack, blocks)
+            # Rebinding ``total`` frees the previous epoch's graph only now,
+            # after this forward pass has allocated: freed first, glibc trims
+            # the heap and every epoch re-faults every page.
+            total = source_loss + target_loss
             total.backward()
             optimizer.step()
             losses.append(total.item())

@@ -138,44 +138,60 @@ def softmax_rows(tensor: Tensor) -> Tensor:
     return out
 
 
-def frobenius_loss(embedding: Tensor, target: sp.spmatrix) -> Tensor:
+def frobenius_loss(embedding: Tensor, target: sp.spmatrix, blocks: int = 1) -> Tensor:
     """Reconstruction loss ``||H H^T - target||_F`` of Eq. 7, matrix-free.
 
     ``embedding`` is ``H`` (n x d) and ``target`` the constant scipy-sparse
-    view ``L`` (n x n) that the inner-product decoder must reconstruct.  The
-    loss uses the exact factored form
+    view ``L`` (n x n) that the inner-product decoder must reconstruct.
+    ``target`` is block-diagonal with ``blocks`` equal square blocks ``L_k``
+    (entries off those blocks must be zero), ``H_k`` are the matching row
+    blocks of ``H``, and the result is ``sum_k ||H_k H_k^T - L_k||_F``;
+    ``blocks=1`` is the plain loss.  Each term uses the exact factored form
 
-        ||H H^T - L||_F^2 = ||H^T H||_F^2 - 2 <H, L H> + ||L||_F^2
+        ||H_k H_k^T - L_k||_F^2 = ||H_k^T H_k||_F^2 - 2 <H_k, L_k H_k> + ||L_k||_F^2
 
-    and is one graph node whose vector-Jacobian product is
-    ``(2 H (H^T H) - (L + L^T) H) / loss``, so an evaluation costs
-    O(n d^2 + nnz d) and allocates no n x n array.  A small epsilon keeps the
-    square root differentiable at zero; the factored sum is clamped at zero
-    first because rounding can push it just below at an exact fit.
+    and the sum is one graph node whose vector-Jacobian product is
+    ``(2 H_k (H_k^T H_k) - (L_k + L_k^T) H_k) / loss_k`` on each block, so an
+    evaluation costs O(n d^2 + nnz d) and allocates no n x n array.  A small
+    epsilon keeps each square root differentiable at zero; each factored sum
+    is clamped at zero first because rounding can push it just below at an
+    exact fit.
     """
     if not sp.issparse(target):
         raise TypeError("frobenius_loss expects a scipy sparse target")
     n_nodes = embedding.shape[0]
+    if blocks < 1 or n_nodes % blocks:
+        raise ValueError(f"{n_nodes} rows do not split into {blocks} equal blocks")
     if target.shape != (n_nodes, n_nodes):
         raise ValueError(
             f"target shape {target.shape} != reconstruction shape {(n_nodes, n_nodes)}"
         )
     target = target.tocsr()
     h = embedding.data
-    gram = h.T @ h
+    stacked = h.reshape(blocks, n_nodes // blocks, h.shape[1])
+    gram = stacked.transpose(0, 2, 1) @ stacked
     propagated = target.dot(h)
+    # The elementwise product is canonical (duplicates summed before squaring),
+    # so its data splits into the blocks' rows at the block boundaries.
+    squares = target.multiply(target)
+    bounds = squares.indptr[np.arange(blocks + 1) * (n_nodes // blocks)]
     squared = (
-        np.sum(gram * gram)
-        - 2.0 * np.sum(h * propagated)
-        + target.multiply(target).sum()
+        np.sum(gram * gram, axis=(1, 2))
+        - 2.0 * np.sum((h * propagated).reshape(blocks, -1), axis=1)
+        + np.array([squares.data[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
     )
-    value = np.sqrt(max(squared, 0.0) + 1e-12)
-    out = Tensor(value, requires_grad=embedding.requires_grad, _parents=(embedding,))
+    values = np.sqrt(np.maximum(squared, 0.0) + 1e-12)
+    out = Tensor(
+        values.sum(), requires_grad=embedding.requires_grad, _parents=(embedding,)
+    )
 
     def backward(gradient: np.ndarray) -> None:
         if embedding.requires_grad:
-            symmetric = propagated + target.T.dot(h)
-            embedding._accumulate(gradient * (2.0 * (h @ gram) - symmetric) / value)
+            symmetric = (propagated + target.T.dot(h)).reshape(stacked.shape)
+            block_grads = gradient * (2.0 * (stacked @ gram) - symmetric)
+            embedding._accumulate(
+                (block_grads / values[:, None, None]).reshape(h.shape)
+            )
 
     out._backward = backward
     return out

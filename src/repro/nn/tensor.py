@@ -99,6 +99,11 @@ class Tensor:
     dtype:
         Optional explicit dtype (``float32`` / ``float64``) overriding both
         rules.
+
+    ``.grad`` holds the accumulated gradient (``None`` before any) and is
+    read-only: the first gradient a tensor receives is stored without a
+    copy, so it may share memory with another node's gradient.  Rebind it
+    (``t.grad = t.grad * 0.5``); never write into it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
@@ -155,7 +160,7 @@ class Tensor:
             np.asarray(gradient, dtype=self.data.dtype), self.data.shape
         )
         if self.grad is None:
-            self.grad = gradient.copy()
+            self.grad = gradient
         else:
             self.grad = self.grad + gradient
 
@@ -171,18 +176,24 @@ class Tensor:
                 )
             gradient = np.ones_like(self.data)
 
+        # Iterative post-order walk, parents in order.  A recursive closure
+        # would reference itself, and that cycle would keep every node alive
+        # until the cycle collector ran; without it the graph is freed as
+        # soon as its last outside reference goes.
         topo_order: List[Tensor] = []
-        visited: Set[int] = set()
+        visited: Set[int] = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                topo_order.append(node)
 
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo_order.append(node)
-
-        visit(self)
         self._accumulate(np.asarray(gradient, dtype=self.data.dtype))
         for node in reversed(topo_order):
             if node._backward is None or node.grad is None:

@@ -30,12 +30,8 @@ def mutual_nearest_neighbors(score_matrix: np.ndarray) -> List[Tuple[int, int]]:
         return []
     best_target = scores.argmax(axis=1)
     best_source = scores.argmax(axis=0)
-    pairs = [
-        (int(i), int(j))
-        for i, j in enumerate(best_target)
-        if best_source[j] == i
-    ]
-    return pairs
+    rows = np.flatnonzero(best_source[best_target] == np.arange(len(best_target)))
+    return list(zip(rows.tolist(), best_target[rows].tolist()))
 
 
 def _best_unused(row: np.ndarray, used_target: np.ndarray) -> Tuple[float, int]:

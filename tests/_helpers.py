@@ -7,9 +7,12 @@ modules lives here and is imported absolutely: ``from _helpers import ...``.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 import scipy.sparse as sp
 
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -48,3 +51,52 @@ def dense_frobenius_loss(reconstruction, target):
     diff = reconstruction - Tensor(target)
     squared = (diff * diff).sum()
     return (squared + 1e-12) ** 0.5
+
+
+def comprehension_mutual_nearest_neighbors(score_matrix):
+    """Oracle for ``repro.similarity.matching.mutual_nearest_neighbors``.
+
+    The per-row selection the vectorised kernel replaced; both must return
+    the same pairs, in the same order, bit for bit.
+    """
+    scores = np.asarray(score_matrix, dtype=np.float64)
+    if scores.ndim != 2 or scores.size == 0:
+        return []
+    best_target = scores.argmax(axis=1)
+    best_source = scores.argmax(axis=0)
+    return [
+        (int(i), int(j)) for i, j in enumerate(best_target) if best_source[j] == i
+    ]
+
+
+def per_view_training_losses(
+    encoder, config, source_views, target_views, source_attributes, target_attributes
+) -> List[float]:
+    """Oracle for ``MultiOrbitTrainer.train``: one encoder pass per view.
+
+    Algorithm 1 as written: each epoch encodes every view of both graphs
+    separately and sums the per-view dense losses.  The stacked trainer
+    encodes all views of a graph at once and sums in another order, so tests
+    compare the two at a tolerance.
+    """
+    optimizer = Adam(
+        encoder.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
+    )
+    losses = []
+    for _ in range(config.epochs):
+        optimizer.zero_grad()
+        total = None
+        for view_id in source_views:
+            view_loss = None
+            for views, attributes in (
+                (source_views, source_attributes),
+                (target_views, target_attributes),
+            ):
+                embedding = encoder(views[view_id], attributes)
+                loss = dense_frobenius_loss(embedding @ embedding.T, views[view_id])
+                view_loss = loss if view_loss is None else view_loss + loss
+            total = view_loss if total is None else total + view_loss
+        total.backward()
+        optimizer.step()
+        losses.append(total.item())
+    return losses

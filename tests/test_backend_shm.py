@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backend import shm
+from repro.backend.executor import ExecutorJob, get_executor_backend
 from repro.backend.shm import (
     BLAS_ENV_VARS,
     SharedArena,
@@ -71,6 +73,27 @@ def _killer_resolver(name, config):
     return resolve_method(name, config)
 
 
+CAP_METHODS = ("env", "openblas", "threadpoolctl")
+
+
+def openblas_thread_counts():
+    """The thread count of every OpenBLAS this process has loaded."""
+    return [get() for get in shm._openblas_functions("get_num_threads")]
+
+
+@pytest.fixture
+def restore_openblas_threads():
+    """Put back this process's OpenBLAS thread counts after a test caps them."""
+    before = openblas_thread_counts()
+    yield
+    for set_threads, count in zip(shm._openblas_functions("set_num_threads"), before):
+        set_threads(count)
+
+
+def _openblas_threads_job(timeout=None):
+    return {"threads": openblas_thread_counts()}
+
+
 class TestBlasGovernance:
     def test_fair_share_formula(self):
         assert blas_thread_cap(4, cpus=8) == 2
@@ -82,26 +105,37 @@ class TestBlasGovernance:
         # Degenerate worker counts clamp instead of dividing by zero.
         assert blas_thread_cap(0, cpus=4) == 4
 
-    def test_apply_cap_sets_every_env_knob(self, monkeypatch):
+    def test_apply_cap_sets_every_env_knob(self, monkeypatch, restore_openblas_threads):
         for name in BLAS_ENV_VARS:
             monkeypatch.setenv(name, "sentinel")
         method = apply_blas_thread_cap(3)
-        assert method in ("env", "threadpoolctl")
+        assert method in CAP_METHODS
         for name in BLAS_ENV_VARS:
             assert os.environ[name] == "3"
 
-    def test_worker_init_records_cap(self, monkeypatch):
+    def test_worker_init_records_cap(self, monkeypatch, restore_openblas_threads):
         for name in BLAS_ENV_VARS:
             monkeypatch.setenv(name, "sentinel")
         shm_worker_init(blas_cap=2)
         try:
             state = worker_state()
             assert state.blas_thread_cap == 2
-            assert state.blas_cap_method in ("env", "threadpoolctl")
+            assert state.blas_cap_method in CAP_METHODS
             assert state.dataset_cache == {}
         finally:
             shm_worker_init()  # fresh, cap-less state for later tests
         assert worker_state().blas_thread_cap is None
+
+    def test_process_pool_worker_caps_loaded_openblas(self):
+        """A worker forked after numpy loaded OpenBLAS (which read its env
+        knobs then) still runs at the fair share of threads."""
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        results = get_executor_backend("process-pool").submit_jobs(
+            [ExecutorJob(key="probe", fn=_openblas_threads_job)], workers=2
+        )
+        threads = results["probe"]["threads"]
+        assert threads and set(threads) == {blas_thread_cap(2)}
 
 
 class TestSharedArena:

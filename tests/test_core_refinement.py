@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.refinement as refinement
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.refinement import RefinementOutput, TrustedPairRefiner
@@ -79,6 +80,34 @@ class TestRefineView:
             pair.target.attributes,
         )
         assert with_refinement.trusted_pairs >= without_refinement.trusted_pairs
+
+    def test_one_mnn_call_per_scored_matrix(self, trained_setup, monkeypatch):
+        pair, config, encoder, source_views, target_views = trained_setup
+        scored, counted = [], []
+        score = TrustedPairRefiner._score_matrix
+        mnn = refinement.mutual_nearest_neighbors
+
+        def record_score(self, *args):
+            scored.append(score(self, *args))
+            return scored[-1]
+
+        def record_mnn(matrix):
+            counted.append(matrix)
+            return mnn(matrix)
+
+        monkeypatch.setattr(TrustedPairRefiner, "_score_matrix", record_score)
+        monkeypatch.setattr(refinement, "mutual_nearest_neighbors", record_mnn)
+        output = TrustedPairRefiner(config).refine_view(
+            encoder,
+            source_views[0],
+            target_views[0],
+            pair.source.attributes,
+            pair.target.attributes,
+        )
+        assert output.iterations >= 1
+        assert len(scored) == output.iterations + 1
+        assert len(counted) == len(scored)
+        assert all(a is b for a, b in zip(counted, scored))
 
     def test_iteration_cap_respected(self, trained_setup):
         pair, config, encoder, source_views, target_views = trained_setup

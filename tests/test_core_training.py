@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.core.training as training
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.training import MultiOrbitTrainer, reconstruction_loss
@@ -21,7 +20,7 @@ from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.perturbation import permute_graph
 from repro.nn.layers import SharedGCNEncoder
 
-from _helpers import dense_frobenius_loss
+from _helpers import per_view_training_losses
 
 
 def _train(pair, config):
@@ -36,6 +35,26 @@ def _train(pair, config):
         pair.source.attributes,
         pair.target.attributes,
     )
+
+
+def _assert_matches_oracle(pair, config):
+    """Stacked training agrees with the per-view dense oracle: losses, weights."""
+    inputs = (
+        build_topology_views(pair.source, config),
+        build_topology_views(pair.target, config),
+        pair.source.attributes,
+        pair.target.attributes,
+    )
+    encoder = make_encoder(pair.source.n_attributes, config)
+    oracle_encoder = make_encoder(pair.source.n_attributes, config)
+    losses = MultiOrbitTrainer(config).train(encoder, *inputs)
+    oracle = per_view_training_losses(oracle_encoder, config, *inputs)
+    assert len(losses) == config.epochs
+    np.testing.assert_allclose(losses, oracle, rtol=1e-10)
+    for name, value in oracle_encoder.state_dict().items():
+        np.testing.assert_allclose(
+            encoder.state_dict()[name], value, rtol=1e-10, atol=1e-12
+        )
 
 
 class TestReconstructionLoss:
@@ -96,20 +115,21 @@ class TestMultiOrbitTrainer:
         ],
         ids=["tiny-60", "sparse-400"],
     )
-    def test_losses_match_dense_oracle(self, monkeypatch, make_pair):
-        pair = make_pair()
-        config = HTCConfig(embedding_dim=8, epochs=20, random_state=0)
-        losses = _train(pair, config)
-        monkeypatch.setattr(
-            training,
-            "frobenius_loss",
-            lambda embedding, target: dense_frobenius_loss(
-                embedding @ embedding.T, target
-            ),
+    def test_losses_match_dense_oracle(self, make_pair):
+        _assert_matches_oracle(
+            make_pair(), HTCConfig(embedding_dim=8, epochs=20, random_state=0)
         )
-        oracle = _train(pair, config)
-        assert len(losses) == 20
-        np.testing.assert_allclose(losses, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "views",
+        [{"topology_mode": "adjacency"}, {"orbits": [0, 4, 9]}],
+        ids=["one-view", "orbit-subset"],
+    )
+    def test_view_subsets_match_dense_oracle(self, views):
+        _assert_matches_oracle(
+            tiny_pair(n_nodes=60, random_state=0),
+            HTCConfig(embedding_dim=8, epochs=10, random_state=0, **views),
+        )
 
     def test_epoch_allocates_no_dense_square(self):
         pair = tiny_pair(n_nodes=2000, random_state=0)

@@ -17,6 +17,8 @@ from repro.similarity.matching import (
 )
 from repro.similarity.measures import cosine_similarity
 
+from _helpers import comprehension_mutual_nearest_neighbors
+
 
 def _reference_greedy(scores: np.ndarray):
     """Brute-force greedy matching: repeatedly take the global max."""
@@ -107,6 +109,23 @@ class TestMutualNearestNeighborTies:
     def test_empty_rectangles(self):
         assert mutual_nearest_neighbors(np.zeros((0, 3))) == []
         assert mutual_nearest_neighbors(np.zeros((3, 0))) == []
+
+    @pytest.mark.parametrize(
+        "make_scores",
+        [
+            lambda rng: rng.normal(size=(40, 40)),
+            lambda rng: rng.normal(size=(25, 60)),
+            lambda rng: rng.normal(size=(60, 25)),
+            lambda rng: rng.integers(0, 3, size=(30, 20)).astype(float),
+            lambda rng: np.full((12, 9), 0.5),
+        ],
+        ids=["random", "wide", "tall", "tied", "constant"],
+    )
+    def test_matches_comprehension_oracle(self, make_scores):
+        scores = make_scores(np.random.default_rng(0))
+        pairs = mutual_nearest_neighbors(scores)
+        assert pairs == comprehension_mutual_nearest_neighbors(scores)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 class TestTopKEdgeCases:

@@ -189,6 +189,34 @@ class TestLosses:
         with pytest.raises(TypeError):
             frobenius_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)))
 
+    def test_frobenius_loss_blocks_sum_per_block_losses(self):
+        graph = powerlaw_cluster_graph(60, 3, n_attributes=4, random_state=0)
+        targets = list(build_topology_views(graph, HTCConfig()).values())
+        targets.append(sp.random(60, 60, density=0.1, random_state=6, format="csr"))
+        assert (targets[-1] != targets[-1].T).nnz > 0
+        value = _random_embedding(60 * len(targets), 8, seed=6)
+        loss, grad = _loss_and_gradient(
+            lambda x: frobenius_loss(x, sp.block_diag(targets), blocks=len(targets)),
+            value,
+        )
+        per_block = [
+            _loss_and_gradient(
+                lambda x: frobenius_loss(x, target), value[60 * k : 60 * (k + 1)]
+            )
+            for k, target in enumerate(targets)
+        ]
+        assert loss == pytest.approx(sum(part for part, _ in per_block), rel=1e-12)
+        np.testing.assert_allclose(
+            grad, np.concatenate([g for _, g in per_block]), rtol=1e-12, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("blocks", [0, 4])
+    def test_frobenius_loss_rejects_bad_block_count(self, blocks):
+        with pytest.raises(ValueError, match="equal blocks"):
+            frobenius_loss(
+                Tensor(np.zeros((6, 2))), sp.identity(6, format="csr"), blocks=blocks
+            )
+
     def test_mse_loss(self):
         loss = mse_loss(Tensor([1.0, 3.0]), np.array([0.0, 1.0]))
         assert loss.item() == pytest.approx(2.5)

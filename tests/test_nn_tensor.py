@@ -1,5 +1,8 @@
 """Tests for the autograd Tensor: forward values and gradient correctness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +180,22 @@ class TestBackwardCorrectness:
         (a * 2).sum().backward()
         a.zero_grad()
         assert a.grad is None
+
+    def test_graph_freed_by_reference_counting_after_backward(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            weight = Tensor(np.ones((3, 2)), requires_grad=True)
+            hidden = Tensor(np.arange(12.0).reshape(4, 3)) @ weight
+            loss = ((hidden * hidden).sum() + hidden.mean()) ** 0.5
+            loss.backward()
+            hidden_data = weakref.ref(hidden.data)
+            del hidden, loss
+            assert hidden_data() is None
+            assert weight.grad is not None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     @given(small_arrays)
     @settings(max_examples=20, deadline=None)
