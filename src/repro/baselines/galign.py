@@ -24,7 +24,7 @@ from repro.datasets.pair import GraphPair
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.laplacian import normalized_laplacian
 from repro.graph.perturbation import remove_edges
-from repro.nn.functional import frobenius_loss
+from repro.nn.functional import Propagation, frobenius_loss
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
 from repro.similarity.measures import cosine_similarity
@@ -70,13 +70,20 @@ class GAlign(BaseAligner):
         self.augment_ratio = augment_ratio
         self.random_state = random_state
 
-    def _views(self, graph: AttributedGraph, rng) -> List:
-        """Original plus (optionally) one augmented propagation matrix."""
-        views = [normalized_laplacian(graph.adjacency)]
+    def _views(self, graph: AttributedGraph, rng) -> List[Propagation]:
+        """Original plus (optionally) one augmented propagation operand.
+
+        Each holds ``L X`` for the graph's attributes, so training and the
+        final encoding run the first layer with no sparse product.
+        """
+        adjacencies = [graph.adjacency]
         if self.augment_ratio > 0:
             augmented = remove_edges(graph, self.augment_ratio, random_state=rng)
-            views.append(normalized_laplacian(augmented.adjacency))
-        return views
+            adjacencies.append(augmented.adjacency)
+        return [
+            Propagation(normalized_laplacian(adjacency), features=graph.attributes)
+            for adjacency in adjacencies
+        ]
 
     def align(self, pair: GraphPair, train_anchors: AnchorList = None) -> np.ndarray:
         self._check_pair(pair)
@@ -98,20 +105,16 @@ class GAlign(BaseAligner):
         for _ in range(self.epochs):
             optimizer.zero_grad()
             total = None
-            for views, attributes in (
-                (source_views, pair.source.attributes),
-                (target_views, pair.target.attributes),
-            ):
-                for view in views:
-                    loss = frobenius_loss(encoder(view, attributes), view)
-                    total = loss if total is None else total + loss
+            for view in source_views + target_views:
+                loss = frobenius_loss(encoder(view), view)
+                total = loss if total is None else total + loss
             total.backward()
             optimizer.step()
 
         # Multi-order alignment: average the per-layer similarity matrices of
         # the un-augmented views.
-        source_layers = encoder(source_views[0], pair.source.attributes, all_layers=True)
-        target_layers = encoder(target_views[0], pair.target.attributes, all_layers=True)
+        source_layers = encoder(source_views[0], all_layers=True)
+        target_layers = encoder(target_views[0], all_layers=True)
         scores = np.zeros((pair.source.n_nodes, pair.target.n_nodes))
         for source_layer, target_layer in zip(source_layers, target_layers):
             scores += cosine_similarity(

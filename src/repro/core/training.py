@@ -11,18 +11,22 @@ which is also the mechanism behind HTC's robustness to edge removal.
 An epoch encodes each graph's K views in one pass: the block-diagonal stack
 of the views is the propagation matrix of K independent GCNs that share
 weights, over the K-fold tiled attributes, and one blockwise loss node sums
-the K per-view losses.
+the K per-view losses.  Each graph's stack is prepared once per training as
+a :class:`~repro.nn.functional.Propagation`: the views are exactly
+symmetric, so the stack is its own transpose, ``L X`` and each view's
+``||L_k||_F^2`` are computed up front, and an epoch runs three sparse
+products per graph (the second layer forward and backward, and the loss).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import HTCConfig
-from repro.nn.functional import frobenius_loss
+from repro.nn.functional import Propagation, frobenius_loss
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
@@ -33,28 +37,30 @@ logger = get_logger(__name__)
 
 def reconstruction_loss(
     encoder: SharedGCNEncoder,
-    laplacian: sp.spmatrix,
-    attributes: np.ndarray,
-    blocks: int = 1,
+    laplacian,
+    attributes: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Orbit-reconstruction loss of one graph on one view (Eq. 6-7).
 
     ``laplacian`` is both the view the encoder propagates over and the
-    target the inner product ``H H^T`` must reconstruct.  With ``blocks=K``
-    it is the block-diagonal stack of K views, ``attributes`` the K-fold
-    tiled features, and the loss the sum of the K per-view losses.
+    target the inner product ``H H^T`` must reconstruct.  A
+    :class:`~repro.nn.functional.Propagation` with ``blocks=K`` is the
+    block-diagonal stack of K views and gives the sum of the K per-view
+    losses; built with the tiled attributes as ``features``, it needs no
+    ``attributes`` here.
     """
     embedding = encoder(laplacian, attributes)
-    return frobenius_loss(embedding, laplacian, blocks)
+    return frobenius_loss(embedding, laplacian)
 
 
 def _stack(
     views: Dict[int, sp.csr_matrix], view_ids: List[int], attributes: np.ndarray
-) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """One graph's views as a block-diagonal matrix, with tiled attributes."""
-    return (
+) -> Propagation:
+    """One graph's views as a block-diagonal operand holding ``L X``."""
+    return Propagation(
         sp.block_diag([views[k] for k in view_ids], format="csr"),
-        np.tile(attributes, (len(view_ids), 1)),
+        blocks=len(view_ids),
+        features=np.tile(attributes, (len(view_ids), 1)),
     )
 
 
@@ -89,15 +95,14 @@ class MultiOrbitTrainer:
         )
 
         view_ids = list(source_views)
-        blocks = len(view_ids)
         source_stack = _stack(source_views, view_ids, source_attributes)
         target_stack = _stack(target_views, view_ids, target_attributes)
 
         losses: List[float] = []
         for epoch in range(self.config.epochs):
             optimizer.zero_grad()
-            source_loss = reconstruction_loss(encoder, *source_stack, blocks)
-            target_loss = reconstruction_loss(encoder, *target_stack, blocks)
+            source_loss = reconstruction_loss(encoder, source_stack)
+            target_loss = reconstruction_loss(encoder, target_stack)
             # Rebinding ``total`` frees the previous epoch's graph only now,
             # after this forward pass has allocated: freed first, glibc trims
             # the heap and every epoch re-faults every page.

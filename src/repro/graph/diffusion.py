@@ -19,7 +19,13 @@ from repro.graph.laplacian import normalized_laplacian
 
 
 def _sparsify(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
-    """Drop entries below ``threshold`` and return a CSR matrix."""
+    """Symmetrise, drop entries below ``threshold`` and return a CSR matrix.
+
+    A sum of powers of the symmetric ``T`` is symmetric only up to rounding;
+    ``(S + S^T) / 2`` is exactly symmetric, so the views built from it are
+    too.
+    """
+    matrix = 0.5 * (matrix + matrix.T)
     dense = np.where(np.abs(matrix) >= threshold, matrix, 0.0)
     return sp.csr_matrix(dense)
 

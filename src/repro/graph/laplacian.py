@@ -40,12 +40,23 @@ def self_connection_matrix(orbit_matrix: MatrixLike) -> sp.csr_matrix:
     return sp.diags(diag).tocsr()
 
 
+def _scale_both_sides(matrix: sp.csr_matrix, factors: np.ndarray) -> sp.csr_matrix:
+    """``diag(f) M diag(f)``, scaling ``matrix`` in place entry by entry.
+
+    Each stored ``m_ij`` becomes ``m_ij * (f_i * f_j)``.  The factor product
+    commutes, so a symmetric ``M`` gives a result whose CSR arrays equal
+    those of its transpose; two diagonal products would round
+    ``(f_i * m_ij) * f_j`` and ``(f_j * m_ji) * f_i`` apart.
+    """
+    row_factors = np.repeat(factors, np.diff(matrix.indptr))
+    matrix.data *= row_factors * factors[matrix.indices]
+    return matrix
+
+
 def _symmetric_normalize(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetrically normalise a non-negative matrix by its row sums."""
+    """Symmetrically normalise a non-negative matrix by its row sums (in place)."""
     row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    inv_sqrt = safe_inverse_sqrt(row_sums)
-    d_inv_sqrt = sp.diags(inv_sqrt)
-    return d_inv_sqrt.dot(matrix).dot(d_inv_sqrt).tocsr()
+    return _scale_both_sides(matrix, safe_inverse_sqrt(row_sums))
 
 
 def orbit_laplacian(orbit_matrix: MatrixLike) -> sp.csr_matrix:
@@ -81,8 +92,8 @@ def reinforced_laplacian(
         )
     if np.any(reinforcement <= 0):
         raise ValueError("reinforcement factors must be strictly positive")
-    r_diag = sp.diags(reinforcement)
-    return r_diag.dot(lap).dot(r_diag).tocsr()
+    # ``to_csr`` copies, so scaling in place leaves the caller's view alone.
+    return _scale_both_sides(lap, reinforcement)
 
 
 __all__ = [

@@ -7,7 +7,8 @@ this package implements the required pieces from scratch:
 * :class:`Tensor` — a numpy-backed tensor with reverse-mode automatic
   differentiation (:mod:`repro.nn.tensor`),
 * functional ops including a sparse-constant matrix product used for the
-  Laplacian propagation step (:mod:`repro.nn.functional`),
+  Laplacian propagation step, whose constant is a prepared
+  :class:`Propagation` operand (:mod:`repro.nn.functional`),
 * :class:`Module` / :class:`Parameter` abstractions, Glorot initialisation,
   dense and GCN layers (:mod:`repro.nn.module`, :mod:`repro.nn.layers`),
 * SGD and Adam optimisers (:mod:`repro.nn.optim`).
@@ -17,6 +18,7 @@ test suite.
 """
 
 from repro.nn.functional import (
+    Propagation,
     matmul,
     mean,
     relu,
@@ -47,6 +49,7 @@ __all__ = [
     "Adam",
     "glorot_uniform",
     "matmul",
+    "Propagation",
     "sparse_matmul",
     "relu",
     "tanh",

@@ -3,12 +3,15 @@
 These cover exactly what the library's models need: non-linearities, matrix
 products (including the sparse-constant product used for Laplacian
 propagation), reductions, and the Frobenius reconstruction loss used by the
-multi-orbit-aware trainer (Eq. 7 of the paper).
+multi-orbit-aware trainer (Eq. 7 of the paper).  The two sparse primitives,
+:func:`sparse_matmul` and :func:`frobenius_loss`, take their constant matrix
+as a :class:`Propagation` operand (or a scipy matrix they wrap in one) and
+carry explicit vector-Jacobian products.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,22 +89,125 @@ def matmul(left: Tensor, right: Tensor) -> Tensor:
     return left @ right
 
 
-def sparse_matmul(sparse: sp.spmatrix, dense: Tensor) -> Tensor:
-    """Product ``S @ H`` where ``S`` is a constant scipy sparse matrix.
+class Propagation:
+    """A constant sparse propagation matrix ``L``, prepared for repeated use.
 
-    Gradients flow only to ``dense``: ``dL/dH = S^T @ dL/dY``.  This is the
-    propagation step ``~L H`` of every GCN layer in the library.
+    A GCN layer multiplies by ``L`` and its vector-Jacobian product by
+    ``L^T``; the reconstruction loss needs ``L H`` and the squared Frobenius
+    norm of each diagonal block ``L_k``.  A training loop uses one matrix
+    every epoch, so the operand resolves each of these once:
+
+    * ``matrix`` -- ``L`` as CSR, made canonical (sorted indices, no
+      duplicates) when the transpose or the norms are first resolved;
+    * ``transpose`` -- ``L`` itself when its CSR arrays equal those of its
+      transpose (every propagation matrix the library builds), otherwise
+      the CSR transpose.  On an exactly symmetric ``L`` with sorted indices
+      ``L.dot(g)`` is bit-identical to ``L.T.dot(g)``: both add each
+      output's terms in ascending index order;
+    * ``squared_norms`` -- ``||L_k||_F^2`` of each of the ``blocks`` equal
+      diagonal blocks;
+    * ``propagated_features`` -- ``L X`` for the constant encoder input
+      ``features`` (``None`` when not given), so a first GCN layer computes
+      ``f((L X) W)`` with no sparse product forward or backward.
+
+    The constructor checks shapes and, for ``blocks > 1``, that no stored
+    entry lies outside the diagonal blocks.  The transpose and the norms are
+    resolved on first use, so wrapping a matrix for a forward-only product
+    costs no O(nnz) work.
     """
-    if not sp.issparse(sparse):
-        raise TypeError("sparse_matmul expects a scipy sparse matrix on the left")
-    sparse = sparse.tocsr()
+
+    def __init__(
+        self,
+        matrix: sp.spmatrix,
+        blocks: int = 1,
+        features: Optional[np.ndarray] = None,
+    ) -> None:
+        if not sp.issparse(matrix):
+            raise TypeError(
+                f"expected a scipy sparse matrix, got {type(matrix).__name__}"
+            )
+        matrix = matrix.tocsr()
+        n_rows, n_cols = matrix.shape
+        if n_rows != n_cols:
+            raise ValueError(f"propagation matrix must be square, got {matrix.shape}")
+        if blocks < 1 or n_rows % blocks:
+            raise ValueError(f"{n_rows} rows do not split into {blocks} equal blocks")
+        if blocks > 1:
+            size = n_rows // blocks
+            row_blocks = np.repeat(np.arange(n_rows) // size, np.diff(matrix.indptr))
+            if np.any(matrix.indices // size != row_blocks):
+                raise ValueError(
+                    f"matrix has stored entries outside its {blocks} diagonal blocks"
+                )
+        self.matrix = matrix
+        self.blocks = blocks
+        self.propagated_features = None if features is None else matrix.dot(features)
+        self._transpose: Optional[sp.csr_matrix] = None
+        self._squared_norms: Optional[np.ndarray] = None
+
+    def _canonical(self) -> sp.csr_matrix:
+        """``matrix`` with sorted indices and no duplicates (a copy if needed)."""
+        if not self.matrix.has_canonical_format:
+            self.matrix = self.matrix.copy()
+            self.matrix.sum_duplicates()
+        return self.matrix
+
+    @property
+    def transpose(self) -> sp.csr_matrix:
+        """``L^T`` as CSR; ``matrix`` itself when the two are equal."""
+        if self._transpose is None:
+            matrix = self._canonical()
+            transposed = matrix.T.tocsr()
+            symmetric = all(
+                np.array_equal(getattr(transposed, name), getattr(matrix, name))
+                for name in ("indptr", "indices", "data")
+            )
+            self._transpose = matrix if symmetric else transposed
+        return self._transpose
+
+    @property
+    def squared_norms(self) -> np.ndarray:
+        """``||L_k||_F^2`` of each diagonal block."""
+        if self._squared_norms is None:
+            # Canonical data holds each entry once, so it splits into the
+            # blocks' rows at the block boundaries.
+            matrix = self._canonical()
+            squares = matrix.data * matrix.data
+            size = matrix.shape[0] // self.blocks
+            bounds = matrix.indptr[np.arange(self.blocks + 1) * size]
+            self._squared_norms = np.array(
+                [squares[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]
+            )
+        return self._squared_norms
+
+
+def _operand(matrix, blocks: Optional[int] = None) -> Propagation:
+    """``matrix`` as a :class:`Propagation`, wrapping a scipy matrix."""
+    if isinstance(matrix, Propagation):
+        if blocks not in (None, matrix.blocks):
+            raise ValueError(f"operand has {matrix.blocks} blocks, not {blocks}")
+        return matrix
+    return Propagation(matrix, 1 if blocks is None else blocks)
+
+
+def sparse_matmul(sparse, dense: Tensor) -> Tensor:
+    """Product ``L @ H`` where ``L`` is constant: a scipy sparse matrix or a
+    :class:`Propagation`.
+
+    Gradients flow only to ``dense``, through the vjp ``L^T @ g`` with the
+    operand's resolved transpose.  This is the propagation step ``~L H`` of
+    every GCN layer in the library.
+    """
+    operand = _operand(sparse)
     out = Tensor(
-        sparse.dot(dense.data), requires_grad=dense.requires_grad, _parents=(dense,)
+        operand.matrix.dot(dense.data),
+        requires_grad=dense.requires_grad,
+        _parents=(dense,),
     )
 
     def backward(gradient: np.ndarray) -> None:
         if dense.requires_grad:
-            dense._accumulate(sparse.T.dot(gradient))
+            dense._accumulate(operand.transpose.dot(gradient))
 
     out._backward = backward
     return out
@@ -138,47 +244,43 @@ def softmax_rows(tensor: Tensor) -> Tensor:
     return out
 
 
-def frobenius_loss(embedding: Tensor, target: sp.spmatrix, blocks: int = 1) -> Tensor:
+def frobenius_loss(embedding: Tensor, target, blocks: Optional[int] = None) -> Tensor:
     """Reconstruction loss ``||H H^T - target||_F`` of Eq. 7, matrix-free.
 
-    ``embedding`` is ``H`` (n x d) and ``target`` the constant scipy-sparse
-    view ``L`` (n x n) that the inner-product decoder must reconstruct.
-    ``target`` is block-diagonal with ``blocks`` equal square blocks ``L_k``
-    (entries off those blocks must be zero), ``H_k`` are the matching row
-    blocks of ``H``, and the result is ``sum_k ||H_k H_k^T - L_k||_F``;
-    ``blocks=1`` is the plain loss.  Each term uses the exact factored form
+    ``embedding`` is ``H`` (n x d) and ``target`` the constant view ``L``
+    (n x n) that the inner-product decoder must reconstruct: a
+    :class:`Propagation`, or a scipy sparse matrix wrapped in one with
+    ``blocks`` blocks (default 1; a given operand's own count must agree).
+    ``target`` is block-diagonal with ``blocks`` equal square blocks ``L_k``,
+    ``H_k`` are the matching row blocks of ``H``, and the result is
+    ``sum_k ||H_k H_k^T - L_k||_F``; ``blocks=1`` is the plain loss.  Each
+    term uses the exact factored form
 
         ||H_k H_k^T - L_k||_F^2 = ||H_k^T H_k||_F^2 - 2 <H_k, L_k H_k> + ||L_k||_F^2
 
     and the sum is one graph node whose vector-Jacobian product is
     ``(2 H_k (H_k^T H_k) - (L_k + L_k^T) H_k) / loss_k`` on each block, so an
-    evaluation costs O(n d^2 + nnz d) and allocates no n x n array.  A small
-    epsilon keeps each square root differentiable at zero; each factored sum
-    is clamped at zero first because rounding can push it just below at an
-    exact fit.
+    evaluation costs O(n d^2 + nnz d) and allocates no n x n array.  The one
+    sparse product ``L H`` serves both terms when ``L`` is symmetric, and
+    ``||L_k||_F^2`` comes from the operand.  A small epsilon keeps each
+    square root differentiable at zero; each factored sum is clamped at zero
+    first because rounding can push it just below at an exact fit.
     """
-    if not sp.issparse(target):
-        raise TypeError("frobenius_loss expects a scipy sparse target")
+    operand = _operand(target, blocks)
     n_nodes = embedding.shape[0]
-    if blocks < 1 or n_nodes % blocks:
-        raise ValueError(f"{n_nodes} rows do not split into {blocks} equal blocks")
-    if target.shape != (n_nodes, n_nodes):
+    if operand.matrix.shape != (n_nodes, n_nodes):
         raise ValueError(
-            f"target shape {target.shape} != reconstruction shape {(n_nodes, n_nodes)}"
+            f"target shape {operand.matrix.shape} != reconstruction shape "
+            f"{(n_nodes, n_nodes)}"
         )
-    target = target.tocsr()
     h = embedding.data
-    stacked = h.reshape(blocks, n_nodes // blocks, h.shape[1])
+    stacked = h.reshape(operand.blocks, n_nodes // operand.blocks, h.shape[1])
     gram = stacked.transpose(0, 2, 1) @ stacked
-    propagated = target.dot(h)
-    # The elementwise product is canonical (duplicates summed before squaring),
-    # so its data splits into the blocks' rows at the block boundaries.
-    squares = target.multiply(target)
-    bounds = squares.indptr[np.arange(blocks + 1) * (n_nodes // blocks)]
+    propagated = operand.matrix.dot(h)
     squared = (
         np.sum(gram * gram, axis=(1, 2))
-        - 2.0 * np.sum((h * propagated).reshape(blocks, -1), axis=1)
-        + np.array([squares.data[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        - 2.0 * np.sum((h * propagated).reshape(operand.blocks, -1), axis=1)
+        + operand.squared_norms
     )
     values = np.sqrt(np.maximum(squared, 0.0) + 1e-12)
     out = Tensor(
@@ -187,7 +289,10 @@ def frobenius_loss(embedding: Tensor, target: sp.spmatrix, blocks: int = 1) -> T
 
     def backward(gradient: np.ndarray) -> None:
         if embedding.requires_grad:
-            symmetric = (propagated + target.T.dot(h)).reshape(stacked.shape)
+            transpose = operand.transpose
+            # L^T H is the forward product itself when L is symmetric.
+            swapped = propagated if transpose is operand.matrix else transpose.dot(h)
+            symmetric = (propagated + swapped).reshape(stacked.shape)
             block_grads = gradient * (2.0 * (stacked @ gram) - symmetric)
             embedding._accumulate(
                 (block_grads / values[:, None, None]).reshape(h.shape)
@@ -213,6 +318,7 @@ __all__ = [
     "get_activation",
     "ACTIVATIONS",
     "matmul",
+    "Propagation",
     "sparse_matmul",
     "square",
     "sum_all",

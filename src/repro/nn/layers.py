@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.nn.functional import get_activation, sparse_matmul
 from repro.nn.init import glorot_uniform, zeros
@@ -51,8 +50,9 @@ class GCNLayer(Module):
     """One graph-convolution layer ``H' = f(L H W)``.
 
     The propagation matrix ``L`` (a normalised, possibly orbit-weighted
-    Laplacian) is passed at call time so the layer's weights can be shared
-    across graphs and orbit views.
+    Laplacian, or a :class:`~repro.nn.functional.Propagation` operand) is
+    passed at call time so the layer's weights can be shared across graphs
+    and orbit views.
     """
 
     def __init__(
@@ -72,8 +72,15 @@ class GCNLayer(Module):
             "weight",
         )
 
-    def forward(self, laplacian: sp.spmatrix, features: Tensor) -> Tensor:
-        propagated = sparse_matmul(laplacian, features @ self.weight)
+    def forward(self, laplacian, features: Optional[Tensor]) -> Tensor:
+        """``f(L H W)``; with ``features=None``, ``f((L X) W)`` from the
+        operand's precomputed ``L X``, which needs no sparse product."""
+        if features is None:
+            if getattr(laplacian, "propagated_features", None) is None:
+                raise ValueError("features are required unless the operand holds L X")
+            propagated = Tensor(laplacian.propagated_features) @ self.weight
+        else:
+            propagated = sparse_matmul(laplacian, features @ self.weight)
         return self._activation(propagated)
 
 
@@ -129,8 +136,8 @@ class SharedGCNEncoder(Module):
 
     def forward(
         self,
-        laplacian: sp.spmatrix,
-        features: np.ndarray,
+        laplacian,
+        features: Optional[np.ndarray] = None,
         all_layers: bool = False,
     ):
         """Encode ``features`` by propagating through ``laplacian``.
@@ -138,17 +145,20 @@ class SharedGCNEncoder(Module):
         Parameters
         ----------
         laplacian:
-            The propagation matrix for this graph/orbit view.
+            The propagation matrix for this graph/orbit view: a scipy sparse
+            matrix or a :class:`~repro.nn.functional.Propagation`.
         features:
             ``(n, in_features)`` input attributes (constant; gradients flow to
-            the layer weights only).
+            the layer weights only).  ``None`` reads ``L X`` from an operand
+            built with ``features=X``, so the first layer runs no sparse
+            product.
         all_layers:
             If True, return the list of every layer's output (used by GAlign's
             multi-order alignment); otherwise return only the final embedding.
         """
         # Floating features keep their dtype; non-floating input is promoted
         # to the nn default dtype (float64 unless set_default_dtype changed it).
-        hidden = Tensor(np.asarray(features))
+        hidden = None if features is None else Tensor(np.asarray(features))
         outputs = []
         for layer in self.layers:
             hidden = layer(laplacian, hidden)

@@ -53,6 +53,39 @@ def dense_frobenius_loss(reconstruction, target):
     return (squared + 1e-12) ** 0.5
 
 
+def per_call_frobenius_loss(embedding, target, blocks=1):
+    """Per-call oracle for ``repro.nn.functional.frobenius_loss``.
+
+    The matrix-free loss as it ran before training operands existed: each
+    call squares ``target`` elementwise for the block norms and multiplies
+    by ``target.T`` in the vjp.  On the exactly symmetric views the library
+    builds, the operand form must match it bit for bit.
+    """
+    n_nodes = embedding.shape[0]
+    target = target.tocsr()
+    h = embedding.data
+    stacked = h.reshape(blocks, n_nodes // blocks, h.shape[1])
+    gram = stacked.transpose(0, 2, 1) @ stacked
+    propagated = target.dot(h)
+    squares = target.multiply(target)
+    bounds = squares.indptr[np.arange(blocks + 1) * (n_nodes // blocks)]
+    squared = (
+        np.sum(gram * gram, axis=(1, 2))
+        - 2.0 * np.sum((h * propagated).reshape(blocks, -1), axis=1)
+        + np.array([squares.data[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    )
+    values = np.sqrt(np.maximum(squared, 0.0) + 1e-12)
+    out = Tensor(values.sum(), requires_grad=True, _parents=(embedding,))
+
+    def backward(gradient):
+        symmetric = (propagated + target.T.dot(h)).reshape(stacked.shape)
+        block_grads = gradient * (2.0 * (stacked @ gram) - symmetric)
+        embedding._accumulate((block_grads / values[:, None, None]).reshape(h.shape))
+
+    out._backward = backward
+    return out
+
+
 def comprehension_mutual_nearest_neighbors(score_matrix):
     """Oracle for ``repro.similarity.matching.mutual_nearest_neighbors``.
 

@@ -7,10 +7,13 @@ embeddings.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.core.training as training
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.training import MultiOrbitTrainer, reconstruction_loss
@@ -35,6 +38,16 @@ def _train(pair, config):
         pair.source.attributes,
         pair.target.attributes,
     )
+
+
+def _counting(calls, name, function):
+    """``function`` wrapped to count its calls in ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
 
 
 def _assert_matches_oracle(pair, config):
@@ -144,6 +157,44 @@ class TestMultiOrbitTrainer:
             tracemalloc.stop()
         # One n x n float64 array; the dense loss built several per view.
         assert peak < pair.source.n_nodes**2 * 8
+
+    def test_epoch_runs_three_sparse_products_per_graph(self, monkeypatch):
+        """Layer 2 forward and backward plus the loss's ``L H``; ``L X`` once
+        per graph, and the block norms without an elementwise product."""
+        pair = tiny_pair(n_nodes=30, random_state=0)
+        config = HTCConfig(orbits=[0, 1, 2], embedding_dim=4, epochs=2, random_state=0)
+        source_views = build_topology_views(pair.source, config)
+        target_views = build_topology_views(pair.target, config)
+        encoder = make_encoder(pair.source.n_attributes, config)
+        calls = Counter()
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            for name in ("dot", "multiply"):
+                counted = _counting(calls, name, getattr(cls, name))
+                monkeypatch.setattr(cls, name, counted)
+        MultiOrbitTrainer(config).train(
+            encoder,
+            source_views,
+            target_views,
+            pair.source.attributes,
+            pair.target.attributes,
+        )
+        graphs, epochs = 2, config.epochs
+        assert calls["dot"] == graphs * (1 + 3 * epochs)
+        assert calls["multiply"] == 0
+
+    def test_epoch_calls_encoder_forward_and_module_loss(self, monkeypatch):
+        """Each graph's epoch goes through ``SharedGCNEncoder.forward`` and the
+        module-global ``frobenius_loss``, the functions profilers wrap."""
+        calls = Counter()
+        forward = _counting(calls, "forward", SharedGCNEncoder.forward)
+        monkeypatch.setattr(SharedGCNEncoder, "forward", forward)
+        loss = _counting(calls, "loss", training.frobenius_loss)
+        monkeypatch.setattr(training, "frobenius_loss", loss)
+        _train(
+            tiny_pair(n_nodes=20, random_state=0),
+            HTCConfig(orbits=[0, 1], embedding_dim=4, epochs=1, random_state=0),
+        )
+        assert calls == {"forward": 2, "loss": 2}
 
     def test_training_changes_parameters(self):
         pair = tiny_pair(n_nodes=25, random_state=1)

@@ -7,7 +7,9 @@ import scipy.sparse as sp
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views
 from repro.graph.generators import powerlaw_cluster_graph
+from repro.graph.laplacian import reinforced_laplacian
 from repro.nn.functional import (
+    Propagation,
     frobenius_loss,
     get_activation,
     mse_loss,
@@ -20,7 +22,7 @@ from repro.nn.functional import (
 )
 from repro.nn.tensor import Tensor
 
-from _helpers import dense_frobenius_loss, numerical_gradient
+from _helpers import dense_frobenius_loss, numerical_gradient, per_call_frobenius_loss
 
 
 class TestActivations:
@@ -78,6 +80,117 @@ class TestSparseMatmul:
     def test_rejects_dense_left_operand(self):
         with pytest.raises(TypeError):
             sparse_matmul(np.eye(2), Tensor(np.eye(2)))
+
+
+def _library_views(n_nodes=60):
+    """Every kind of propagation matrix the library builds, on one graph:
+    the views of each topology mode and a reinforced copy of each."""
+    graph = powerlaw_cluster_graph(n_nodes, 3, n_attributes=4, random_state=0)
+    views = {}
+    for mode in ("orbit", "adjacency", "diffusion"):
+        config = HTCConfig(topology_mode=mode)
+        for key, view in build_topology_views(graph, config).items():
+            views[f"{mode}-{key}"] = view
+    rng = np.random.default_rng(0)
+    for name, view in list(views.items()):
+        factors = rng.uniform(1.0, 2.0, n_nodes)
+        views[f"reinforced-{name}"] = reinforced_laplacian(view, factors)
+    return views
+
+
+LIBRARY_VIEWS = _library_views()
+
+
+class TestPropagation:
+    @pytest.mark.parametrize("name", sorted(LIBRARY_VIEWS))
+    def test_vjp_is_bit_identical_to_transpose_product(self, name):
+        view = LIBRARY_VIEWS[name]
+        operand = Propagation(view)
+        assert operand.transpose is operand.matrix
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(view.shape[0], 5)), requires_grad=True)
+        gradient = rng.normal(size=(view.shape[0], 5))
+        sparse_matmul(operand, x).backward(gradient)
+        np.testing.assert_array_equal(x.grad, view.T.dot(gradient))
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_VIEWS))
+    def test_loss_is_bit_identical_to_per_call_form(self, name):
+        view = LIBRARY_VIEWS[name]
+        value = _random_embedding(view.shape[0], 8, seed=1)
+        loss, grad = _loss_and_gradient(lambda x: frobenius_loss(x, view), value)
+        oracle_loss, oracle_grad = _loss_and_gradient(
+            lambda x: per_call_frobenius_loss(x, view), value
+        )
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grad, oracle_grad)
+
+    def test_stacked_operand_is_bit_identical_to_per_call_form(self):
+        views = [v for name, v in LIBRARY_VIEWS.items() if name.startswith("orbit-")]
+        stack = sp.block_diag(views, format="csr")
+        operand = Propagation(stack, blocks=len(views))
+        assert operand.transpose is operand.matrix
+        value = _random_embedding(stack.shape[0], 8, seed=2)
+        loss, grad = _loss_and_gradient(lambda x: frobenius_loss(x, operand), value)
+        oracle_loss, oracle_grad = _loss_and_gradient(
+            lambda x: per_call_frobenius_loss(x, stack, blocks=len(views)), value
+        )
+        assert loss == oracle_loss
+        np.testing.assert_array_equal(grad, oracle_grad)
+
+    def test_non_symmetric_matrix_keeps_its_transpose(self):
+        matrix = sp.random(6, 6, density=0.5, random_state=1, format="csr")
+        operand = Propagation(matrix)
+        assert operand.transpose is not operand.matrix
+        np.testing.assert_array_equal(operand.transpose.toarray(), matrix.T.toarray())
+
+    def test_features_are_propagated_once(self):
+        view = LIBRARY_VIEWS["orbit-0"]
+        features = np.random.default_rng(3).normal(size=(view.shape[0], 4))
+        operand = Propagation(view, features=features)
+        np.testing.assert_array_equal(operand.propagated_features, view.dot(features))
+        assert Propagation(view).propagated_features is None
+
+    def test_block_norms(self):
+        views = [LIBRARY_VIEWS["orbit-1"], LIBRARY_VIEWS["diffusion-0"]]
+        operand = Propagation(sp.block_diag(views), blocks=2)
+        np.testing.assert_allclose(
+            operand.squared_norms,
+            [np.sum(view.toarray() ** 2) for view in views],
+            rtol=1e-12,
+        )
+
+    def test_duplicate_entries_are_summed(self):
+        # Two stored (0, 1) entries of 1 are one entry of 2: ||L||_F^2 = 2^2 + 1.
+        matrix = sp.csr_matrix(
+            (np.ones(3), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2)
+        )
+        operand = Propagation(matrix)
+        np.testing.assert_array_equal(operand.squared_norms, [5.0])
+        np.testing.assert_array_equal(operand.transpose.toarray(), [[0, 1], [2, 0]])
+
+    def test_forward_only_wrap_resolves_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward-only product did O(nnz) preparation")
+
+        monkeypatch.setattr(sp.csr_matrix, "transpose", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", refuse)
+        view = LIBRARY_VIEWS["reinforced-orbit-3"]
+        x = Tensor(np.ones((view.shape[0], 2)), requires_grad=True)
+        out = sparse_matmul(view, x)
+        np.testing.assert_array_equal(out.data, view.dot(x.data))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            Propagation(sp.csr_matrix((2, 3)))
+
+    def test_rejects_off_block_entry(self):
+        with pytest.raises(ValueError, match="outside"):
+            Propagation(sp.csr_matrix(np.ones((6, 6))), blocks=2)
+
+    def test_operand_block_count_must_agree(self):
+        operand = Propagation(sp.identity(6, format="csr"), blocks=2)
+        with pytest.raises(ValueError, match="blocks"):
+            frobenius_loss(Tensor(np.zeros((6, 2))), operand, blocks=3)
 
 
 class TestSoftmaxRows:
@@ -215,6 +328,13 @@ class TestLosses:
         with pytest.raises(ValueError, match="equal blocks"):
             frobenius_loss(
                 Tensor(np.zeros((6, 2))), sp.identity(6, format="csr"), blocks=blocks
+            )
+
+    def test_frobenius_loss_rejects_off_block_target(self):
+        # An all-ones target has entries outside its two diagonal blocks.
+        with pytest.raises(ValueError, match="outside"):
+            frobenius_loss(
+                Tensor(np.ones((6, 2))), sp.csr_matrix(np.ones((6, 6))), blocks=2
             )
 
     def test_mse_loss(self):

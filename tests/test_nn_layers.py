@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.laplacian import normalized_laplacian
+from repro.nn.functional import Propagation
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.layers import GCNLayer, Linear, SharedGCNEncoder
 from repro.nn.tensor import Tensor
@@ -95,6 +96,24 @@ class TestSharedGCNEncoder:
         out_a = encoder(laplacian, attrs).numpy()
         out_b = encoder(laplacian, attrs).numpy()
         np.testing.assert_array_equal(out_a, out_b)
+
+    def test_hoisted_first_layer_matches_propagating_features(self, triangle_graph):
+        """An operand holding ``L X`` gives the same layers as ``L (X W)``, up
+        to the rounding of the reassociated product."""
+        encoder = SharedGCNEncoder(2, [8, 4], random_state=0)
+        laplacian = normalized_laplacian(triangle_graph.adjacency)
+        attrs = np.random.default_rng(0).normal(size=(3, 2))
+        hoisted = encoder(Propagation(laplacian, features=attrs), all_layers=True)
+        direct = encoder(laplacian, attrs, all_layers=True)
+        for got, expected in zip(hoisted, direct):
+            np.testing.assert_allclose(got.data, expected.data, rtol=1e-12, atol=1e-15)
+
+    def test_missing_features_rejected(self, triangle_graph):
+        encoder = SharedGCNEncoder(2, [8, 4], random_state=0)
+        laplacian = normalized_laplacian(triangle_graph.adjacency)
+        for operand in (laplacian, Propagation(laplacian)):
+            with pytest.raises(ValueError, match="features"):
+                encoder(operand)
 
     def test_empty_hidden_dims_rejected(self):
         with pytest.raises(ValueError):

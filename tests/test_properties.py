@@ -1,9 +1,10 @@
 """Cross-module property-based tests.
 
 These check invariants that tie several subsystems together: isomorphism
-invariance of orbit counting, permutation equivariance of the encoder, and
+invariance of orbit counting, permutation equivariance of the encoder,
 scale/translation invariance of the similarity scores — the properties the
-paper's theory implicitly relies on.
+paper's theory implicitly relies on — and the exact symmetry of every
+propagation matrix, which lets training multiply by ``L`` for ``L^T``.
 """
 
 import networkx as nx
@@ -11,8 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import HTCConfig
+from repro.core.encoder import build_topology_views
 from repro.graph.builders import from_networkx
-from repro.graph.laplacian import orbit_laplacian
+from repro.graph.laplacian import orbit_laplacian, reinforced_laplacian
 from repro.graph.perturbation import permute_graph
 from repro.orbits.edge_orbits import count_edge_orbits
 from repro.orbits.node_orbits import count_node_orbits
@@ -63,6 +66,24 @@ class TestOrbitInvariance:
             laplacian = orbit_laplacian(matrix).toarray()
             eigenvalues = np.linalg.eigvalsh(laplacian)
             assert np.abs(eigenvalues).max() <= 1.0 + 1e-8
+
+
+class TestExactSymmetry:
+    @given(
+        st.integers(0, 2_000), st.sampled_from(["orbit", "adjacency", "diffusion"])
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_views_equal_their_transpose_array_for_array(self, seed, mode):
+        graph = _random_graph(seed)
+        rng = np.random.default_rng(seed)
+        views = build_topology_views(graph, HTCConfig(topology_mode=mode))
+        for view in views.values():
+            factors = rng.uniform(1.0, 2.0, graph.n_nodes)
+            for matrix in (view, reinforced_laplacian(view, factors)):
+                transposed = matrix.T.tocsr()
+                np.testing.assert_array_equal(matrix.indptr, transposed.indptr)
+                np.testing.assert_array_equal(matrix.indices, transposed.indices)
+                np.testing.assert_array_equal(matrix.data, transposed.data)
 
 
 class TestSimilarityInvariance:
