@@ -76,7 +76,7 @@ class HTCConfig:
         (:mod:`repro.backend.compute`; ``"numpy"`` is built in).
     orbit_backend:
         Orbit-counting backend: ``"auto"`` (default; the fastest available),
-        ``"numpy"`` (vectorized bitset counters), or ``"python"`` (the
+        ``"numpy"`` (vectorized sparse-product counters), or ``"python"`` (the
         pure-Python reference).  All backends are bit-identical.  The names
         are those of the ``"orbit"`` kind of the shared :mod:`repro.backend`
         registry.

@@ -154,14 +154,17 @@ class AttributedGraph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over undirected edges as ``(u, v)`` with ``u < v``."""
-        coo = sp.triu(self._adjacency, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for idx in order:
-            yield int(coo.row[idx]), int(coo.col[idx])
+        return iter(self.edge_list())
 
     def edge_list(self) -> List[Tuple[int, int]]:
-        """Return the undirected edge list as a list of ``(u, v)``, ``u < v``."""
-        return list(self.edges())
+        """Return the undirected edge list as a list of ``(u, v)``, ``u < v``.
+
+        Edges come in row-major order: by ``u``, then by ``v``.
+        """
+        upper = sp.triu(self._adjacency, k=1, format="csr")
+        upper.sort_indices()
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(upper.indptr))
+        return list(zip(rows.tolist(), upper.indices.tolist()))
 
     def adjacency_sets(self) -> List[set]:
         """Return per-node neighbour sets (used by the orbit counters)."""

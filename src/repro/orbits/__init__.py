@@ -12,8 +12,8 @@ This package provides:
 * :mod:`repro.orbits.edge_orbits` — the pure-Python combinatorial edge-orbit
   counter (the role Orca plays in the paper), kept as the exact reference
   oracle behind the ``"python"`` backend,
-* :mod:`repro.orbits.vectorized` — the bitset/closed-form numpy counters
-  behind the ``"numpy"`` backend,
+* :mod:`repro.orbits.vectorized` — the sparse-product/closed-form numpy
+  counters behind the ``"numpy"`` backend,
 * :mod:`repro.orbits.cache` — content-hash-keyed orbit caching (memory and
   on-disk),
 * :mod:`repro.orbits.brute_force` — an independent reference counter based on

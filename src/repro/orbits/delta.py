@@ -32,7 +32,7 @@ full edge-orbit recount through the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -86,133 +86,122 @@ def _normalize_edges(edges: Iterable[Sequence[int]], n_nodes: int) -> List[Edge]
     return out
 
 
-def _apply_edge_delta(
-    adj: List[Set[int]],
-    gdv: List[List[int]],
-    u: int,
-    v: int,
-    sign: int,
-    touched: Set[int],
-) -> None:
-    """Apply the GDV transition of toggling edge ``(u, v)``.
+@dataclass
+class _Transitions:
+    """GDV increments of one batch phase, recorded per edge, applied at once.
 
-    ``adj`` must be the adjacency state *without* the edge; ``gdv`` is the
-    matrix as a list of per-node rows (plain-int arithmetic is several
-    times faster than elementwise numpy indexing here, and just as exact);
-    ``sign`` is ``+1`` for an addition, ``-1`` for a removal (the
-    transition is the same set of graphlet differences either way,
-    mirrored).
+    Each toggled edge changes whole rows for its endpoints and surrounding
+    nodes (``rows``/``values``) and one fixed column pair for the private
+    neighbours of its surrounding nodes.  Recording reads only the
+    adjacency state, never the matrix, so a phase's edges can all be
+    recorded first and summed into the matrix afterwards; integer addition
+    makes that exact.
+    """
+
+    rows: List[int] = field(default_factory=list)
+    values: List[int] = field(default_factory=list)  # 15 per row, flat
+    chain_ends: List[int] = field(default_factory=list)  # +1 in column 4
+    paw_ends: List[int] = field(default_factory=list)  # +1 in 9, -1 in 6
+
+    def add_to(self, gdv: np.ndarray, sign: int, reached: np.ndarray) -> None:
+        """Add ``sign`` times the increments to ``gdv``; mark their rows."""
+        width = gdv.shape[1]
+        rows = np.array(self.rows, dtype=np.int64)
+        chain = np.array(self.chain_ends, dtype=np.int64)
+        paw = np.array(self.paw_ends, dtype=np.int64)
+        cells = np.concatenate([
+            (rows[:, None] * width + np.arange(width)).ravel(),
+            chain * width + 4,
+            paw * width + 9,
+            paw * width + 6,
+        ])
+        increments = np.concatenate([
+            np.fromiter(self.values, dtype=np.int64, count=len(self.values)),
+            np.ones(chain.size + paw.size, dtype=np.int64),
+            np.full(paw.size, -1, dtype=np.int64),
+        ])
+        np.add.at(gdv.reshape(-1), cells, sign * increments)
+        reached[rows] = True
+        reached[chain] = True
+        reached[paw] = True
+
+
+def _record_edge_transition(adj: dict, u: int, v: int, out: _Transitions) -> None:
+    """Record the GDV transition of adding edge ``(u, v)`` into ``out``.
+
+    ``adj`` must be the adjacency state *without* the edge, with sets for
+    the batch endpoints (see :func:`_batch_adjacency`).  A removal is the
+    same set of graphlet differences mirrored, so the caller subtracts its
+    transitions instead of adding them.
     """
     nu, nv = adj[u], adj[v]
     common = nu & nv
     only_u = nu - nv  # class a
     only_v = nv - nu  # class b
     t, na, nb = len(common), len(only_u), len(only_v)
-    s = sign
-    touched.add(u)
-    touched.add(v)
+    beyond = nu | nv | {u, v}  # a partner outside this set is private
+    rows, values = out.rows, out.values
+    chain_ends, paw_ends = out.chain_ends, out.paw_ends
+    in_a, in_b = only_u.intersection, only_v.intersection
 
-    # |S| = 2: the edge graphlet itself.
-    gdv[u][0] += s
-    gdv[v][0] += s
-
-    # |S| = 3: wedges gained at the endpoints; common neighbours promote a
-    # wedge (centred at x) into a triangle.
-    row_u, row_v = gdv[u], gdv[v]
-    row_u[1] += s * (nb - t)
-    row_u[2] += s * na
-    row_u[3] += s * t
-    row_v[1] += s * (na - t)
-    row_v[2] += s * nb
-    row_v[3] += s * t
-    for x in only_u:
-        gdv[x][1] += s
-        touched.add(x)
-    for x in only_v:
-        gdv[x][1] += s
-        touched.add(x)
-    for x in common:
-        row = gdv[x]
-        row[3] += s
-        row[2] -= s
-        touched.add(x)
-
-    # |S| = 4: walk each surrounding node w once, counting its partners by
-    # class and adjacency; each (class(w), class(x), w~x) case is one fixed
+    # Surrounding nodes.  |S| = 3: a class-a/b node gains a wedge end; a
+    # common neighbour's wedge (centred on it) becomes a triangle.  |S| = 4:
+    # each surrounding node w is walked once, counting its partners by
+    # class; each (class(w), class(x), w~x) case is one fixed
     # with-edge/without-edge role pair (see the case table in the docstring
     # of repro/orbits/vectorized.py for the with-edge halves).
-    cls = {}
-    for w in only_u:
-        cls[w] = 0
-    for w in only_v:
-        cls[w] = 1
-    for w in common:
-        cls[w] = 2
     e_aa2 = e_bb2 = e_cc2 = 0  # both-end sums, halved below
     e_ab = e_ac = e_bc = 0
     p_a = p_b = p_c = 0
-    for w, cw in cls.items():
-        ca = cb = cc = 0
-        private: List[int] = []
-        for x in adj[w]:
-            if x == u or x == v:
-                continue
-            cx = cls.get(x)
-            if cx is None:
-                private.append(x)
-            elif cx == 0:
-                ca += 1
-            elif cx == 1:
-                cb += 1
-            else:
-                cc += 1
+    for w in only_u:  # w adjacent to u only
+        nw = adj[w]
+        ca = len(in_a(nw))
+        cb = len(in_b(nw))
+        private = [x for x in nw if x not in beyond]
         p = len(private)
-        row = gdv[w]
-        if cw == 0:  # w adjacent to u only
-            row[5] += s * (p - cb)
-            row[4] += s * (nb - cb - (t - cc))
-            row[10] += s * (ca - cc)
-            row[6] += s * (na - 1 - ca)
-            row[8] += s * cb
-            row[9] += s * (t - cc)
-            row[12] += s * cc
-            for x in private:
-                gdv[x][4] += s
-                touched.add(x)
-            e_aa2 += ca
-            e_ab += cb
-            e_ac += cc
-            p_a += p
-        elif cw == 1:  # w adjacent to v only (mirror of class a)
-            row[5] += s * (p - ca)
-            row[4] += s * (na - ca - (t - cc))
-            row[10] += s * (cb - cc)
-            row[6] += s * (nb - 1 - cb)
-            row[8] += s * ca
-            row[9] += s * (t - cc)
-            row[12] += s * cc
-            for x in private:
-                gdv[x][4] += s
-                touched.add(x)
-            e_bb2 += cb
-            e_bc += cc
-            p_b += p
-        else:  # w adjacent to both endpoints
-            row[11] += s * (p - (ca + cb))
-            row[7] -= s * p
-            row[13] += s * (ca + cb - cc)
-            row[10] += s * (na - ca + nb - cb)
-            row[5] -= s * (na - ca + nb - cb)
-            row[14] += s * cc
-            row[12] += s * (t - 1 - cc)
-            row[8] -= s * (t - 1 - cc)
-            for x in private:
-                row_x = gdv[x]
-                row_x[9] += s
-                row_x[6] -= s
-                touched.add(x)
-            e_cc2 += cc
-            p_c += p
+        cc = len(nw) - 1 - ca - cb - p  # the rest, less the link to u
+        rows.append(w)
+        values += (
+            0, 1, 0, 0, nb - cb - (t - cc), p - cb, na - 1 - ca, 0,
+            cb, t - cc, ca - cc, 0, cc, 0, 0,
+        )
+        chain_ends += private
+        e_aa2 += ca
+        e_ab += cb
+        e_ac += cc
+        p_a += p
+    for w in only_v:  # w adjacent to v only (mirror of class a)
+        nw = adj[w]
+        ca = len(in_a(nw))
+        cb = len(in_b(nw))
+        private = [x for x in nw if x not in beyond]
+        p = len(private)
+        cc = len(nw) - 1 - ca - cb - p  # the rest, less the link to v
+        rows.append(w)
+        values += (
+            0, 1, 0, 0, na - ca - (t - cc), p - ca, nb - 1 - cb, 0,
+            ca, t - cc, cb - cc, 0, cc, 0, 0,
+        )
+        chain_ends += private
+        e_bb2 += cb
+        e_bc += cc
+        p_b += p
+    for w in common:  # w adjacent to both endpoints
+        nw = adj[w]
+        ca = len(in_a(nw))
+        cb = len(in_b(nw))
+        private = [x for x in nw if x not in beyond]
+        p = len(private)
+        cc = len(nw) - 2 - ca - cb - p  # the rest, less the links to u and v
+        exclusive = na - ca + nb - cb
+        rows.append(w)
+        values += (
+            0, 0, -1, 1, 0, -exclusive, 0, -p, -(t - 1 - cc), 0,
+            exclusive, p - (ca + cb), t - 1 - cc, ca + cb - cc, cc,
+        )
+        paw_ends += private
+        e_cc2 += cc
+        p_c += p
 
     e_aa, e_bb, e_cc = e_aa2 // 2, e_bb2 // 2, e_cc2 // 2
     star_u = na * (na - 1) // 2 - e_aa
@@ -222,31 +211,39 @@ def _apply_edge_delta(
     paw_v = nb * t - e_bc
     diag = t * (t - 1) // 2 - e_cc
 
-    row = row_u
-    row[4] += s * (p_b - e_ab - paw_v)
-    row[5] += s * (chain_mid + p_a - paw_u)
-    row[6] += s * (star_v - p_c)
-    row[7] += s * star_u
-    row[8] += s * (e_ab - diag)
-    row[9] += s * (e_bb - e_bc)
-    row[10] += s * (paw_v + p_c - e_ac)
-    row[11] += s * (e_aa + paw_u)
-    row[12] += s * (e_bc - e_cc)
-    row[13] += s * (e_ac + diag)
-    row[14] += s * e_cc
+    # The endpoints: |S| = 2 (the edge itself), |S| = 3 (wedges gained,
+    # triangles closed) and |S| = 4, columns 0..14.
+    rows += (u, v)
+    values += (
+        1, nb - t, na, t,
+        p_b - e_ab - paw_v, chain_mid + p_a - paw_u, star_v - p_c, star_u,
+        e_ab - diag, e_bb - e_bc, paw_v + p_c - e_ac, e_aa + paw_u,
+        e_bc - e_cc, e_ac + diag, e_cc,
+    )
+    values += (
+        1, na - t, nb, t,
+        p_a - e_ab - paw_u, chain_mid + p_b - paw_v, star_u - p_c, star_v,
+        e_ab - diag, e_aa - e_ac, paw_u + p_c - e_bc, e_bb + paw_v,
+        e_ac - e_cc, e_bc + diag, e_cc,
+    )
 
-    row = row_v
-    row[4] += s * (p_a - e_ab - paw_u)
-    row[5] += s * (chain_mid + p_b - paw_v)
-    row[6] += s * (star_u - p_c)
-    row[7] += s * star_v
-    row[8] += s * (e_ab - diag)
-    row[9] += s * (e_aa - e_ac)
-    row[10] += s * (paw_u + p_c - e_bc)
-    row[11] += s * (e_bb + paw_v)
-    row[12] += s * (e_ac - e_cc)
-    row[13] += s * (e_bc + diag)
-    row[14] += s * e_cc
+
+def _batch_adjacency(graph: AttributedGraph, endpoints: Set[int]) -> dict:
+    """The neighbours a batch reads: sets for its endpoints, lists otherwise.
+
+    A toggled edge reads the neighbourhoods of its endpoints and of their
+    neighbours.  Toggling changes only the endpoints' rows, so every other
+    node keeps its CSR row (a list) for the whole batch; the endpoints get
+    fresh sets, free to mutate.
+    """
+    indptr = graph.adjacency.indptr.tolist()
+    indices = graph.adjacency.indices.tolist()
+    adj: dict = {
+        node: set(indices[indptr[node]:indptr[node + 1]]) for node in endpoints
+    }
+    for node in set().union(*adj.values()) - endpoints:
+        adj[node] = indices[indptr[node]:indptr[node + 1]]
+    return adj
 
 
 def _mutated_graph(
@@ -261,25 +258,30 @@ def _mutated_graph(
     """
     adjacency = graph.adjacency
     n = graph.n_nodes
-    rows = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(adjacency.indptr)
-    )
-    cols = adjacency.indices.astype(np.int64)
-    if removals:
-        removed = np.array(
-            [u * n + v for u, v in removals] + [v * n + u for u, v in removals],
-            dtype=np.int64,
+
+    def keys(pairs: List[Edge]) -> np.ndarray:
+        """Row-major positions ``u·n + v`` of both directions of ``pairs``."""
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return np.concatenate(
+            [array[:, 0] * n + array[:, 1], array[:, 1] * n + array[:, 0]]
         )
-        keep = ~np.isin(rows * n + cols, removed)
-        rows, cols = rows[keep], cols[keep]
+
+    positions = np.repeat(
+        np.arange(n, dtype=np.int64) * n, np.diff(adjacency.indptr)
+    ) + adjacency.indices
     if additions:
-        added = np.array(additions, dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([rows, added[:, 0], added[:, 1]])
-        cols = np.concatenate([cols, added[:, 1], added[:, 0]])
+        positions = np.concatenate([positions, keys(additions)])
+    positions.sort()
+    if removals:
+        # Each removed edge is present once, or twice when re-added later in
+        # the batch; deleting the first occurrence is right in both cases.
+        positions = np.delete(positions, np.searchsorted(positions, keys(removals)))
+    rows, cols = np.divmod(positions, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     matrix = sp.csr_matrix(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
+        (np.ones(positions.size, dtype=np.float64), cols, indptr), shape=(n, n)
     )
-    matrix.sort_indices()
     return AttributedGraph._from_validated_csr(
         matrix, graph.attributes, graph.name
     )
@@ -338,31 +340,33 @@ def delta_count_node_orbits(
             f"node_orbits has shape {base.shape}, expected "
             f"({n}, {NODE_ORBIT_COUNT})"
         )
-    rows = base.tolist()  # plain-int rows for the patch loop
-
-    adj = graph.adjacency_sets()  # fresh per-node sets, free to mutate
-    touched: Set[int] = set()
+    endpoints = {node for edge in removals + additions for node in edge}
+    adj = _batch_adjacency(graph, endpoints)
+    removed, added = _Transitions(), _Transitions()
     for u, v in removals:
         if v not in adj[u]:
             raise ValueError(f"cannot remove absent edge ({u}, {v})")
         adj[u].discard(v)
         adj[v].discard(u)
-        _apply_edge_delta(adj, rows, u, v, -1, touched)
+        _record_edge_transition(adj, u, v, removed)
     for u, v in additions:
         if v in adj[u]:
             raise ValueError(f"cannot add already-present edge ({u}, {v})")
-        _apply_edge_delta(adj, rows, u, v, +1, touched)
+        _record_edge_transition(adj, u, v, added)
         adj[u].add(v)
         adj[v].add(u)
 
-    gdv = np.array(rows, dtype=np.int64)
+    gdv = base.copy()
+    reached = np.zeros(n, dtype=bool)
+    removed.add_to(gdv, -1, reached)
+    added.add_to(gdv, 1, reached)
     mutated = _mutated_graph(graph, removals, additions)
     if cache is not None:
         cache.put_node_orbits(graph_content_hash(mutated), gdv)
     return DeltaRecount(
         graph=mutated,
         node_orbits=gdv,
-        touched=np.array(sorted(touched), dtype=np.int64),
+        touched=np.flatnonzero(reached),
         n_added=len(additions),
         n_removed=len(removals),
     )

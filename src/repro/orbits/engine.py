@@ -6,9 +6,11 @@ counting.  Two backends are registered out of the box:
 * ``"python"`` — the original pure-Python counters
   (:mod:`repro.orbits.edge_orbits`, :mod:`repro.orbits.node_orbits`), kept as
   the exact reference oracle,
-* ``"numpy"`` — the vectorized bitset counters
-  (:mod:`repro.orbits.vectorized`), bit-identical and an order of magnitude
-  faster (see ``benchmarks/bench_orbit_counting.py``),
+* ``"numpy"`` — the vectorized counters (:mod:`repro.orbits.vectorized`):
+  per-edge statistics from whole-graph sparse products and closed-form
+  identities, with only the 4-clique term enumerated; bit-identical and
+  one to two orders of magnitude faster (see
+  ``benchmarks/bench_orbit_counting.py``),
 * ``"numba"`` — the JIT loop kernel (:mod:`repro.orbits.jit`), registered
   with a lazy availability probe so it only resolves when numba is
   importable; bit-identical by construction (it shares the closed-form

@@ -1,7 +1,7 @@
 """Loop-shaped orbit counting — the ``"numba"`` engine backend.
 
-The vectorized backend (:mod:`repro.orbits.vectorized`) computes per-edge
-class statistics with bit-packed adjacency masks; this module computes the
+The vectorized backend (:mod:`repro.orbits.vectorized`) derives per-edge
+class statistics from whole-graph sparse products; this module computes the
 *same* statistics with a flat scan over the CSR arrays, written in the
 restricted subset of Python that ``numba.njit`` compiles to native code.
 The kernel marks each surrounding node of an edge ``(u, v)`` with its class

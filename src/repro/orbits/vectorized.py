@@ -1,10 +1,10 @@
-"""Vectorized (numpy) orbit counting — the ``"numpy"`` engine backend.
+"""Vectorized (numpy/scipy) orbit counting — the ``"numpy"`` engine backend.
 
 The pure-Python counters in :mod:`repro.orbits.edge_orbits` and
 :mod:`repro.orbits.node_orbits` classify every 4-node quad with nested Python
 loops (the ``O(e·D²)`` work Orca does in C).  This module does the same exact
-counting with closed-form combinatorial identities over per-edge
-neighbourhood *bitsets*, so the hot path runs inside NumPy.
+counting with a few whole-graph sparse products and closed-form identities,
+so the hot path runs inside SciPy and NumPy.
 
 For an edge ``(u, v)`` partition every other node into four classes by its
 adjacency to the endpoints:
@@ -42,9 +42,41 @@ graphlet exactly ``r`` times, where ``r`` is the node's degree inside the
 graphlet (fixed per orbit).  2- and 3-node node orbits come from degrees and
 per-edge triangle counts.
 
-The adjacency rows are bit-packed (``np.packbits``) so each class mask and
-each edge count is a handful of byte-wise AND + popcount operations; memory
-is ``n²/8`` bytes, fine for the multi-thousand-node graphs this repo targets.
+**The statistics from sparse products.**  Following ORCA (Hočevar &
+Demšar, Bioinformatics 2014), only the complete graphlet is enumerated; the
+other statistics follow from linear relations over common-neighbour counts.
+With ``A`` the 0/1 pattern of the adjacency (never its weights), ``d`` the
+degrees, ``T = A∘A²`` (each edge's triangle count), ``tri(x) = ½·Σ_w T_xw``
+(the edges inside ``N(x)``) and ``s = A·d`` (each node's sum of neighbour
+degrees), an edge ``(u, v)`` has::
+
+    t   = (A²)_uv
+    Q   = (A³)_uv − d_u − d_v + 1     pairs w ∈ N(u)∖{v}, x ∈ N(v)∖{u}, w ~ x
+    X_u = (T·A)_uv = Σ_{w∈c} t_uw     X_v = (T·A)_vu
+    D_c = (A·diag(d)·A)_uv = Σ_{w∈c} d_w
+
+and with ``K`` the number of edges among its common neighbours (its 4-clique
+count, the one enumerated term)::
+
+    na, nb      = d_u − 1 − t,  d_v − 1 − t
+    e_cc        = K
+    e_ac, e_bc  = X_u − t − 2K,  X_v − t − 2K
+    e_aa, e_bb  = tri(u) − t − e_ac − K,  tri(v) − t − e_bc − K
+    e_ab        = Q − e_ac − e_bc − 2K
+    p_a         = s_u − d_v − D_c − na − 2·e_aa − e_ab − e_ac
+    p_b         = s_v − d_u − D_c − nb − 2·e_bb − e_ab − e_bc
+    p_c         = D_c − 2t − 2K − e_ac − e_bc
+
+``K`` is counted with bitsets over the common-neighbour incidences alone:
+each ``w ∈ c`` contributes ``popcount(N(w) & c)``, and the sum counts every
+edge inside ``c`` twice.
+
+**Memory.**  ``A²`` is held whole.  The length-3 products (``A³`` as
+``A·A²``, ``T·A`` and ``A·diag(d)·A``) are computed in row blocks whose
+estimated size stays within ``_CHUNK_BYTE_BUDGET``, and only their values at
+the edges are kept.  ``K`` holds the bit-packed adjacency (``n²/8`` bytes)
+plus, per chunk of edges, ``Σt·n/8`` bytes of incidence rows under the same
+budget, where ``Σt`` is the chunk's number of common-neighbour incidences.
 All arithmetic is int64 and exact, so counts are bit-identical to the
 reference backend.
 """
@@ -55,6 +87,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.orbits.edge_orbits import EdgeOrbitCounts
@@ -64,15 +97,16 @@ from repro.orbits.graphlets import EDGE_ORBIT_COUNT, NODE_ORBIT_COUNT
 #: multiplicity with which edge-incidence accumulation counts each graphlet.
 _ROLE_MULTIPLICITY = np.array([1, 2, 1, 3, 2, 1, 2, 3, 2, 3, 3], dtype=np.int64)
 
-_PACK_CHUNK = 512
-
 #: ``_BIT_MASK[j]`` selects bit ``j`` of a byte in ``np.packbits`` big-endian
-#: order; ``_BIT_CLEAR[j]`` clears it.
+#: order.
 _BIT_MASK = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
-_BIT_CLEAR = np.array([0xFF ^ (0x80 >> j) for j in range(8)], dtype=np.uint8)
 
-#: Per-chunk budget (bytes) for the ``(incidences, n/8)`` bitset temporaries.
+#: Per-chunk budget (bytes) for the row blocks of the length-3 products and
+#: for the ``(incidences, n/8)`` bitset rows of the 4-clique term.
 _CHUNK_BYTE_BUDGET = 64 * 1024 * 1024
+
+#: Bytes one stored entry of a sparse product costs (int64 value + index).
+_ENTRY_BYTES = 16
 
 
 @dataclass
@@ -100,14 +134,16 @@ class EdgeStatistics:
     p_c: np.ndarray
 
 
-def _pack_adjacency(adjacency) -> np.ndarray:
-    """Bit-pack the binary adjacency pattern into an ``(n, ⌈n/8⌉)`` uint8 array."""
-    n = adjacency.shape[0]
-    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-    for start in range(0, n, _PACK_CHUNK):
-        stop = min(start + _PACK_CHUNK, n)
-        block = adjacency[start:stop].toarray() != 0
-        packed[start:stop] = np.packbits(block, axis=1)
+_FIELD_NAMES = (
+    "t", "na", "nb", "e_aa", "e_bb", "e_cc",
+    "e_ab", "e_ac", "e_bc", "p_a", "p_b", "p_c",
+)
+
+
+def _pack_adjacency(n: int, rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Bit-pack the pattern of CSR ``rows``/``indices`` into ``(n, ⌈n/8⌉)`` uint8."""
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, indices >> 3), _BIT_MASK[indices & 7])
     return packed
 
 
@@ -133,125 +169,146 @@ def _neighbour_incidences(
     return indices[starts + within].astype(np.int64), owner
 
 
-def _segment_sum(
-    owner: np.ndarray, select: np.ndarray, values: np.ndarray, size: int
-) -> np.ndarray:
-    """Sum ``values[select]`` grouped by ``owner[select]`` (exact int64)."""
-    # bincount's float64 accumulation is exact here: every addend and every
-    # partial sum is an integer far below 2**53.
-    return np.bincount(
-        owner[select], weights=values[select], minlength=size
-    ).astype(np.int64)
-
-
 def _chunk_boundaries(cost: np.ndarray, budget: int) -> List[Tuple[int, int]]:
-    """Split ``range(len(cost))`` into spans whose ``cost`` sums stay in budget."""
+    """Split ``range(len(cost))`` into spans whose ``cost`` sums stay in budget.
+
+    Greedy and in order; a span always holds at least one item.
+    """
+    ends = np.cumsum(cost)
     spans = []
     start = 0
-    total = 0
-    for index, item in enumerate(cost):
-        if total + item > budget and index > start:
-            spans.append((start, index))
-            start = index
-            total = 0
-        total += item
-    spans.append((start, len(cost)))
+    while start < len(cost):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + budget, side="right"))
+        stop = max(stop, start + 1)
+        spans.append((start, stop))
+        start = stop
     return spans
 
 
+def _sample(matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``matrix[rows[i], cols[i]]`` as a flat array (no index sorting needed)."""
+    return np.asarray(matrix[rows, cols]).ravel()
+
+
 def compute_edge_statistics(graph: AttributedGraph) -> EdgeStatistics:
-    """Compute every per-edge class statistic in batched numpy passes."""
+    """Compute every per-edge class statistic from sparse products."""
     adjacency = graph.adjacency
-    degrees = graph.degrees.astype(np.int64)
-    edges = graph.edge_list()
+    if not adjacency.has_sorted_indices:
+        adjacency = adjacency.sorted_indices()
+    n = adjacency.shape[0]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    upper = np.flatnonzero(indices > rows)
+    eu, ev = rows[upper], indices[upper].astype(np.int64)
+    edges = list(zip(eu.tolist(), ev.tolist()))
     m = len(edges)
-    field_names = (
-        "t", "na", "nb", "e_aa", "e_bb", "e_cc",
-        "e_ab", "e_ac", "e_bc", "p_a", "p_b", "p_c",
-    )
-    fields = {name: np.zeros(m, dtype=np.int64) for name in field_names}
     if m == 0:
+        fields = {name: np.zeros(0, dtype=np.int64) for name in _FIELD_NAMES}
         return EdgeStatistics(edges=edges, **fields)
 
-    packed = _pack_adjacency(adjacency)
-    width = packed.shape[1]
-    indptr, indices = adjacency.indptr, adjacency.indices
-    edge_array = np.asarray(edges, dtype=np.int64)
+    # Lower-triangle positions in column-major order: mirror[i] is the
+    # position of (v, u) for the i-th upper-triangle edge (u, v).
+    lower = np.flatnonzero(indices < rows)
+    mirror = lower[np.argsort(indices[lower], kind="stable")]
 
-    # Chunk edges so the (incidences, width) bitset temporaries stay bounded.
-    incidence_cost = (degrees[edge_array[:, 0]] + degrees[edge_array[:, 1]]) * width
-    budget = max(int(incidence_cost.max(initial=1)), _CHUNK_BYTE_BUDGET)
-    for start, stop in _chunk_boundaries(incidence_cost, budget):
-        chunk = _edge_statistics_chunk(
-            edge_array[start:stop], packed, indptr, indices, degrees
+    def shaped(values: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+
+    pattern = shaped(np.ones(indices.size, dtype=np.int64))
+    degrees = np.diff(indptr).astype(np.int64)
+    neighbour_degrees = pattern @ degrees                      # s = A·d
+    scaled = shaped(degrees[rows])                             # diag(d)·A
+    square = pattern @ pattern                                 # A²
+    t = _sample(square, eu, ev)
+    t_full = np.empty(indices.size, dtype=np.int64)
+    t_full[upper] = t
+    t_full[mirror] = t
+    triangles = shaped(t_full)                                 # T = A∘A²
+    inside = np.asarray(triangles.sum(axis=1)).ravel() // 2    # tri(x)
+
+    # Row blocks of the length-3 products, sized by an upper bound on the
+    # nnz of their rows (an A³ row, plus an A²-shaped row).
+    square_row_nnz = np.diff(square.indptr).astype(np.int64)
+    row_cost = _ENTRY_BYTES * (
+        np.minimum(pattern @ square_row_nnz, n) + square_row_nnz
+    )
+    budget = max(int(row_cost.max()), _CHUNK_BYTE_BUDGET)
+    first_edge = np.searchsorted(eu, np.arange(n + 1))
+    cube = np.empty(m, dtype=np.int64)                         # (A³)_uv
+    degree_sum = np.empty(m, dtype=np.int64)                   # D_c
+    walks = np.empty(indices.size, dtype=np.int64)             # T·A at edges
+    for r0, r1 in _chunk_boundaries(row_cost, budget):
+        block = pattern[r0:r1]
+        e0, e1 = first_edge[r0], first_edge[r1]
+        local, cols = eu[e0:e1] - r0, ev[e0:e1]
+        cube[e0:e1] = _sample(block @ square, local, cols)
+        degree_sum[e0:e1] = _sample(block @ scaled, local, cols)
+        p0, p1 = indptr[r0], indptr[r1]
+        walks[p0:p1] = _sample(
+            triangles[r0:r1] @ pattern, rows[p0:p1] - r0, indices[p0:p1]
         )
-        for name in field_names:
-            fields[name][start:stop] = chunk[name]
-    return EdgeStatistics(edges=edges, **fields)
+
+    e_cc = _four_clique_counts(rows, indptr, indices, eu, ev, t)
+    d_u, d_v = degrees[eu], degrees[ev]
+    na = d_u - 1 - t
+    nb = d_v - 1 - t
+    e_ac = walks[upper] - t - 2 * e_cc
+    e_bc = walks[mirror] - t - 2 * e_cc
+    e_aa = inside[eu] - t - e_ac - e_cc
+    e_bb = inside[ev] - t - e_bc - e_cc
+    e_ab = (cube - d_u - d_v + 1) - e_ac - e_bc - 2 * e_cc
+    return EdgeStatistics(
+        edges=edges,
+        t=t, na=na, nb=nb,
+        e_aa=e_aa, e_bb=e_bb, e_cc=e_cc,
+        e_ab=e_ab, e_ac=e_ac, e_bc=e_bc,
+        p_a=neighbour_degrees[eu] - d_v - degree_sum - na - 2 * e_aa - e_ab - e_ac,
+        p_b=neighbour_degrees[ev] - d_u - degree_sum - nb - 2 * e_bb - e_ab - e_bc,
+        p_c=degree_sum - 2 * t - 2 * e_cc - e_ac - e_bc,
+    )
 
 
-def _edge_statistics_chunk(
-    edge_array: np.ndarray,
-    packed: np.ndarray,
+def _four_clique_counts(
+    rows: np.ndarray,
     indptr: np.ndarray,
     indices: np.ndarray,
-    degrees: np.ndarray,
-) -> dict:
-    """Per-edge statistics for one chunk of edges, fully vectorized."""
-    eu, ev = edge_array[:, 0], edge_array[:, 1]
-    k = eu.size
-    out = {}
+    eu: np.ndarray,
+    ev: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray:
+    """K per edge: the edges among its common neighbours, by bitset popcounts."""
+    counts = np.zeros(eu.size, dtype=np.int64)
+    candidates = np.flatnonzero(t >= 2)  # fewer than two common neighbours: K = 0
+    if candidates.size == 0:
+        return counts
+    degrees = np.diff(indptr)
+    packed = _pack_adjacency(degrees.size, rows, indices)
+    width = packed.shape[1]
 
-    row_u, row_v = packed[eu], packed[ev]
-    mask_c = row_u & row_v
-    mask_a = row_u & ~row_v
-    mask_b = row_v & ~row_u
-    span = np.arange(k)
-    mask_a[span, ev >> 3] &= _BIT_CLEAR[ev & 7]  # v itself is not in class a
-    mask_b[span, eu >> 3] &= _BIT_CLEAR[eu & 7]
-    out["t"] = np.bitwise_count(mask_c).sum(axis=1, dtype=np.int64)
-    out["na"] = np.bitwise_count(mask_a).sum(axis=1, dtype=np.int64)
-    out["nb"] = np.bitwise_count(mask_b).sum(axis=1, dtype=np.int64)
+    cost = t[candidates] * width
+    budget = max(int(cost.max()), _CHUNK_BYTE_BUDGET)
+    for start, stop in _chunk_boundaries(cost, budget):
+        chunk = candidates[start:stop]
+        u, v = eu[chunk], ev[chunk]
+        # Walk the shorter neighbour list; keep the nodes the other end has.
+        shorter = degrees[u] <= degrees[v]
+        walk, other = np.where(shorter, u, v), np.where(shorter, v, u)
+        common, owner = _neighbour_incidences(walk, indptr, indices)
+        keep = _has_bit(packed, other[owner], common)
+        common, owner = common[keep], owner[keep]
 
-    # Surrounding nodes as flat (edge, node) incidences: u's neighbour list
-    # contributes every class-a and class-c node, v's list the class-b nodes
-    # (its class-c entries are dropped as duplicates, as are the endpoints).
-    w_u, owner_u = _neighbour_incidences(eu, indptr, indices)
-    keep_u = w_u != ev[owner_u]
-    w_u, owner_u = w_u[keep_u], owner_u[keep_u]
-    in_v_u = _has_bit(packed, w_u, ev[owner_u])
-
-    w_v, owner_v = _neighbour_incidences(ev, indptr, indices)
-    keep_v = (w_v != eu[owner_v]) & ~_has_bit(packed, w_v, eu[owner_v])
-    w_v, owner_v = w_v[keep_v], owner_v[keep_v]
-
-    flat_w = np.concatenate([w_u, w_v])
-    owner = np.concatenate([owner_u, owner_v])
-    in_u = np.concatenate([np.ones(w_u.size, bool), np.zeros(w_v.size, bool)])
-    in_v = np.concatenate([in_v_u, np.ones(w_v.size, bool)])
-    type_c = in_u & in_v
-    type_a = in_u & ~in_v
-    type_b = ~in_u
-
-    rows = packed[flat_w]
-    cnt_a = np.bitwise_count(rows & mask_a[owner]).sum(axis=1, dtype=np.int64)
-    cnt_b = np.bitwise_count(rows & mask_b[owner]).sum(axis=1, dtype=np.int64)
-    cnt_c = np.bitwise_count(rows & mask_c[owner]).sum(axis=1, dtype=np.int64)
-
-    # Edges inside/between classes (within-class sums count both ends).
-    out["e_aa"] = _segment_sum(owner, type_a, cnt_a, k) // 2
-    out["e_bb"] = _segment_sum(owner, type_b, cnt_b, k) // 2
-    out["e_cc"] = _segment_sum(owner, type_c, cnt_c, k) // 2
-    out["e_ab"] = _segment_sum(owner, type_a, cnt_b, k)
-    out["e_ac"] = _segment_sum(owner, type_a, cnt_c, k)
-    out["e_bc"] = _segment_sum(owner, type_b, cnt_c, k)
-
-    # Private neighbours: degree minus in-surrounding minus {u, v} links.
-    private = degrees[flat_w] - (cnt_a + cnt_b + cnt_c) - in_u - in_v
-    out["p_a"] = _segment_sum(owner, type_a, private, k)
-    out["p_b"] = _segment_sum(owner, type_b, private, k)
-    out["p_c"] = _segment_sum(owner, type_c, private, k)
-    return out
+        mask = packed[u]
+        mask &= packed[v]
+        bits = packed[common]
+        bits &= mask[owner]
+        per_incidence = np.bitwise_count(bits, out=bits).sum(axis=1, dtype=np.int64)
+        # bincount's float64 accumulation is exact: every partial sum is an
+        # integer far below 2**53.  Each inside edge is seen from both ends.
+        counts[chunk] = np.bincount(
+            owner, weights=per_incidence, minlength=chunk.size
+        ).astype(np.int64) // 2
+    return counts
 
 
 def edge_orbits_from_statistics(stats: EdgeStatistics) -> EdgeOrbitCounts:

@@ -7,11 +7,14 @@ modules lives here and is imported absolutely: ``from _helpers import ...``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.builders import from_edge_list
+from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
@@ -31,6 +34,38 @@ def numerical_gradient(func, value, epsilon=1e-6):
         flat[index] = original
         grad_flat[index] = (plus - minus) / (2 * epsilon)
     return gradient
+
+
+def lexsorted_edges(graph) -> Iterator[Tuple[int, int]]:
+    """Oracle for ``AttributedGraph.edge_list``: the per-edge generator.
+
+    Walks the lexsorted upper triangle in Python, one edge at a time;
+    ``edge_list`` builds the same list from the CSR arrays at once.
+    """
+    coo = sp.triu(graph.adjacency, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    for idx in order:
+        yield int(coo.row[idx]), int(coo.col[idx])
+
+
+def orbit_stress_graphs() -> Dict[str, AttributedGraph]:
+    """Orbit-counting inputs beyond sparse unit-weight graphs, by name.
+
+    ``weighted``: a clustered graph whose adjacency carries weights in
+    [0.5, 3] (counts depend on the pattern only); ``dense_er``: an ER graph
+    with mean degree above n/2; ``k12``: the complete graph on 12 nodes.
+    """
+    base = powerlaw_cluster_graph(60, 4, 0.6, random_state=0)
+    upper = sp.triu(base.adjacency, k=1).tocoo()
+    weights = np.random.default_rng(0).uniform(0.5, 3.0, upper.nnz)
+    weighted = sp.coo_matrix((weights, (upper.row, upper.col)), shape=upper.shape)
+    return {
+        "weighted": AttributedGraph(weighted + weighted.T, base.attributes),
+        "dense_er": erdos_renyi_graph(40, 30.0, random_state=2),
+        "k12": from_edge_list(
+            [(u, v) for u in range(12) for v in range(u + 1, 12)], n_nodes=12
+        ),
+    }
 
 
 def dense_frobenius_loss(reconstruction, target):

@@ -6,6 +6,9 @@ import scipy.sparse as sp
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list
+from repro.graph.generators import erdos_renyi_graph
+
+from _helpers import lexsorted_edges
 
 
 class TestConstruction:
@@ -117,3 +120,41 @@ class TestEmptyAndEdgeCases:
     def test_isolated_nodes_have_empty_neighbourhood(self):
         graph = from_edge_list([(0, 1)], n_nodes=4)
         assert graph.neighbors(3).size == 0
+
+
+class TestEdgeListOracle:
+    """``edge_list``/``edges`` equal the per-edge lexsort generator."""
+
+    @staticmethod
+    def _assert_matches_oracle(graph):
+        expected = list(lexsorted_edges(graph))
+        edges = graph.edge_list()
+        assert edges == expected
+        assert list(graph.edges()) == expected
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_graphs(self, seed):
+        graph = erdos_renyi_graph(30 + 20 * seed, 1.0 + 2 * seed, random_state=seed)
+        self._assert_matches_oracle(graph)
+
+    def test_weighted_graph(self):
+        rng = np.random.default_rng(0)
+        dense = np.triu(rng.uniform(0.5, 3.0, (40, 40)) * (rng.random((40, 40)) < 0.2), 1)
+        graph = AttributedGraph(dense + dense.T)
+        assert graph.n_edges > 0
+        self._assert_matches_oracle(graph)
+
+    def test_empty_and_single_node_graphs(self):
+        self._assert_matches_oracle(AttributedGraph(sp.csr_matrix((4, 4))))
+        self._assert_matches_oracle(AttributedGraph(np.zeros((1, 1))))
+
+    def test_unsorted_csr_indices(self):
+        # A trusted CSR whose rows list their columns out of order.
+        matrix = sp.csr_matrix(
+            (np.ones(6), np.array([2, 1, 2, 0, 1, 0]), np.array([0, 2, 4, 6])),
+            shape=(3, 3),
+        )
+        assert not matrix.has_sorted_indices
+        graph = AttributedGraph._from_validated_csr(matrix, np.ones((3, 1)), "g")
+        self._assert_matches_oracle(graph)

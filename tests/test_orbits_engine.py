@@ -7,17 +7,21 @@ ER/BA-style graphs spanning sparse (disconnected), dense, and clustered
 regimes, plus deterministic structured graphs.
 """
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graph.builders import from_edge_list, from_networkx
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
-from repro.orbits import engine
+from repro.orbits import engine, vectorized
 from repro.orbits.brute_force import brute_force_edge_orbits, brute_force_node_orbits
 from repro.orbits.cache import OrbitCache
 from repro.orbits.edge_orbits import EdgeOrbitCounts
 from repro.orbits.graphlets import EDGE_ORBIT_COUNT, NODE_ORBIT_COUNT
+
+from _helpers import orbit_stress_graphs
 
 # The vectorized backend needs numpy >= 2.0 (np.bitwise_count); the whole
 # module is about cross-validating it against the reference.
@@ -96,6 +100,24 @@ class TestCrossValidation:
     def test_single_edge(self):
         _assert_backends_identical(from_edge_list([(0, 1)], n_nodes=2))
 
+    def test_weighted_adjacency(self):
+        # Counts depend on the adjacency pattern, never on its weights.
+        graph = orbit_stress_graphs()["weighted"]
+        assert len(np.unique(graph.adjacency.data)) > 1
+        _assert_backends_identical(graph)
+
+    def test_dense_erdos_renyi(self):
+        graph = orbit_stress_graphs()["dense_er"]
+        assert graph.average_degree >= graph.n_nodes / 2
+        _assert_backends_identical(graph)
+
+    def test_complete_graph_k12(self):
+        graph = orbit_stress_graphs()["k12"]
+        _assert_backends_identical(graph)
+        fast = engine.count_edge_orbits(graph, backend="numpy")
+        # Every edge of K12 lies in C(10, 2) = 45 four-cliques, nothing else.
+        np.testing.assert_array_equal(fast.counts[:, 12], 45)
+
     def test_matches_brute_force(self):
         graph = erdos_renyi_graph(14, 3.5, random_state=11)
         fast = engine.count_edge_orbits(graph, backend="numpy")
@@ -106,6 +128,62 @@ class TestCrossValidation:
             engine.count_node_orbits(graph, backend="numpy"),
             brute_force_node_orbits(graph),
         )
+
+
+STATISTIC_FIELDS = (
+    "t", "na", "nb", "e_aa", "e_bb", "e_cc",
+    "e_ab", "e_ac", "e_bc", "p_a", "p_b", "p_c",
+)
+
+
+class TestChunking:
+    """Chunked products and 4-clique passes equal a single-chunk run."""
+
+    def test_forced_chunks_match_single_chunk(self, monkeypatch):
+        graph = powerlaw_cluster_graph(80, 6, 0.7, random_state=4)
+        spans = []
+        boundaries = vectorized._chunk_boundaries
+
+        def recording(cost, budget):
+            result = boundaries(cost, budget)
+            spans.append(len(result))
+            return result
+
+        monkeypatch.setattr(vectorized, "_chunk_boundaries", recording)
+        monkeypatch.setattr(vectorized, "_CHUNK_BYTE_BUDGET", 1 << 62)
+        single = vectorized.compute_edge_statistics(graph)
+        # One call for the product row blocks, one for the 4-clique edges.
+        assert spans == [1, 1]
+
+        spans.clear()
+        monkeypatch.setattr(vectorized, "_CHUNK_BYTE_BUDGET", 1)
+        chunked = vectorized.compute_edge_statistics(graph)
+        assert len(spans) == 2 and min(spans) >= 3
+        assert chunked.edges == single.edges
+        for name in STATISTIC_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(chunked, name), getattr(single, name), err_msg=name
+            )
+
+    def test_chunk_boundaries_are_greedy(self):
+        cost = np.array([5, 5, 5, 5, 30, 1])
+        assert vectorized._chunk_boundaries(cost, 10) == [
+            (0, 2), (2, 4), (4, 5), (5, 6),
+        ]
+        assert vectorized._chunk_boundaries(cost, 100) == [(0, 6)]
+        assert vectorized._chunk_boundaries(np.array([], dtype=np.int64), 10) == []
+
+
+def test_counting_peak_memory_is_bounded():
+    # Bitset temporaries that grow with Σ(d_u+d_v)·n/8 reach about 200 MB here.
+    graph = powerlaw_cluster_graph(400, 25, 0.6, random_state=0)
+    tracemalloc.start()
+    try:
+        engine.count_edge_orbits(graph, backend="numpy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestBackendSelection:

@@ -1,7 +1,7 @@
 """Tests for the numba-JIT orbit backend (:mod:`repro.orbits.jit`).
 
 The JIT kernel computes the same per-edge :class:`EdgeStatistics` the numpy
-backend derives from bit-packed adjacency masks, and the orbit assembly is
+backend derives from sparse products, and the orbit assembly is
 literally shared with the numpy path — so bit-identity is validated here on
 the *uncompiled* kernel (plain Python), which is the identical function
 object numba compiles when it is installed.  The numba CI leg runs this same
@@ -16,6 +16,8 @@ import pytest
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.orbits import engine, jit
+
+from _helpers import orbit_stress_graphs
 
 pytestmark = pytest.mark.skipif(
     "numpy" not in engine.available_backends(),
@@ -115,13 +117,16 @@ class TestRegistration:
     def test_kernel_statistics_match_vectorized(self):
         from repro.orbits.vectorized import compute_edge_statistics
 
-        graph = erdos_renyi_graph(60, 6.0, random_state=5)
-        expected = compute_edge_statistics(graph)
-        raw = _kernel_statistics(graph)
-        for column, name in enumerate(
-            ("t", "na", "nb", "e_aa", "e_bb", "e_cc",
-             "e_ab", "e_ac", "e_bc", "p_a", "p_b", "p_c")
-        ):
-            np.testing.assert_array_equal(
-                raw[:, column], getattr(expected, name), err_msg=name
-            )
+        graphs = {"er": erdos_renyi_graph(60, 6.0, random_state=5)}
+        graphs.update(orbit_stress_graphs())
+        for label, graph in graphs.items():
+            expected = compute_edge_statistics(graph)
+            raw = _kernel_statistics(graph)
+            for column, name in enumerate(
+                ("t", "na", "nb", "e_aa", "e_bb", "e_cc",
+                 "e_ab", "e_ac", "e_bc", "p_a", "p_b", "p_c")
+            ):
+                np.testing.assert_array_equal(
+                    raw[:, column], getattr(expected, name),
+                    err_msg=f"{label}: {name}",
+                )
