@@ -8,16 +8,10 @@ root (plus a readable table under ``benchmarks/results/``).  This file is the
 perf trajectory for the counting stage: future PRs should not regress the
 recorded speedups.
 
-Two accelerated paths ride along:
-
-* the ``numba`` JIT backend is timed when numba is importable; otherwise
-  the ``jit`` subtree records ``"available": false`` with null metrics so
-  the regression gate can skip its floor instead of failing (the numba CI
-  leg fills the numbers in);
-* delta recounting (``repro.orbits.delta``) is always timed: a 1% edge
-  mutation batch is patched and compared — bit-identically, including the
-  cache re-entry under the mutated graph's hash — against a from-scratch
-  recount of the mutated graph.
+Delta recounting (``repro.orbits.delta``) rides along: a 1% edge mutation
+batch is patched and compared — bit-identically, including the cache
+re-entry under the mutated graph's hash — against a from-scratch recount of
+the mutated graph.
 
 Run with::
 
@@ -85,50 +79,6 @@ def _mutation_batch(graph, rng, n_changes):
             continue
         additions.append(edge)
     return additions, removals
-
-
-def bench_jit(graph, python_timings: dict, repeats: int) -> dict:
-    """Time the numba JIT backend against the recorded reference timings.
-
-    Returns ``{"available": False, ...null metrics...}`` when numba is not
-    importable so the JSON schema is stable either way and the regression
-    gate can tell "not measured here" from "missing".
-    """
-    if "numba" not in engine.available_backends():
-        return {
-            "available": False,
-            "edge_s": None,
-            "node_s": None,
-            "total_s": None,
-            "speedup_edge": None,
-            "speedup_total": None,
-            "identical": None,
-        }
-    # Warm-up compiles the kernel outside the timed region.
-    engine.count_edge_orbits(graph, backend="numba")
-    timings = {
-        "available": True,
-        "edge_s": _time(
-            lambda: engine.count_edge_orbits(graph, backend="numba"), repeats
-        ),
-        "node_s": _time(
-            lambda: engine.count_node_orbits(graph, backend="numba"), repeats
-        ),
-    }
-    timings["total_s"] = timings["edge_s"] + timings["node_s"]
-    timings["speedup_edge"] = python_timings["edge_s"] / timings["edge_s"]
-    timings["speedup_total"] = python_timings["total_s"] / timings["total_s"]
-    reference = engine.count_edge_orbits(graph, backend="numpy")
-    fast = engine.count_edge_orbits(graph, backend="numba")
-    timings["identical"] = bool(
-        reference.edges == fast.edges
-        and np.array_equal(reference.counts, fast.counts)
-        and np.array_equal(
-            engine.count_node_orbits(graph, backend="numpy"),
-            engine.count_node_orbits(graph, backend="numba"),
-        )
-    )
-    return timings
 
 
 def bench_delta(graph, repeats: int) -> dict:
@@ -217,7 +167,6 @@ def bench_graph(name: str, factory, repeats: int) -> dict:
         )
     )
 
-    record["jit"] = bench_jit(graph, timings["python"], repeats)
     record["delta"] = bench_delta(graph, repeats)
     return record
 
@@ -241,24 +190,17 @@ def main(argv=None) -> int:
     lines = [
         "Orbit-counting backends (best-of-%d, seconds)" % args.repeats,
         f"{'graph':<20}{'nodes':>7}{'edges':>7}{'python':>10}{'numpy':>10}"
-        f"{'speedup':>9}{'jit':>10}{'delta':>9}{'identical':>11}",
+        f"{'speedup':>9}{'delta':>9}{'identical':>11}",
     ]
     for name, factory in specs:
         record = bench_graph(name, factory, args.repeats)
         records.append(record)
-        jit = record["jit"]
-        jit_cell = (
-            f"{jit['speedup_total']:>9.1f}x" if jit["available"] else f"{'n/a':>10}"
-        )
-        identical = record["identical"] and record["delta"]["identical"] and (
-            jit["identical"] is not False
-        )
+        identical = record["identical"] and record["delta"]["identical"]
         lines.append(
             f"{record['graph']:<20}{record['n_nodes']:>7}{record['n_edges']:>7}"
             f"{record['backends']['python']['total_s']:>10.3f}"
             f"{record['backends']['numpy']['total_s']:>10.3f}"
             f"{record['speedup_total']:>8.1f}x"
-            f"{jit_cell}"
             f"{record['delta']['speedup']:>8.1f}x"
             f"{str(identical):>11}"
         )
@@ -279,9 +221,7 @@ def main(argv=None) -> int:
     failures = [
         r["graph"]
         for r in records
-        if not r["identical"]
-        or not r["delta"]["identical"]
-        or r["jit"]["identical"] is False
+        if not r["identical"] or not r["delta"]["identical"]
     ]
     if failures:
         print(f"BACKEND MISMATCH on: {failures}", file=sys.stderr)

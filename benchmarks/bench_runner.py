@@ -5,8 +5,8 @@ similarity path:
 
 1. **Suite wall-clock per executor backend.**  A real sweep (3 dataset
    pairs × 3 methods) through ``run_suite`` once under the ``serial``
-   reference executor and once per pooled backend (``process-pool``,
-   ``thread-pool``, ``process-pool-shm``, ``jobs=4`` each), recording each
+   reference executor and once per pooled backend (``process-pool`` and
+   ``process-pool-shm``, ``jobs=4`` each), recording each
    backend's wall clock and real-job speedup over serial.  The zero-copy
    ``process-pool-shm`` run additionally lands a top-level ``shm`` section:
    its speedup, a bit-identical comparison of every job artifact against
@@ -148,7 +148,7 @@ def bench_suite(quick: bool) -> dict:
         }
     }
     shm = None
-    for name in ("process-pool", "thread-pool", "process-pool-shm"):
+    for name in ("process-pool", "process-pool-shm"):
         wall_s, report = _run_suite_timed(suite, jobs=4, executor=name)
         executors[name] = {
             "executor": report.executor,

@@ -10,9 +10,6 @@ in one place, so an HTTP response is byte-for-byte what an in-process
 Endpoints (all JSON)::
 
     GET  /health                    liveness + engine/schema versions
-    GET  /backends                  backend registries: every kind, each
-                                    backend's availability/priority and the
-                                    resolved "auto" choice
     GET  /artifacts                 catalog-backed listing (filters: dataset,
                                     method, dtype, name, kind; pagination:
                                     limit, offset; stable newest-first order)
@@ -42,7 +39,6 @@ from repro.api.models import (
     ApiNotFoundError,
     ApiValidationError,
     artifact_list_payload,
-    backend_list_payload,
     health_payload,
     parse_query_request,
     response_payload,
@@ -161,46 +157,6 @@ def handle_metrics(
             f"unknown metrics format {fmt!r}; expected prometheus or json"
         )
     return RawResponse(prometheus_text(*_metrics_registries(state)))
-
-
-def handle_backends(state: ApiState) -> Dict[str, object]:
-    """``GET /backends``: every registry kind, its backends, the auto choice.
-
-    Availability runs through the registries' lazy predicates — an absent
-    optional dependency (numba, ...) is reported ``available: false``
-    without ever being imported.  ``auto`` is ``None`` for a kind with no
-    usable backend at all.
-    """
-    # Imported here (not module top) so the API layer stays importable even
-    # mid-bootstrap; seeding the built-in registries makes a fresh process
-    # report all kinds, not just the ones something already touched.
-    from repro.backend.compute import compute_registry
-    from repro.backend.executor import executor_registry
-    from repro.backend.registry import (
-        BackendUnavailableError,
-        get_registry,
-        registered_kinds,
-    )
-    from repro.orbits.engine import orbit_registry
-
-    orbit_registry()
-    compute_registry()
-    executor_registry()
-    kinds: Dict[str, Dict[str, object]] = {}
-    for kind in registered_kinds():
-        registry = get_registry(kind)
-        try:
-            auto = registry.default()
-        except BackendUnavailableError:
-            auto = None
-        kinds[kind] = {
-            "auto": auto,
-            "backends": [
-                {"name": name, **info}
-                for name, info in registry.describe().items()
-            ],
-        }
-    return backend_list_payload(kinds)
 
 
 def _parse_page_param(
@@ -359,7 +315,7 @@ POST_ROUTES = {
 def _endpoint_label(method: str, path: str) -> str:
     """Bounded-cardinality ``endpoint`` label of one request path."""
     if method == "GET":
-        if path in ("/health", "/stats", "/artifacts", "/metrics", "/backends"):
+        if path in ("/health", "/stats", "/artifacts", "/metrics"):
             return path
         if path.startswith("/artifacts/"):
             return "/artifacts/{id}"
@@ -381,8 +337,6 @@ def _route(
                 return 200, handle_health(state)
             if path == "/stats":
                 return 200, handle_stats(state)
-            if path == "/backends":
-                return 200, handle_backends(state)
             if path == "/metrics":
                 return 200, handle_metrics(state, params)
             if path == "/artifacts":
@@ -444,7 +398,6 @@ __all__ = [
     "dispatch",
     "handle_artifact_get",
     "handle_artifacts",
-    "handle_backends",
     "handle_health",
     "handle_metrics",
     "handle_query",

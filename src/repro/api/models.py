@@ -25,11 +25,14 @@ from repro import __version__ as ENGINE_VERSION
 #: Version of the request/response payload schema (bump on breaking change).
 #: 1.1: ``/stats`` grew the ``latency`` histogram-summary key and the
 #: ``/metrics`` exposition endpoint appeared (additive, same major).
-#: 1.2: ``GET /backends`` appeared; ``/artifacts`` gained ``limit``/``offset``
-#: pagination with a ``total`` count and stable ordering; query responses and
-#: ``/stats`` gained ``orbit_backend`` provenance (additive, same major).
+#: 1.2: the backend-listing endpoint appeared; ``/artifacts`` gained
+#: ``limit``/``offset`` pagination with a ``total`` count and stable ordering;
+#: query responses and ``/stats`` gained ``orbit_backend`` provenance
+#: (additive, same major).
 #: 2.0: ``/stats`` lost its query-cache fields and ``latency.<op>.stages``.
-API_SCHEMA_VERSION = "2.0"
+#: 3.0: the backend-listing endpoint was removed (its path now returns the
+#: structured 404).
+API_SCHEMA_VERSION = "3.0"
 
 #: Query operations, mirroring :class:`~repro.serve.service.AlignmentService`.
 QUERY_OPS = ("match", "top_k", "reverse_match", "reverse_top_k")
@@ -314,22 +317,6 @@ def artifact_list_payload(
     }
 
 
-def backend_list_payload(
-    kinds: Mapping[str, Dict[str, object]]
-) -> Dict[str, object]:
-    """The ``GET /backends`` body.
-
-    ``kinds`` maps each registry kind to ``{"auto": <name-or-None>,
-    "backends": [{"name", "available", "priority"}, ...]}`` — built by
-    :func:`repro.api.core.handle_backends` from the live registries.
-    """
-    return {
-        "schema_version": API_SCHEMA_VERSION,
-        "engine_version": ENGINE_VERSION,
-        "kinds": {kind: kinds[kind] for kind in sorted(kinds)},
-    }
-
-
 __all__ = [
     "API_SCHEMA_VERSION",
     "ENGINE_VERSION",
@@ -347,5 +334,4 @@ __all__ = [
     "response_payload",
     "health_payload",
     "artifact_list_payload",
-    "backend_list_payload",
 ]

@@ -1,20 +1,13 @@
-"""Pluggable compute backends and precision policies.
+"""Job executors and precision policies.
 
-This package is the shared substrate under every hot numerical path in the
-reproduction:
+This package is the shared substrate under the suite runner, the shard
+pipeline and the similarity hot paths:
 
-* :mod:`repro.backend.registry` — generic named-backend registries with
-  availability probing and ``"auto"`` resolution (generalising the orbit
-  engine's private selection logic; :mod:`repro.orbits.engine` now registers
-  its ``python``/``numpy`` counters here under the ``"orbit"`` kind),
-* :mod:`repro.backend.compute` — the ``"compute"`` registry of dense
-  linear-algebra kernels (GEMM, clip); ``numpy`` is the built-in default
-  and accelerated implementations plug in via ``compute_registry()``,
-* :mod:`repro.backend.executor` — the ``"executor"`` registry of
-  job-execution strategies (``serial`` / ``process-pool`` /
-  ``thread-pool`` / ``process-pool-shm``) behind the
-  :class:`ExecutorBackend` contract; the suite runner and the shard
-  pipeline submit their jobs through it,
+* :mod:`repro.backend.executor` — the job-execution strategies
+  (``serial`` / ``process-pool`` / ``process-pool-shm``) behind the
+  :class:`ExecutorBackend` contract, and the ``"auto"`` selector
+  (:data:`AUTO_BACKEND`) shared with the orbit engine; the suite runner and
+  the shard pipeline submit their jobs through it,
 * :mod:`repro.backend.shm` — the zero-copy shared-memory substrate under
   ``process-pool-shm``: :class:`~repro.backend.shm.SharedArena` segments
   with refcounted handles and guaranteed unlink, graph-pair staging /
@@ -27,23 +20,15 @@ reproduction:
   float64.
 
 Select both knobs per run via :class:`repro.core.HTCConfig`
-(``compute_dtype=...``, ``backend=...``, ``executor_backend=...``) or the
-CLI (``--dtype``, ``--backend``, ``--executor``).
+(``compute_dtype=...``, ``executor_backend=...``) or the CLI (``--dtype``,
+``--executor``).
 """
 
-from repro.backend.compute import (
-    ComputeBackend,
-    available_compute_backends,
-    compute_registry,
-    get_compute_backend,
-    resolve_compute_backend,
-)
 from repro.backend.executor import (
-    EXECUTOR_KIND,
+    AUTO_BACKEND,
     ExecutorBackend,
     ExecutorJob,
     available_executor_backends,
-    executor_registry,
     get_executor_backend,
     resolve_executor_backend,
 )
@@ -64,31 +49,11 @@ from repro.backend.shm import (
     blas_thread_cap,
     share_pair,
 )
-from repro.backend.registry import (
-    AUTO_BACKEND,
-    BackendRegistry,
-    BackendUnavailableError,
-    get_registry,
-    peek_registry,
-    registered_kinds,
-)
 
 __all__ = [
     "AUTO_BACKEND",
-    "BackendRegistry",
-    "BackendUnavailableError",
-    "get_registry",
-    "peek_registry",
-    "registered_kinds",
-    "ComputeBackend",
-    "compute_registry",
-    "available_compute_backends",
-    "resolve_compute_backend",
-    "get_compute_backend",
-    "EXECUTOR_KIND",
     "ExecutorBackend",
     "ExecutorJob",
-    "executor_registry",
     "available_executor_backends",
     "resolve_executor_backend",
     "get_executor_backend",

@@ -1,14 +1,10 @@
-"""The ``"executor"`` backend registry: job-execution strategies.
+"""Job-execution strategies: serial, process pool, zero-copy process pool.
 
 PR 2 hard-wired suite execution to one local
 :class:`~concurrent.futures.ProcessPoolExecutor` with in-worker ``SIGALRM``
-timeouts, and ``BENCH_runner.json`` showed the cost: the scheduler itself
-overlaps fine (3.4x on sleep jobs) but real numpy-heavy jobs *contend* under
-the pool on small machines (0.86x).  This module generalises job execution
-behind the same named-registry idiom as the ``"orbit"`` and ``"compute"``
-kinds (:mod:`repro.backend.registry`): an :class:`ExecutorBackend` contract
-(``submit_jobs(jobs, timeout, on_result) -> results``) with one registered
-strategy per execution model:
+timeouts.  This module puts job execution behind one
+:class:`ExecutorBackend` contract (``submit_jobs(jobs, timeout, on_result)
+-> results``) with one strategy per execution model, selected by name:
 
 ``"serial"``
     The deterministic zero-overhead reference: jobs run inline, in
@@ -16,7 +12,8 @@ strategy per execution model:
     ``SIGALRM`` strategy (the job function receives the budget).  A job that
     attempts to kill the interpreter (``SystemExit`` from deep inside a
     worker-style crash) is caught and reported through ``on_crash`` instead
-    of taking the suite down.
+    of taking the suite down.  It is also the path for job callables that
+    cannot be pickled.
 
 ``"process-pool"``
     The PR-2 behaviour, extracted from ``repro.runner.executor``: a local
@@ -29,18 +26,6 @@ strategy per execution model:
     ``max(1, cpus // workers)`` (:func:`repro.backend.shm.shm_worker_init`),
     so N workers never stack N full-width BLAS pools on one box.
 
-``"thread-pool"``
-    Jobs run on daemon worker threads in one process.  ``SIGALRM`` cannot
-    fire on worker threads (``signal.signal`` is main-thread-only), so the
-    timeout strategy moves *outside* the job: the coordinator tracks each
-    job's start time and synthesises a timeout result through ``on_timeout``
-    once the budget lapses; the abandoned thread keeps running but its late
-    result is discarded, and — because the workers are daemons — it can
-    never block interpreter exit.  This is the right backend on platforms
-    without ``SIGALRM`` and for GIL-releasing numpy jobs (BLAS GEMMs), which
-    contend with each other under the process pool but overlap cleanly on
-    threads without any fork or pickling cost.
-
 ``"process-pool-shm"``
     The process pool plus the zero-copy substrate of
     :mod:`repro.backend.shm`: callers that stage job payloads in a
@@ -50,51 +35,41 @@ strategy per execution model:
     per-worker dataset cache.  Scheduling, BLAS capping, crash recovery and
     timeouts are inherited unchanged from ``process-pool``.
 
-``"auto"`` resolves through the registry's priority order to
-``process-pool`` when the interpreter supports it (lazy availability
-probing — ``multiprocessing.synchronize`` importability), falling back to
-``thread-pool`` and then ``serial``; ``process-pool-shm`` is opt-in
-(selected by name) until a machine profile proves it the default.
+``"auto"`` resolves to ``process-pool`` when the interpreter supports
+process pools (``multiprocessing.synchronize`` is importable) and to
+``serial`` otherwise; ``process-pool-shm`` is selected by name.
 
 The contract every job callable must honour: it is invoked as
 ``fn(*args, timeout=..., **kwargs)`` and should *return* its failure state
 rather than raise (the runner's :func:`repro.runner.executor.execute_job`
-already does).  Backends translate everything that escapes anyway — crashes,
-pool breakage, timeouts — into results built by the ``on_crash`` /
-``on_timeout`` callbacks, so one bad job can never kill a suite.
+already does).  Backends translate everything that escapes anyway —
+crashes, pool breakage — into results built by the ``on_crash`` callback,
+so one bad job can never kill a suite.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import queue
-import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.backend.registry import AUTO_BACKEND, BackendRegistry, get_registry
 from repro.backend.shm import (
     BLAS_ENV_VARS,
     blas_thread_cap,
     shm_worker_init,
 )
 
-#: Registry kind for job-execution backends.
-EXECUTOR_KIND = "executor"
+#: Selector resolving to the default implementation, shared by the executor
+#: and orbit-counting selectors.
+AUTO_BACKEND = "auto"
 
-#: Registered backend names (the acceptance vocabulary).
+#: Executor backend names (the acceptance vocabulary).
 SERIAL = "serial"
 PROCESS_POOL = "process-pool"
 PROCESS_POOL_SHM = "process-pool-shm"
-THREAD_POOL = "thread-pool"
-
-#: How often (seconds) the thread-pool coordinator polls for completions
-#: and lapsed timeouts.
-_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -105,7 +80,7 @@ class ExecutorJob:
     ----------
     key:
         Stable job identity (the runner uses its ``job_id``); results are
-        keyed by it and crash/timeout callbacks receive the job carrying it.
+        keyed by it and the crash callback receives the job carrying it.
     fn:
         The job callable, invoked as ``fn(*args, timeout=..., **kwargs)``.
         Must be a picklable module-level callable for ``process-pool``.
@@ -121,11 +96,9 @@ class ExecutorJob:
 
 #: Result hooks: ``on_result(key, result)`` streams completions (in
 #: completion order); ``on_crash(job, message)`` builds the payload for a
-#: job whose execution vehicle died; ``on_timeout(job)`` builds the payload
-#: for a job whose budget lapsed under an out-of-worker timeout strategy.
+#: job whose execution vehicle died.
 OnResult = Optional[Callable[[str, Dict[str, object]], None]]
 OnCrash = Optional[Callable[[ExecutorJob, str], Dict[str, object]]]
-OnTimeout = Optional[Callable[[ExecutorJob], Dict[str, object]]]
 
 
 def _default_crash(job: ExecutorJob, message: str) -> Dict[str, object]:
@@ -152,17 +125,8 @@ class ExecutorBackend:
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
         raise NotImplementedError
-
-    # Shared plumbing -------------------------------------------------
-    @staticmethod
-    def _hooks(on_crash: OnCrash, on_timeout: OnTimeout):
-        crash = on_crash if on_crash is not None else _default_crash
-        if on_timeout is not None:
-            return crash, on_timeout
-        return crash, lambda job: crash(job, "job exceeded its wall-clock budget")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -186,9 +150,8 @@ class SerialExecutor(ExecutorBackend):
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
-        crash, _ = self._hooks(on_crash, on_timeout)
+        crash = on_crash if on_crash is not None else _default_crash
         results: Dict[str, Dict[str, object]] = {}
         for job in jobs:
             try:
@@ -204,72 +167,6 @@ class SerialExecutor(ExecutorBackend):
             results[job.key] = result
             if on_result is not None:
                 on_result(job.key, result)
-        return results
-
-
-class ThreadPoolExecutorBackend(ExecutorBackend):
-    """Daemon-thread execution with an out-of-worker timeout strategy.
-
-    ``SIGALRM`` cannot be armed on worker threads, so jobs receive
-    ``timeout=None`` and the coordinator enforces the budget: once a job's
-    wall clock lapses, ``on_timeout`` synthesises its result and the worker
-    thread is abandoned (daemon — it cannot block interpreter exit; a late
-    result from it is discarded).  Each abandoned worker's slot is released,
-    so a stuck job costs one thread, not the suite's concurrency.
-    """
-
-    name = THREAD_POOL
-
-    def submit_jobs(
-        self,
-        jobs,
-        *,
-        workers: int = 1,
-        timeout: Optional[float] = None,
-        on_result: OnResult = None,
-        on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
-    ) -> Dict[str, Dict[str, object]]:
-        crash, lapsed = self._hooks(on_crash, on_timeout)
-        workers = max(1, int(workers))
-        results: Dict[str, Dict[str, object]] = {}
-        done: "queue.Queue[Tuple[str, Dict[str, object]]]" = queue.Queue()
-        pending: List[ExecutorJob] = list(jobs)
-        active: Dict[str, Tuple[ExecutorJob, float]] = {}
-
-        def _worker(job: ExecutorJob) -> None:
-            try:
-                result = job.fn(*job.args, timeout=None, **job.kwargs)
-            except BaseException as error:  # noqa: BLE001 - crash becomes a result
-                result = crash(
-                    job, f"job crashed in-process: {type(error).__name__}: {error}"
-                )
-            done.put((job.key, result))
-
-        def _emit(key: str, result: Dict[str, object]) -> None:
-            results[key] = result
-            if on_result is not None:
-                on_result(key, result)
-
-        while pending or active:
-            while pending and len(active) < workers:
-                job = pending.pop(0)
-                active[job.key] = (job, time.monotonic())
-                threading.Thread(target=_worker, args=(job,), daemon=True).start()
-            try:
-                key, result = done.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                pass
-            else:
-                if key in active:  # not already timed out
-                    del active[key]
-                    _emit(key, result)
-            if timeout is not None:
-                now = time.monotonic()
-                for key, (job, started) in list(active.items()):
-                    if now - started > timeout:
-                        del active[key]  # abandon the runaway daemon thread
-                        _emit(key, lapsed(job))
         return results
 
 
@@ -331,7 +228,6 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
         with self._pool_env(max(1, int(workers) if workers else 1)):
             return self._submit_jobs_governed(
@@ -340,7 +236,6 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
                 timeout=timeout,
                 on_result=on_result,
                 on_crash=on_crash,
-                on_timeout=on_timeout,
             )
 
     def _submit_jobs_governed(
@@ -351,9 +246,8 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
-        crash, _ = self._hooks(on_crash, on_timeout)
+        crash = on_crash if on_crash is not None else _default_crash
         jobs = list(jobs)
         by_key = {job.key: job for job in jobs}
         results: Dict[str, Dict[str, object]] = {}
@@ -446,7 +340,7 @@ class SharedMemoryProcessPoolExecutorBackend(ProcessPoolExecutorBackend):
 
 
 def _process_pool_available() -> bool:
-    """Lazy probe: process pools need working multiprocessing primitives."""
+    """Whether process pools work: ``multiprocessing.synchronize`` imports."""
     try:
         import multiprocessing.synchronize  # noqa: F401
     except ImportError:  # pragma: no cover - sem_open-less platforms
@@ -454,73 +348,53 @@ def _process_pool_available() -> bool:
     return True
 
 
-def executor_registry() -> BackendRegistry:
-    """The shared ``"executor"`` registry, with the built-ins registered.
-
-    Mirrors :func:`repro.orbits.engine.orbit_registry`: each built-in is
-    (re-)registered individually if missing, so a test tearing one down can
-    never take the others with it for the rest of the process.
-    """
-    registry = get_registry(EXECUTOR_KIND)
-    if SERIAL not in registry.names():
-        registry.register(SERIAL, SerialExecutor(), priority=0)
-    if THREAD_POOL not in registry.names():
-        registry.register(THREAD_POOL, ThreadPoolExecutorBackend(), priority=5)
-    if PROCESS_POOL not in registry.names():
-        registry.register(
-            PROCESS_POOL,
-            ProcessPoolExecutorBackend(),
-            priority=10,
-            available=_process_pool_available,
-        )
-    if PROCESS_POOL_SHM not in registry.names():
-        # Below process-pool: "auto" keeps resolving to the plain pool;
-        # the zero-copy pool is selected by name (CLI --executor,
-        # SuiteSpec.executor_backend, HTCConfig.executor_backend).
-        registry.register(
-            PROCESS_POOL_SHM,
-            SharedMemoryProcessPoolExecutorBackend(),
-            priority=8,
-            available=_process_pool_available,
-        )
-    return registry
+_EXECUTORS: Dict[str, ExecutorBackend] = {
+    SERIAL: SerialExecutor(),
+    PROCESS_POOL: ProcessPoolExecutorBackend(),
+    PROCESS_POOL_SHM: SharedMemoryProcessPoolExecutorBackend(),
+}
 
 
 def available_executor_backends() -> Tuple[str, ...]:
-    """Usable executor backend names (without the ``"auto"`` alias)."""
-    return executor_registry().available()
+    """Usable executor backend names, sorted (without the ``"auto"`` alias)."""
+    if _process_pool_available():
+        return tuple(sorted(_EXECUTORS))
+    return (SERIAL,)
 
 
 def resolve_executor_backend(name: str = AUTO_BACKEND) -> str:
     """Normalise an executor selector (``"auto"`` → the default)."""
-    return executor_registry().resolve(name)
+    if name == AUTO_BACKEND:
+        return PROCESS_POOL if _process_pool_available() else SERIAL
+    if name not in _EXECUTORS:
+        raise ValueError(
+            f"unknown executor backend {name!r}; expected '{AUTO_BACKEND}' "
+            f"or one of {available_executor_backends()}"
+        )
+    if name not in available_executor_backends():
+        raise ValueError(
+            f"executor backend {name!r} needs process pools, which this "
+            "interpreter lacks (multiprocessing.synchronize does not import); "
+            f"available: {available_executor_backends()}"
+        )
+    return name
 
 
 def get_executor_backend(name: Optional[str] = None) -> ExecutorBackend:
     """The :class:`ExecutorBackend` behind ``name`` (default ``"auto"``)."""
-    backend = executor_registry().get(AUTO_BACKEND if name is None else name)
-    if not isinstance(backend, ExecutorBackend):
-        raise TypeError(
-            f"executor backend {name!r} is not an ExecutorBackend "
-            f"(got {type(backend).__name__}); register execution strategies "
-            "via repro.backend.executor.executor_registry()"
-        )
-    return backend
+    return _EXECUTORS[resolve_executor_backend(AUTO_BACKEND if name is None else name)]
 
 
 __all__ = [
-    "EXECUTOR_KIND",
+    "AUTO_BACKEND",
     "SERIAL",
     "PROCESS_POOL",
     "PROCESS_POOL_SHM",
-    "THREAD_POOL",
     "ExecutorJob",
     "ExecutorBackend",
     "SerialExecutor",
-    "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",
     "SharedMemoryProcessPoolExecutorBackend",
-    "executor_registry",
     "available_executor_backends",
     "resolve_executor_backend",
     "get_executor_backend",

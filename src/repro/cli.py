@@ -64,11 +64,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.backend import (
-    PRECISIONS,
-    available_compute_backends,
-    available_executor_backends,
-)
+from repro.backend import PRECISIONS, available_executor_backends
 from repro.baselines import PAPER_BASELINES, make_baseline
 from repro.core import HTCAligner, HTCConfig
 from repro.datasets import available_datasets, is_known_dataset, load_dataset
@@ -133,7 +129,6 @@ def _config_from_args(args: argparse.Namespace) -> HTCConfig:
         n_neighbors=args.neighbors,
         reinforcement_rate=args.beta,
         compute_dtype=args.dtype,
-        backend=args.backend,
         orbit_backend=args.orbit_backend,
         orbit_cache=args.orbit_cache,
         score_chunk_size=args.chunk_size,
@@ -162,17 +157,10 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         "for reductions; documented tolerances instead of bit-identity)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto",) + available_compute_backends(),
-        default="auto",
-        help="dense compute backend from the shared registry "
-        "(auto = best available; numpy is built in)",
-    )
-    parser.add_argument(
         "--orbit-backend",
         choices=("auto",) + available_orbit_backends(),
         default="auto",
-        help="orbit-counting backend (auto = fastest available)",
+        help="orbit-counting backend (auto = numpy on NumPy >= 2.0, else python)",
     )
     parser.add_argument(
         "--orbit-cache",
@@ -266,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = subparsers.add_parser(
         "run-suite",
-        help="execute a dataset × method × config sweep on a pluggable "
-        "executor backend",
+        help="execute a dataset × method × config sweep on an executor backend",
     )
     suite.add_argument(
         "--suite",
@@ -521,12 +508,10 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
     }
     if args.orbits is not None:
         config["orbits"] = tuple(range(args.orbits))
-    # Non-default precision/backend knobs only, so pre-existing suite spec
-    # hashes (and --resume caches) stay stable.
+    # Non-default precision knobs only, so pre-existing suite spec hashes
+    # (and --resume caches) stay stable.
     if args.dtype != "float64":
         config["compute_dtype"] = args.dtype
-    if args.backend != "auto":
-        config["backend"] = args.backend
     if args.chunk_size is not None:
         config["score_chunk_size"] = args.chunk_size
     if args.shards is not None:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.backend.compute import resolve_compute_backend
-from repro.backend.executor import executor_registry
+from repro.backend.executor import AUTO_BACKEND, available_executor_backends
 from repro.backend.precision import PrecisionPolicy, resolve_policy
 from repro.orbits.cache import resolve_cache
-from repro.orbits.engine import AUTO_BACKEND, orbit_registry
+from repro.orbits.engine import available_backends
 from repro.orbits.graphlets import EDGE_ORBIT_COUNT
 from repro.utils.random import RandomStateLike
 
@@ -70,16 +69,11 @@ class HTCConfig:
         kernels) or ``"float32"`` (half the score-matrix memory, faster
         GEMMs, float64 accumulation for reductions; documented tolerances
         instead of bit-identity).  See :mod:`repro.backend.precision`.
-    backend:
-        Dense compute backend for the similarity kernels: ``"auto"``
-        (default) or a name registered in the shared compute registry
-        (:mod:`repro.backend.compute`; ``"numpy"`` is built in).
     orbit_backend:
-        Orbit-counting backend: ``"auto"`` (default; the fastest available),
-        ``"numpy"`` (vectorized sparse-product counters), or ``"python"`` (the
-        pure-Python reference).  All backends are bit-identical.  The names
-        are those of the ``"orbit"`` kind of the shared :mod:`repro.backend`
-        registry.
+        Orbit-counting backend (:mod:`repro.orbits.engine`): ``"auto"``
+        (default; ``"numpy"`` on NumPy >= 2.0, else ``"python"``),
+        ``"numpy"`` (vectorized sparse-product counters), or ``"python"``
+        (the pure-Python reference).  Both backends are bit-identical.
     orbit_cache:
         Orbit-count memoisation spec: ``"memory"`` (default; process-wide
         in-memory cache keyed by graph content hash), ``"off"``, a directory
@@ -105,10 +99,10 @@ class HTCConfig:
         opinions about boundary nodes; ``0`` disables the overlap ring.
     executor_backend:
         Job-execution strategy for sharded alignment (and any suite this
-        config rides in): ``"auto"`` (default), or a name registered under
-        the shared ``"executor"`` kind — ``"serial"``, ``"process-pool"``,
-        ``"thread-pool"`` (:mod:`repro.backend.executor`).  Execution-only:
-        it never changes results, job spec hashes, or resume artifacts.
+        config rides in): ``"auto"`` (default), ``"serial"``,
+        ``"process-pool"`` or ``"process-pool-shm"``
+        (:mod:`repro.backend.executor`).  Execution-only: it never changes
+        results, job spec hashes, or resume artifacts.
     diffusion_orders, diffusion_alpha:
         Settings of the diffusion family used when ``topology_mode ==
         "diffusion"``.
@@ -133,7 +127,6 @@ class HTCConfig:
     shared_encoder: bool = True
     augment_with_gdv: bool = False
     compute_dtype: str = "float64"
-    backend: str = AUTO_BACKEND
     orbit_backend: str = AUTO_BACKEND
     orbit_cache: Union[bool, str, object] = "memory"
     score_chunk_size: Optional[int] = None
@@ -191,23 +184,20 @@ class HTCConfig:
             raise ValueError(
                 f"shard_overlap must be >= 0, got {self.shard_overlap}"
             )
-        registry = orbit_registry()
-        valid_backends = (AUTO_BACKEND,) + registry.available()
+        valid_backends = (AUTO_BACKEND,) + available_backends()
         if self.orbit_backend not in valid_backends:
             raise ValueError(
                 f"orbit_backend must be one of {valid_backends}, "
                 f"got {self.orbit_backend!r}"
             )
-        valid_executors = (AUTO_BACKEND,) + executor_registry().available()
+        valid_executors = (AUTO_BACKEND,) + available_executor_backends()
         if self.executor_backend not in valid_executors:
             raise ValueError(
                 f"executor_backend must be one of {valid_executors}, "
                 f"got {self.executor_backend!r}"
             )
-        # Both knobs of the shared backend/precision layer fail fast here so
-        # a bad CLI/suite value surfaces before any training happens.
+        # Fail fast so a bad CLI/suite value surfaces before any training.
         resolve_policy(self.compute_dtype)
-        resolve_compute_backend(self.backend)
         try:
             resolve_cache(self.orbit_cache)
         except TypeError as exc:

@@ -53,11 +53,10 @@ class TrustedPairRefiner:
     ) -> np.ndarray:
         # ``score_chunk_size`` streams the scoring in row chunks, bounding
         # the temporary memory per view; results are bit-identical.
-        # ``compute_dtype``/``backend`` select the precision policy and
-        # compute backend of the scoring GEMMs (float64 default = exact).
+        # ``compute_dtype`` selects the precision policy of the scoring
+        # GEMMs (float64 default = exact).
         chunk_rows = self.config.score_chunk_size
         policy = self.config.precision_policy
-        backend = self.config.backend
         if self.config.use_lisi:
             return lisi_matrix(
                 source_embedding,
@@ -65,14 +64,12 @@ class TrustedPairRefiner:
                 n_neighbors=self.config.n_neighbors,
                 chunk_rows=chunk_rows,
                 policy=policy,
-                backend=backend,
             )
         return pearson_similarity(
             source_embedding,
             target_embedding,
             chunk_rows=chunk_rows,
             policy=policy,
-            backend=backend,
         )
 
     def refine_view(

@@ -1,7 +1,6 @@
 """Thread-safe named metrics: counters, gauges and mergeable histograms.
 
-The observability core follows the same registry idiom as
-:mod:`repro.backend`: one process-global default registry
+The observability core keeps one process-global default registry
 (:func:`default_registry`), metric instances created on demand by name +
 labels, and everything dependency-free so the off path costs nothing to
 import.  Three metric kinds cover the serve/runner/shard hot paths:

@@ -6,9 +6,9 @@ This package provides:
 
 * :mod:`repro.orbits.graphlets` — the graphlet catalogue: templates, names,
   node-orbit and edge-orbit labellings,
-* :mod:`repro.orbits.engine` — the pluggable counting engine (backend
-  selection + content-hash caching); the package-level ``count_edge_orbits``
-  and ``count_node_orbits`` are its entry points,
+* :mod:`repro.orbits.engine` — the counting engine (``python``/``numpy``
+  backend selection + content-hash caching); the package-level
+  ``count_edge_orbits`` and ``count_node_orbits`` are its entry points,
 * :mod:`repro.orbits.edge_orbits` — the pure-Python combinatorial edge-orbit
   counter (the role Orca plays in the paper), kept as the exact reference
   oracle behind the ``"python"`` backend,
@@ -31,7 +31,6 @@ from repro.orbits.engine import (
     count_edge_orbits,
     count_node_orbits,
     graphlet_degree_vectors,
-    register_backend,
     resolve_backend,
 )
 from repro.orbits.graphlets import (
@@ -58,6 +57,5 @@ __all__ = [
     "resolve_cache",
     "available_backends",
     "resolve_backend",
-    "register_backend",
     "build_orbit_matrices",
 ]

@@ -38,7 +38,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend.registry import AUTO_BACKEND
+from repro.backend.executor import AUTO_BACKEND
 from repro.graph.attributed_graph import AttributedGraph
 from repro.orbits.cache import OrbitCache, graph_content_hash
 from repro.orbits.graphlets import NODE_ORBIT_COUNT

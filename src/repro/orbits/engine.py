@@ -1,57 +1,43 @@
-"""Pluggable orbit-counting engine: backend selection + caching.
+"""Orbit-counting engine: backend selection + caching.
 
 This is the single entry point the rest of the system uses for orbit
-counting.  Two backends are registered out of the box:
+counting.  It holds two backends:
 
 * ``"python"`` — the original pure-Python counters
   (:mod:`repro.orbits.edge_orbits`, :mod:`repro.orbits.node_orbits`), kept as
-  the exact reference oracle,
+  the exact reference oracle and as the fallback on NumPy < 2.0,
 * ``"numpy"`` — the vectorized counters (:mod:`repro.orbits.vectorized`):
   per-edge statistics from whole-graph sparse products and closed-form
   identities, with only the 4-clique term enumerated; bit-identical and
   one to two orders of magnitude faster (see
-  ``benchmarks/bench_orbit_counting.py``),
-* ``"numba"`` — the JIT loop kernel (:mod:`repro.orbits.jit`), registered
-  with a lazy availability probe so it only resolves when numba is
-  importable; bit-identical by construction (it shares the closed-form
-  orbit assembly with the numpy backend).
+  ``benchmarks/bench_orbit_counting.py``).  It needs ``np.bitwise_count``
+  (NumPy >= 2.0).
 
-Backend selection lives in the shared :mod:`repro.backend` registry (kind
-``"orbit"``): this module registers its counters there and the
-``available_backends`` / ``resolve_backend`` / ``register_backend``
-functions below are thin views over that registry, kept for backward
-compatibility with PR-1-era callers (``HTCConfig.orbit_backend`` resolves
-through the same path).
-
-``backend="auto"`` (the default) resolves to the fastest available backend.
-Passing a :class:`repro.orbits.cache.OrbitCache` (or a cache spec via
-``HTCConfig.orbit_cache``) memoises results by graph content hash, so
-repeated alignments of the same graph — robustness sweeps, hyper-parameter
-sweeps, repeated benchmark runs — skip the counting stage entirely.
+``backend="auto"`` (the default) resolves to ``numpy`` where it can run and
+to ``python`` otherwise.  Passing a :class:`repro.orbits.cache.OrbitCache`
+(or a cache spec via ``HTCConfig.orbit_cache``) memoises results by graph
+content hash, so repeated alignments of the same graph — robustness sweeps,
+hyper-parameter sweeps, repeated benchmark runs — skip the counting stage
+entirely.  Both backends are bit-identical, so they share cache records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import AUTO_BACKEND, BackendRegistry, get_registry
+from repro.backend.executor import AUTO_BACKEND
 from repro.graph.attributed_graph import AttributedGraph
 from repro.orbits import edge_orbits as _edge_reference
-from repro.orbits import jit as _jit
 from repro.orbits import node_orbits as _node_reference
 from repro.orbits import vectorized as _vectorized
 from repro.orbits.cache import OrbitCache, graph_content_hash
 from repro.orbits.edge_orbits import EdgeOrbitCounts
 
-#: Registry kind the orbit counters live under in :mod:`repro.backend`.
-ORBIT_KIND = "orbit"
-
 #: The vectorized backend needs ``np.bitwise_count`` (NumPy >= 2.0); on older
-#: NumPy it is registered as unavailable and ``"auto"`` falls back to the
-#: reference implementation.
+#: NumPy ``"auto"`` falls back to the reference implementation.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
@@ -64,103 +50,46 @@ class OrbitBackend:
     count_node_orbits: Callable[[AttributedGraph], np.ndarray]
 
 
-def orbit_registry() -> BackendRegistry:
-    """The shared ``"orbit"`` registry, with the built-ins registered.
-
-    Each built-in is (re-)registered individually if missing, so an
-    ``unregister`` of one (e.g. a test tearing down a fake) can never take
-    the other down with it for the rest of the process.
-    """
-    registry = get_registry(ORBIT_KIND)
-    if "python" not in registry.names():
-        registry.register(
-            "python",
-            OrbitBackend(
-                name="python",
-                count_edge_orbits=_edge_reference.count_edge_orbits,
-                count_node_orbits=_node_reference.count_node_orbits,
-            ),
-            priority=0,
-        )
-    if "numpy" not in registry.names():
-        registry.register(
-            "numpy",
-            OrbitBackend(
-                name="numpy",
-                count_edge_orbits=_vectorized.count_edge_orbits_numpy,
-                count_node_orbits=_vectorized.count_node_orbits_numpy,
-            ),
-            priority=10,
-            available=_HAS_BITWISE_COUNT,
-        )
-    if "numba" not in registry.names():
-        registry.register(
-            "numba",
-            OrbitBackend(
-                name="numba",
-                count_edge_orbits=_jit.count_edge_orbits_jit,
-                count_node_orbits=_jit.count_node_orbits_jit,
-            ),
-            priority=20,
-            available=_jit.numba_available,
-        )
-    return registry
-
-
-#: The spelled-out backend the ``"auto"`` alias resolves to.
-DEFAULT_BACKEND = orbit_registry().default()
-
-#: Backends proven bit-identical; only these share cache records.  Externally
-#: registered backends get backend-qualified cache keys so an approximate
-#: counter can never serve (or be served) another backend's results.
-_VERIFIED_BACKENDS = frozenset(("python", "numpy", "numba"))
-
-
-def _cache_key(graph: AttributedGraph, backend: str) -> str:
-    key = graph_content_hash(graph)
-    if backend not in _VERIFIED_BACKENDS:
-        key = f"{key}:{backend}"
-    return key
+_BACKENDS: Dict[str, OrbitBackend] = {
+    "python": OrbitBackend(
+        name="python",
+        count_edge_orbits=_edge_reference.count_edge_orbits,
+        count_node_orbits=_node_reference.count_node_orbits,
+    ),
+    "numpy": OrbitBackend(
+        name="numpy",
+        count_edge_orbits=_vectorized.count_edge_orbits_numpy,
+        count_node_orbits=_vectorized.count_node_orbits_numpy,
+    ),
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names (without the ``"auto"`` alias)."""
-    return orbit_registry().available()
+    """Usable backend names, sorted (without the ``"auto"`` alias)."""
+    if _HAS_BITWISE_COUNT:
+        return tuple(sorted(_BACKENDS))
+    return ("python",)
 
 
 def resolve_backend(backend: str) -> str:
     """Normalise a backend name, resolving ``"auto"`` to the default."""
-    return orbit_registry().resolve(backend)
-
-
-def register_backend(
-    name: str,
-    edge_counter: Callable[[AttributedGraph], EdgeOrbitCounts],
-    node_counter: Callable[[AttributedGraph], np.ndarray],
-    *,
-    priority: int = 0,
-) -> None:
-    """Register an additional orbit-counting backend (e.g. a C extension)."""
-    orbit_registry().register(
-        name,
-        OrbitBackend(
-            name=name,
-            count_edge_orbits=edge_counter,
-            count_node_orbits=node_counter,
-        ),
-        priority=priority,
-    )
-
-
-def _get(backend: str) -> OrbitBackend:
-    implementation = orbit_registry().get(backend)
-    if not isinstance(implementation, OrbitBackend):
-        raise TypeError(
-            f"orbit backend {backend!r} is not an OrbitBackend "
-            f"(got {type(implementation).__name__}); register orbit counters "
-            "via repro.orbits.engine.register_backend"
+    if backend == AUTO_BACKEND:
+        return "numpy" if _HAS_BITWISE_COUNT else "python"
+    if backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown orbit backend {backend!r}; expected '{AUTO_BACKEND}' "
+            f"or one of {available_backends()}"
         )
-    return implementation
+    if backend not in available_backends():
+        raise ValueError(
+            f"orbit backend {backend!r} needs NumPy >= 2.0 (np.bitwise_count); "
+            f"this is NumPy {np.__version__}, available: {available_backends()}"
+        )
+    return backend
+
+
+#: The spelled-out backend the ``"auto"`` alias resolves to.
+DEFAULT_BACKEND = resolve_backend(AUTO_BACKEND)
 
 
 def count_edge_orbits(
@@ -172,14 +101,14 @@ def count_edge_orbits(
 
     Backends are bit-identical, so cached results are shared across them.
     """
-    backend = resolve_backend(backend)
+    counter = _BACKENDS[resolve_backend(backend)].count_edge_orbits
     if cache is None:
-        return _get(backend).count_edge_orbits(graph)
-    key = _cache_key(graph, backend)
+        return counter(graph)
+    key = graph_content_hash(graph)
     cached = cache.get_edge_orbits(key)
     if cached is not None:
         return cached
-    counts = _get(backend).count_edge_orbits(graph)
+    counts = counter(graph)
     cache.put_edge_orbits(key, counts)
     return counts
 
@@ -190,14 +119,14 @@ def count_node_orbits(
     cache: Optional[OrbitCache] = None,
 ) -> np.ndarray:
     """The ``(n_nodes, 15)`` node-orbit (GDV) matrix, via ``backend``, memoised."""
-    backend = resolve_backend(backend)
+    counter = _BACKENDS[resolve_backend(backend)].count_node_orbits
     if cache is None:
-        return _get(backend).count_node_orbits(graph)
-    key = _cache_key(graph, backend)
+        return counter(graph)
+    key = graph_content_hash(graph)
     cached = cache.get_node_orbits(key)
     if cached is not None:
         return cached
-    gdv = _get(backend).count_node_orbits(graph)
+    gdv = counter(graph)
     cache.put_node_orbits(key, gdv)
     return gdv
 
@@ -218,12 +147,9 @@ def graphlet_degree_vectors(
 __all__ = [
     "AUTO_BACKEND",
     "DEFAULT_BACKEND",
-    "ORBIT_KIND",
     "OrbitBackend",
-    "orbit_registry",
     "available_backends",
     "resolve_backend",
-    "register_backend",
     "count_edge_orbits",
     "count_node_orbits",
     "graphlet_degree_vectors",

@@ -1,11 +1,10 @@
-"""Suite execution over the pluggable ``"executor"`` backend layer.
+"""Suite execution over the executor backends.
 
 ``run_suite`` expands a :class:`~repro.runner.spec.SuiteSpec` into jobs and
 submits them through an :class:`repro.backend.executor.ExecutorBackend` —
 ``serial`` (inline, deterministic), ``process-pool`` (the historical local
-pool), ``thread-pool`` (daemon threads, external timeout enforcement) or
-``process-pool-shm`` (warm workers attaching datasets zero-copy from a
-shared-memory arena, BLAS threads capped per worker) — selected via
+pool) or ``process-pool-shm`` (warm workers attaching datasets zero-copy
+from a shared-memory arena, BLAS threads capped per worker) — selected via
 ``SuiteSpec.executor_backend``, the ``executor`` argument or ``"auto"``
 resolution.  Parallel backends receive their jobs longest-expected-first:
 per-job ``wall_seconds`` from a prior manifest of the same suite feed a
@@ -20,14 +19,12 @@ re-runs exactly the affected jobs.  The executor choice never enters the
 job specs, so spec hashes (and therefore ``--resume`` and artifact
 identity) are invariant across backends.
 
-Under ``serial`` and ``process-pool``, per-job timeouts are enforced
-*inside* the job with ``SIGALRM`` (Unix), so a job stuck in Python code
-turns into a ``timeout`` artifact instead of wedging the pool.  Caveat: the
-alarm is delivered between bytecodes, so a job blocked inside one long
-native call (a huge BLAS GEMM, a scipy solver) is only interrupted when
-that call returns.  Under ``thread-pool`` the budget is enforced outside
-the job (``SIGALRM`` is main-thread-only), which also covers platforms
-without ``SIGALRM``.
+Under every executor, per-job timeouts are enforced *inside* the job with
+``SIGALRM`` (POSIX), so a job stuck in Python code turns into a ``timeout``
+artifact instead of wedging the pool.  Caveat: the alarm is delivered
+between bytecodes, so a job blocked inside one long native call (a huge
+BLAS GEMM, a scipy solver) is only interrupted when that call returns.  On
+platforms without ``SIGALRM`` the budget is not enforced.
 """
 
 from __future__ import annotations
@@ -42,12 +39,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.backend.executor import (
+    AUTO_BACKEND,
     SERIAL,
     ExecutorJob,
     get_executor_backend,
     resolve_executor_backend,
 )
-from repro.backend.registry import AUTO_BACKEND
 from repro.backend.shm import (
     SharedArena,
     SharedPairHandle,
@@ -428,7 +425,7 @@ def run_suite(
         Root artifact directory; this run writes under
         ``<output_dir>/<suite.name>/``.
     jobs:
-        Worker slots (processes or threads, per the executor backend).
+        Worker slots (worker processes under the process pools).
         ``1`` runs inline under ``"auto"``; ``<= 0`` uses the CPU count.
     resume:
         Skip jobs whose artifact exists, matches the current spec hash, and
@@ -448,12 +445,12 @@ def run_suite(
         CLI subcommand).
     executor:
         Executor backend name (``"serial"`` / ``"process-pool"`` /
-        ``"thread-pool"`` / ``"auto"``); overrides
+        ``"process-pool-shm"`` / ``"auto"``); overrides
         ``suite.executor_backend`` when given.  Under ``"auto"``, a run
         with one worker or at most one pending job resolves to ``serial``
         (the historical inline path — also what keeps non-picklable
-        ``method_resolver`` callables working), anything larger to the
-        registry default.  The choice is recorded in the manifest but never
+        ``method_resolver`` callables working), anything larger to
+        ``process-pool`` where process pools work.  The choice is recorded in the manifest but never
         in the job specs, so spec hashes match across executors.
     """
     if jobs <= 0:
@@ -613,11 +610,6 @@ def run_suite(
             on_result=lambda key, artifact: _record(artifact),
             on_crash=lambda exec_job, message: _skeleton(
                 by_key[exec_job.key], STATUS_FAILED, f"worker crashed: {message}"
-            ),
-            on_timeout=lambda exec_job: _skeleton(
-                by_key[exec_job.key],
-                STATUS_TIMEOUT,
-                f"job exceeded the {timeout}s wall-clock budget",
             ),
         )
     finally:

@@ -140,9 +140,9 @@ class SuiteSpec:
     timeout:
         Per-job wall-clock limit in seconds (``None`` = unlimited).
     executor_backend:
-        Job-execution strategy for the whole suite (a name registered
-        under the ``"executor"`` kind — ``serial`` / ``process-pool`` /
-        ``thread-pool`` — or ``"auto"``).  Deliberately *not* part of any
+        Job-execution strategy for the whole suite (``serial`` /
+        ``process-pool`` / ``process-pool-shm`` — or ``"auto"``; see
+        :mod:`repro.backend.executor`).  Deliberately *not* part of any
         :class:`JobSpec`: the executor changes how jobs run, never what
         they compute, so spec hashes and ``--resume`` artifacts stay valid
         when switching backends.

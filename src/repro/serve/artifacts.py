@@ -41,6 +41,7 @@ import numpy as np
 from repro.backend.precision import as_score_matrix
 from repro.core.config import HTCConfig
 from repro.core.result import AlignmentResult
+from repro.orbits.engine import DEFAULT_BACKEND
 from repro.runner.spec import canonical_json, spec_hash
 from repro.serve.index import DEFAULT_INDEX_K, SparseTopKIndex, build_index
 from repro.utils.naming import slugify
@@ -218,12 +219,7 @@ def _annotate_orbit_backend(
         return annotations
     selector = str(getattr(config, "orbit_backend", "auto") or "auto")
     if selector == "auto":
-        try:
-            from repro.orbits.engine import orbit_registry
-
-            selector = orbit_registry().default()
-        except Exception:  # pragma: no cover - no orbit backend usable
-            pass
+        selector = DEFAULT_BACKEND
     annotations["orbit_backend"] = selector
     return annotations
 

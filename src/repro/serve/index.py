@@ -434,16 +434,14 @@ def build_index_from_embeddings(
     n_neighbors: int = 10,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> SparseTopKIndex:
     """Index the (corrected) similarity of two embedding matrices.
 
     Streams :class:`repro.similarity.chunked.ChunkedScorer` blocks, so the
     dense ``(n_s, n_t)`` matrix is never materialised; each block is
     bit-identical to the corresponding dense rows of the same policy.
-    ``policy``/``backend`` select the scoring precision and compute backend
-    (:mod:`repro.backend`); the stored score arrays use the policy's
-    compute dtype.
+    ``policy`` selects the scoring precision (:mod:`repro.backend.precision`);
+    the stored score arrays use the policy's compute dtype.
     """
     scorer = ChunkedScorer(
         source_embeddings,
@@ -453,7 +451,6 @@ def build_index_from_embeddings(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     return _build_from_blocks(
         ((start, block) for start, _stop, block in scorer.iter_blocks()),

@@ -10,7 +10,7 @@ pairs far beyond that envelope in three stages:
    structural/attribute signatures,
 2. :mod:`repro.shard.executor` — per-shard-pair :class:`~repro.core.HTCAligner`
    jobs executed through the existing :mod:`repro.runner` machinery
-   (spec-hashed artifacts, the pluggable ``"executor"`` backends,
+   (spec-hashed artifacts, the :mod:`repro.backend.executor` backends,
    ``resume``),
 3. :mod:`repro.shard.stitch` — merging the per-shard results into one global
    sparse alignment with deterministic boundary-conflict resolution and an

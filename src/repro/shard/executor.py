@@ -122,7 +122,7 @@ def align_sharded(
         (``0`` disables; see :func:`repro.shard.stitch.refine_stitched`).
     executor:
         Executor backend for the shard suite (``"serial"`` /
-        ``"process-pool"`` / ``"thread-pool"`` / ``"auto"``); defaults to
+        ``"process-pool"`` / ``"process-pool-shm"`` / ``"auto"``); defaults to
         ``config.executor_backend``.  Execution-only — shard job spec
         hashes and resume artifacts are identical across backends.
     stitch:

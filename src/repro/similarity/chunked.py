@@ -94,11 +94,11 @@ class ChunkedScorer:
     chunk_rows:
         Streaming granularity; rounded up to a multiple of
         :data:`~repro.similarity.measures.BLOCK_ROWS`.
-    policy, backend:
-        Precision policy and compute backend (see :mod:`repro.backend`).
-        Blocks and factors are held in the policy's compute dtype; the
-        hubness vectors are always float64 (reduction statistics accumulate
-        in ``accum_dtype``).  The float64 default is bit-identical to the
+    policy:
+        Precision policy (see :mod:`repro.backend.precision`).  Blocks and
+        factors are held in the policy's compute dtype; the hubness vectors
+        are always float64 (reduction statistics accumulate in
+        ``accum_dtype``).  The float64 default is bit-identical to the
         historical scorer.
 
     Only ``O(n·d)`` factor matrices and ``O(chunk_rows × n_t)`` block
@@ -115,7 +115,6 @@ class ChunkedScorer:
         n_neighbors: int = 10,
         chunk_rows: Optional[int] = None,
         policy: PolicyLike = None,
-        backend: Optional[str] = None,
     ) -> None:
         if measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
@@ -124,7 +123,6 @@ class ChunkedScorer:
                 f"correction must be one of {CORRECTIONS}, got {correction!r}"
             )
         self.policy = resolve_policy(policy)
-        self.backend = backend
         source, target = _validate_embeddings(source_embeddings, target_embeddings)
         factorize = _pearson_factors if measure == "pearson" else _cosine_factors
         self._source_factor, self._target_factor = factorize(
@@ -153,7 +151,6 @@ class ChunkedScorer:
             self._target_factor,
             out,
             row_offset=start,
-            backend=self.backend,
         )
 
     def _chunk_bounds(self) -> Iterator[Tuple[int, int]]:
@@ -293,7 +290,6 @@ def chunked_score_matrix(
     chunk_rows: Optional[int] = None,
     out: Optional[np.ndarray] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Full (corrected) score matrix assembled with bounded temporaries."""
     scorer = ChunkedScorer(
@@ -304,7 +300,6 @@ def chunked_score_matrix(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     return scorer.full_matrix(out=out)
 
@@ -317,7 +312,6 @@ def streaming_hubness_degrees(
     measure: str = "pearson",
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hubness degree vectors without materialising the similarity matrix.
 
@@ -332,7 +326,6 @@ def streaming_hubness_degrees(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     return scorer.hubness()
 
@@ -346,7 +339,6 @@ def chunked_mutual_nearest_neighbors(
     n_neighbors: int = 10,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> List[Tuple[int, int]]:
     """Trusted pairs (mutual argmaxes) in ``O(chunk_rows × n_t)`` memory.
 
@@ -363,7 +355,6 @@ def chunked_mutual_nearest_neighbors(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     if scorer.n_source == 0 or scorer.n_target == 0:
         return []
@@ -393,7 +384,6 @@ def chunked_top_k_indices(
     n_neighbors: int = 10,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Per-row top-``k`` target indices without the full score matrix."""
     scorer = ChunkedScorer(
@@ -404,7 +394,6 @@ def chunked_top_k_indices(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -426,7 +415,6 @@ def chunked_greedy_match(
     n_neighbors: int = 10,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> List[Tuple[int, int]]:
     """Greedy one-to-one matching in ``O(chunk_rows × n_t)`` memory.
 
@@ -443,7 +431,6 @@ def chunked_greedy_match(
         n_neighbors=n_neighbors,
         chunk_rows=chunk_rows,
         policy=policy,
-        backend=backend,
     )
     if scorer.n_source == 0 or scorer.n_target == 0:
         return []

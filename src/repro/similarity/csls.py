@@ -34,7 +34,6 @@ def csls_matrix(
     chunk_rows: Optional[int] = None,
     out: Optional[np.ndarray] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """CSLS-adjusted cosine-similarity matrix between two embedding sets.
 
@@ -55,9 +54,9 @@ def csls_matrix(
         policy's compute dtype — a mismatched buffer is rejected with an
         error naming the policy; the result is written into it (a provided
         ``similarity`` is never mutated unless it *is* ``out``).
-    policy, backend:
-        Precision policy and compute backend (see :mod:`repro.backend`);
-        the float64 default is bit-identical to the historical kernel.
+    policy:
+        Precision policy (see :mod:`repro.backend.precision`); the float64
+        default is bit-identical to the historical kernel.
     """
     return _hubness_corrected_matrix(
         source_embeddings,
@@ -70,7 +69,6 @@ def csls_matrix(
         correction="csls",
         similarity_fn=cosine_similarity,
         policy=policy,
-        backend=backend,
     )
 
 

@@ -127,7 +127,6 @@ def _hubness_corrected_matrix(
     correction: str,
     similarity_fn,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Shared dense/chunked dispatch behind ``lisi_matrix``/``csls_matrix``."""
     if similarity is None and chunk_rows is not None:
@@ -142,7 +141,6 @@ def _hubness_corrected_matrix(
             chunk_rows=chunk_rows,
             out=out,
             policy=policy,
-            backend=backend,
         )
     owns_buffer = similarity is None
     if owns_buffer:
@@ -151,7 +149,6 @@ def _hubness_corrected_matrix(
             target_embeddings,
             out=out,
             policy=policy,
-            backend=backend,
         )
     source_hubness, target_hubness = hubness_degrees(similarity, n_neighbors)
     return _apply_hubness_correction(
@@ -171,7 +168,6 @@ def lisi_matrix(
     chunk_rows: Optional[int] = None,
     out: Optional[np.ndarray] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Compute the LISI alignment matrix between two embedding sets.
 
@@ -193,10 +189,9 @@ def lisi_matrix(
         Optional pre-allocated ``(n_s, n_t)`` output buffer in the policy's
         compute dtype; the result is written into it (a provided
         ``similarity`` is never mutated unless it *is* ``out``).
-    policy, backend:
-        Precision policy and compute backend (see
-        :mod:`repro.backend`); the float64 default is bit-identical to the
-        historical kernel.
+    policy:
+        Precision policy (see :mod:`repro.backend.precision`); the float64
+        default is bit-identical to the historical kernel.
     """
     return _hubness_corrected_matrix(
         source_embeddings,
@@ -209,7 +204,6 @@ def lisi_matrix(
         correction="lisi",
         similarity_fn=pearson_similarity,
         policy=policy,
-        backend=backend,
     )
 
 

@@ -10,11 +10,9 @@ By always issuing the same aligned ``(BLOCK_ROWS, d) x (d, n_t)`` products,
 every code path performs the exact same floating-point operations per output
 element, regardless of how many rows are materialised at a time.
 
-**Precision and backends.**  Every kernel takes a ``policy``
-(:class:`repro.backend.PrecisionPolicy` or a spec like ``"float32"``) and a
-``backend`` (a name in the shared compute registry,
-:mod:`repro.backend.compute`).  The default — float64 policy, numpy
-backend — performs exactly the historical operations and stays
+**Precision.**  Every kernel takes a ``policy``
+(:class:`repro.backend.PrecisionPolicy` or a spec like ``"float32"``).  The
+default float64 policy performs exactly the historical operations and stays
 bit-identical; the float32 policy computes the factorisation statistics in
 float64 (the accumulation dtype), casts the ``O(n·d)`` factors down once,
 and runs the GEMMs and the ``(n_s, n_t)`` score matrix in float32 — half
@@ -28,7 +26,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend.compute import get_compute_backend
 from repro.backend.precision import PolicyLike, PrecisionPolicy, resolve_policy
 
 #: Fixed GEMM window (rows).  Every similarity kernel — dense or chunked —
@@ -97,17 +94,14 @@ def _windowed_product(
     out: np.ndarray,
     row_offset: int = 0,
     clip: bool = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Fill ``out`` with ``source_factor @ target_factor.T`` window by window.
 
     ``row_offset`` is the absolute row index of ``source_factor[0]`` in the
     full score matrix; windows are aligned to absolute multiples of
     :data:`BLOCK_ROWS` so that any row chunking whose boundaries are multiples
-    of the window produces identical GEMM calls.  The GEMM itself is issued
-    through the selected compute backend (numpy by default).
+    of the window produces identical GEMM calls.
     """
-    kernel = get_compute_backend(backend)
     n_rows = source_factor.shape[0]
     target_t = target_factor.T
     start = 0
@@ -115,9 +109,9 @@ def _windowed_product(
         # Align the window end to the next absolute BLOCK_ROWS boundary.
         absolute = row_offset + start
         stop = min(n_rows, start + BLOCK_ROWS - (absolute % BLOCK_ROWS))
-        kernel.matmul(source_factor[start:stop], target_t, out[start:stop])
+        np.matmul(source_factor[start:stop], target_t, out=out[start:stop])
         if clip:
-            kernel.clip(out[start:stop], -1.0, 1.0, out[start:stop])
+            np.clip(out[start:stop], -1.0, 1.0, out=out[start:stop])
         start = stop
     return out
 
@@ -140,7 +134,6 @@ def pearson_similarity(
     out: Optional[np.ndarray] = None,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Pearson correlation between every source row and every target row.
 
@@ -152,16 +145,15 @@ def pearson_similarity(
     allocation is the peak memory either way).  ``chunk_rows`` is accepted for
     signature compatibility with the streaming kernels; the result is
     bit-identical for every value (see :mod:`repro.similarity.chunked` for
-    kernels that avoid materialising the matrix altogether).  ``policy`` and
-    ``backend`` select the precision policy / compute backend (see the
-    module docstring).
+    kernels that avoid materialising the matrix altogether).  ``policy``
+    selects the precision policy (see the module docstring).
     """
     del chunk_rows  # blocking is always window-aligned; results are identical
     policy = resolve_policy(policy)
     source, target = _validate_embeddings(source, target)
     out = _allocate_out(out, (source.shape[0], target.shape[0]), policy)
     source_factor, target_factor = _pearson_factors(source, target, policy)
-    return _windowed_product(source_factor, target_factor, out, backend=backend)
+    return _windowed_product(source_factor, target_factor, out)
 
 
 def cosine_similarity(
@@ -171,7 +163,6 @@ def cosine_similarity(
     out: Optional[np.ndarray] = None,
     chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Cosine similarity between every source row and every target row."""
     del chunk_rows  # blocking is always window-aligned; results are identical
@@ -179,7 +170,7 @@ def cosine_similarity(
     source, target = _validate_embeddings(source, target)
     out = _allocate_out(out, (source.shape[0], target.shape[0]), policy)
     source_factor, target_factor = _cosine_factors(source, target, policy)
-    return _windowed_product(source_factor, target_factor, out, backend=backend)
+    return _windowed_product(source_factor, target_factor, out)
 
 
 def euclidean_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:

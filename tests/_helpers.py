@@ -17,6 +17,7 @@ from repro.graph.builders import from_edge_list
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
+from repro.orbits.vectorized import EdgeStatistics
 
 
 def numerical_gradient(func, value, epsilon=1e-6):
@@ -66,6 +67,150 @@ def orbit_stress_graphs() -> Dict[str, AttributedGraph]:
             [(u, v) for u in range(12) for v in range(u + 1, 12)], n_nodes=12
         ),
     }
+
+
+# The loop oracle for per-edge class statistics: the same statistics the
+# vectorized backend derives from sparse products, computed by a flat scan
+# over the CSR arrays.
+def _edge_statistics_kernel(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    degrees: np.ndarray,
+    eu: np.ndarray,
+    ev: np.ndarray,
+    n_nodes: int,
+) -> np.ndarray:
+    """Per-edge class statistics, one flat pass per edge.
+
+    Returns an ``(m, 12)`` int64 array with columns
+    ``t, na, nb, e_aa, e_bb, e_cc, e_ab, e_ac, e_bc, p_a, p_b, p_c``
+    matching :class:`EdgeStatistics` field order.  Written njit-compatible:
+    arrays only, no Python containers.
+    """
+    m = eu.shape[0]
+    stats = np.zeros((m, 12), dtype=np.int64)
+    # stamp[w] == i marks w as surrounding edge i; cls gives its class.
+    stamp = np.full(n_nodes, -1, dtype=np.int64)
+    cls = np.zeros(n_nodes, dtype=np.int8)
+    for i in range(m):
+        u = eu[i]
+        v = ev[i]
+        for p in range(indptr[u], indptr[u + 1]):
+            w = indices[p]
+            if w != v:
+                stamp[w] = i
+                cls[w] = 0  # class a until v's list proves otherwise
+        for p in range(indptr[v], indptr[v + 1]):
+            w = indices[p]
+            if w == u:
+                continue
+            if stamp[w] == i:
+                cls[w] = 2  # class c: adjacent to both endpoints
+            else:
+                stamp[w] = i
+                cls[w] = 1  # class b
+        t = np.int64(0)
+        na = np.int64(0)
+        nb = np.int64(0)
+        e_aa = np.int64(0)
+        e_bb = np.int64(0)
+        e_cc = np.int64(0)
+        e_ab = np.int64(0)
+        e_ac = np.int64(0)
+        e_bc = np.int64(0)
+        p_a = np.int64(0)
+        p_b = np.int64(0)
+        p_c = np.int64(0)
+        # Walk each surrounding node once: u's list covers classes a and c,
+        # v's list covers class b (its class-c entries are duplicates).
+        for p in range(indptr[u], indptr[u + 1]):
+            w = indices[p]
+            if w == v:
+                continue
+            ca = np.int64(0)
+            cb = np.int64(0)
+            cc = np.int64(0)
+            links = np.int64(0)
+            for q in range(indptr[w], indptr[w + 1]):
+                x = indices[q]
+                if x == u or x == v:
+                    links += 1
+                elif stamp[x] == i:
+                    cx = cls[x]
+                    if cx == 0:
+                        ca += 1
+                    elif cx == 1:
+                        cb += 1
+                    else:
+                        cc += 1
+            private = degrees[w] - ca - cb - cc - links
+            if cls[w] == 0:
+                na += 1
+                e_aa += ca
+                e_ab += cb
+                e_ac += cc
+                p_a += private
+            else:  # class c
+                t += 1
+                e_cc += cc
+                p_c += private
+        for p in range(indptr[v], indptr[v + 1]):
+            w = indices[p]
+            if w == u or cls[w] == 2:
+                continue
+            ca = np.int64(0)
+            cb = np.int64(0)
+            cc = np.int64(0)
+            links = np.int64(0)
+            for q in range(indptr[w], indptr[w + 1]):
+                x = indices[q]
+                if x == u or x == v:
+                    links += 1
+                elif stamp[x] == i:
+                    cx = cls[x]
+                    if cx == 0:
+                        ca += 1
+                    elif cx == 1:
+                        cb += 1
+                    else:
+                        cc += 1
+            private = degrees[w] - ca - cb - cc - links
+            nb += 1
+            e_bb += cb
+            e_bc += cc
+            p_b += private
+        stats[i, 0] = t
+        stats[i, 1] = na
+        stats[i, 2] = nb
+        stats[i, 3] = e_aa // 2  # within-class walks count both ends
+        stats[i, 4] = e_bb // 2
+        stats[i, 5] = e_cc // 2
+        stats[i, 6] = e_ab
+        stats[i, 7] = e_ac
+        stats[i, 8] = e_bc
+        stats[i, 9] = p_a
+        stats[i, 10] = p_b
+        stats[i, 11] = p_c
+    return stats
+
+
+def loop_edge_statistics(graph) -> EdgeStatistics:
+    """Per-edge class statistics of ``graph`` via the loop oracle."""
+    edges = graph.edge_list()
+    if not edges:
+        zero = np.zeros(0, dtype=np.int64)
+        return EdgeStatistics(edges, *(zero.copy() for _ in range(12)))
+    adjacency = graph.adjacency
+    edge_array = np.asarray(edges, dtype=np.int64)
+    stats = _edge_statistics_kernel(
+        adjacency.indptr.astype(np.int64),
+        adjacency.indices.astype(np.int64),
+        graph.degrees.astype(np.int64),
+        np.ascontiguousarray(edge_array[:, 0]),
+        np.ascontiguousarray(edge_array[:, 1]),
+        graph.n_nodes,
+    )
+    return EdgeStatistics(edges, *(stats[:, column] for column in range(12)))
 
 
 def dense_frobenius_loss(reconstruction, target):

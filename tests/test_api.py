@@ -318,13 +318,13 @@ class TestDispatch:
         status, payload = dispatch(ApiState(root=root), "POST", "/bogus", body={})
         assert status == 404
 
-    def test_stats_key_set_of_schema_2_0(self, store):
+    def test_stats_key_set_of_schema_3_0(self, store):
         root, artifact_id, _ = store
         state = ApiState(root=root)
         dispatch(state, "POST", "/match", body={"artifact_id": artifact_id, "nodes": [0]})
         status, payload = dispatch(state, "GET", "/stats")
         assert status == 200
-        assert API_SCHEMA_VERSION == payload["schema_version"] == "2.0"
+        assert API_SCHEMA_VERSION == payload["schema_version"] == "3.0"
         assert set(payload) == {
             "schema_version",
             "engine_version",
@@ -352,57 +352,28 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# GET /backends: registry introspection over the API
+# GET /backends: removed in schema 3.0
 # ----------------------------------------------------------------------
-class TestBackendsEndpoint:
-    def test_lists_all_kinds_with_auto_choice(self):
+class TestRemovedBackendsEndpoint:
+    def test_backends_is_a_structured_404(self):
         status, payload = dispatch(ApiState(), "GET", "/backends")
-        assert status == 200
-        assert payload["schema_version"] == API_SCHEMA_VERSION
-        kinds = payload["kinds"]
-        assert set(kinds) >= {"orbit", "compute", "executor"}
-        for kind, entry in kinds.items():
-            names = [b["name"] for b in entry["backends"]]
-            assert names == sorted(names)
-            for backend in entry["backends"]:
-                assert set(backend) == {"name", "available", "priority"}
-                assert isinstance(backend["available"], bool)
-                assert isinstance(backend["priority"], int)
-            available = [b["name"] for b in entry["backends"] if b["available"]]
-            if available:
-                assert entry["auto"] in available
-        # The concrete expectations of this environment: numpy orbits are
-        # available and numpy is the one compute backend.
-        orbit_names = {b["name"]: b for b in kinds["orbit"]["backends"]}
-        assert {"python", "numpy", "numba"} <= set(orbit_names)
-        assert [b["name"] for b in kinds["compute"]["backends"]] == ["numpy"]
-        assert kinds["compute"]["auto"] == "numpy"
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert payload["schema_version"] == API_SCHEMA_VERSION == "3.0"
 
-    def test_reports_absent_accelerator_unavailable_without_import(self):
-        import importlib.util
-        import sys
-
-        status, payload = dispatch(ApiState(), "GET", "/backends")
-        assert status == 200
-        orbit = {
-            b["name"]: b for b in payload["kinds"]["orbit"]["backends"]
-        }
-        numba_present = importlib.util.find_spec("numba") is not None
-        assert orbit["numba"]["available"] is numba_present
-        if not numba_present:
-            # Probing availability must not have tried to import numba.
-            assert "numba" not in sys.modules
-            assert payload["kinds"]["orbit"]["auto"] == "numpy"
-
-    def test_counted_in_request_metrics(self):
+    def test_counted_under_the_catch_all_endpoint_label(self):
         from repro.obs.metrics import MetricsRegistry
 
         state = ApiState(metrics=MetricsRegistry("api-test"))
         dispatch(state, "GET", "/backends")
         counter = state.metrics.counter(
-            "api_requests_total", endpoint="/backends", status="2xx"
+            "api_requests_total", endpoint="other", status="4xx"
         )
         assert counter.value == 1
+        labels = {
+            dict(items).get("endpoint") for _, items, _ in state.metrics.collect()
+        }
+        assert "/backends" not in labels
 
     def test_transport_parity_on_stdlib_socket(self):
         state = ApiState()
@@ -504,8 +475,7 @@ class TestHTTPServer:
             status, payload = _http(server, "GET", "/stats")
             assert status == 200 and "queries" in payload
             status, payload = _http(server, "GET", "/backends")
-            assert status == 200
-            assert set(payload["kinds"]) >= {"orbit", "compute", "executor"}
+            assert (status, payload["error"]["code"]) == (404, "not_found")
             status, payload = _http(server, "GET", "/artifacts?limit=1&offset=0")
             assert status == 200 and payload["total"] >= 1
 

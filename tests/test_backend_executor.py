@@ -1,25 +1,25 @@
-"""Tests for the ``"executor"`` backend layer (``repro.backend.executor``)."""
+"""Tests for the executor backends (``repro.backend.executor``)."""
 
 import os
-import time
 
 import pytest
 
+from repro.backend import executor as executor_module
 from repro.backend.executor import (
+    AUTO_BACKEND,
     PROCESS_POOL,
+    PROCESS_POOL_SHM,
     SERIAL,
-    THREAD_POOL,
     ExecutorBackend,
     ExecutorJob,
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    ThreadPoolExecutorBackend,
+    SharedMemoryProcessPoolExecutorBackend,
     available_executor_backends,
-    executor_registry,
     get_executor_backend,
     resolve_executor_backend,
 )
-from repro.backend.registry import AUTO_BACKEND
+from repro.core import HTCConfig
 
 
 # Module-level job callables: the process pool pickles them by reference.
@@ -39,54 +39,76 @@ def _system_exit_job(key, timeout=None):
     raise SystemExit(13)
 
 
-def _slow_job(key, timeout=None):
-    time.sleep(10.0)
-    return {"key": key, "status": "done"}
-
-
 def _jobs(fn_by_key):
     return [ExecutorJob(key=key, fn=fn, args=(key,)) for key, fn in fn_by_key]
 
 
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        names = executor_registry().names()
-        assert {SERIAL, PROCESS_POOL, THREAD_POOL} <= set(names)
+class TestSelection:
+    def test_three_backends_available(self):
+        assert available_executor_backends() == (
+            PROCESS_POOL,
+            PROCESS_POOL_SHM,
+            SERIAL,
+        )
 
-    def test_serial_and_thread_pool_always_available(self):
-        available = available_executor_backends()
-        assert SERIAL in available
-        assert THREAD_POOL in available
+    def test_auto_resolves_to_the_process_pool(self):
+        assert resolve_executor_backend(AUTO_BACKEND) == PROCESS_POOL
+        assert resolve_executor_backend() == PROCESS_POOL
 
-    def test_auto_resolves_to_highest_priority_available(self):
-        resolved = resolve_executor_backend(AUTO_BACKEND)
-        assert resolved in available_executor_backends()
-        if PROCESS_POOL in available_executor_backends():
-            assert resolved == PROCESS_POOL
+    def test_auto_falls_back_to_serial_without_process_pools(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_process_pool_available", lambda: False)
+        assert available_executor_backends() == (SERIAL,)
+        assert resolve_executor_backend(AUTO_BACKEND) == SERIAL
+        assert isinstance(get_executor_backend(), SerialExecutor)
+        with pytest.raises(ValueError, match="needs process pools"):
+            resolve_executor_backend(PROCESS_POOL)
 
     def test_explicit_names_resolve_to_themselves(self):
-        for name in (SERIAL, THREAD_POOL):
+        for name in (SERIAL, PROCESS_POOL, PROCESS_POOL_SHM):
             assert resolve_executor_backend(name) == name
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            resolve_executor_backend("carrier-pigeon")
+    @pytest.mark.parametrize("name", ["carrier-pigeon", "thread-pool"])
+    def test_unknown_name_lists_the_choices(self, name):
+        with pytest.raises(ValueError, match="unknown executor backend") as excinfo:
+            resolve_executor_backend(name)
+        assert "'serial'" in str(excinfo.value)
+        assert "'process-pool'" in str(excinfo.value)
 
     def test_get_returns_executor_backend_instances(self):
         assert isinstance(get_executor_backend(SERIAL), SerialExecutor)
         assert isinstance(
-            get_executor_backend(THREAD_POOL), ThreadPoolExecutorBackend
+            get_executor_backend(PROCESS_POOL), ProcessPoolExecutorBackend
+        )
+        assert isinstance(
+            get_executor_backend(PROCESS_POOL_SHM),
+            SharedMemoryProcessPoolExecutorBackend,
         )
         assert isinstance(get_executor_backend(), ExecutorBackend)
 
-    def test_get_rejects_non_executor_registrations(self):
-        registry = executor_registry()
-        registry.register("bogus-executor", object(), priority=-100)
-        try:
-            with pytest.raises(TypeError, match="not an ExecutorBackend"):
-                get_executor_backend("bogus-executor")
-        finally:
-            registry.unregister("bogus-executor")
+    def test_none_selects_the_auto_backend(self):
+        assert get_executor_backend(None) is get_executor_backend(AUTO_BACKEND)
+        assert get_executor_backend(None) is get_executor_backend(PROCESS_POOL)
+
+    def test_config_rejects_pools_without_process_pools(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_process_pool_available", lambda: False)
+        for name in (PROCESS_POOL, PROCESS_POOL_SHM):
+            with pytest.raises(ValueError, match="executor_backend") as excinfo:
+                HTCConfig(executor_backend=name)
+            assert "('auto', 'serial')" in str(excinfo.value)
+        assert HTCConfig(executor_backend=SERIAL).executor_backend == SERIAL
+
+    def test_only_the_shm_pool_stages_shared_datasets(self):
+        staging = {
+            name: getattr(
+                get_executor_backend(name), "supports_shared_datasets", False
+            )
+            for name in available_executor_backends()
+        }
+        assert staging == {
+            SERIAL: False,
+            PROCESS_POOL: False,
+            PROCESS_POOL_SHM: True,
+        }
 
 
 class TestSerialExecutor:
@@ -129,54 +151,17 @@ class TestSerialExecutor:
         assert "RuntimeError: boom" in results["a"]["error"]
 
 
-class TestThreadPoolExecutor:
-    def test_completes_all_jobs_with_multiple_workers(self):
-        keys = [f"job{i}" for i in range(5)]
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([(key, _ok_job) for key in keys]), workers=3
-        )
-        assert sorted(results) == sorted(keys)
-        assert all(r["status"] == "done" for r in results.values())
-
-    def test_jobs_never_receive_a_sigalrm_timeout(self):
-        # SIGALRM is main-thread-only: the budget is enforced outside the
-        # job, which must see timeout=None.
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("a", _ok_job)]), timeout=5.0
-        )
-        assert results["a"]["timeout_seen"] is None
-
-    def test_crash_becomes_a_result(self):
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("a", _raise_job), ("b", _ok_job)]), workers=2
-        )
-        assert results["a"]["status"] == "failed"
-        assert results["b"]["status"] == "done"
-
-    def test_lapsed_budget_synthesises_a_timeout_result(self):
-        started = time.monotonic()
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("slow", _slow_job), ("fast", _ok_job)]),
-            workers=2,
-            timeout=0.3,
-            on_timeout=lambda job: {"key": job.key, "status": "timeout"},
-        )
-        elapsed = time.monotonic() - started
-        assert results["slow"]["status"] == "timeout"
-        assert results["fast"]["status"] == "done"
-        # The runaway thread is abandoned, not joined.
-        assert elapsed < 5.0
-
-
 class TestProcessPoolExecutor:
+    backend = ProcessPoolExecutorBackend
+
     def test_completes_all_jobs(self):
-        results = ProcessPoolExecutorBackend().submit_jobs(
+        results = self.backend().submit_jobs(
             _jobs([("a", _ok_job), ("b", _ok_job)]), workers=2
         )
         assert all(r["status"] == "done" for r in results.values())
 
     def test_worker_exception_becomes_a_result(self):
-        results = ProcessPoolExecutorBackend().submit_jobs(
+        results = self.backend().submit_jobs(
             _jobs([("a", _raise_job), ("b", _ok_job)]), workers=2
         )
         assert results["a"]["status"] == "failed"
@@ -187,7 +172,7 @@ class TestProcessPoolExecutor:
         # os._exit kills the worker outright -> BrokenProcessPool fails every
         # in-flight future; the isolation pass must pin the failure on the
         # crasher and still complete its innocent neighbours.
-        results = ProcessPoolExecutorBackend().submit_jobs(
+        results = self.backend().submit_jobs(
             _jobs([("a", _ok_job), ("killer", _exit_job), ("c", _ok_job)]),
             workers=2,
         )
@@ -195,3 +180,15 @@ class TestProcessPoolExecutor:
         assert "worker crashed" in results["killer"]["error"]
         assert results["a"]["status"] == "done"
         assert results["c"]["status"] == "done"
+
+    def test_jobs_receive_the_timeout_budget(self):
+        # Pools enforce timeouts inside the job (SIGALRM); the budget must
+        # reach it unchanged.
+        results = self.backend().submit_jobs(_jobs([("a", _ok_job)]), timeout=5.0)
+        assert results["a"]["timeout_seen"] == 5.0
+
+
+class TestSharedMemoryProcessPoolExecutor(TestProcessPoolExecutor):
+    """The zero-copy pool inherits scheduling, crash recovery and timeouts."""
+
+    backend = SharedMemoryProcessPoolExecutorBackend

@@ -38,7 +38,6 @@ RUNNER_PAYLOAD = {
         "executors": {
             "serial": {"executor": "serial", "wall_s": 1.0},
             "process-pool": {"executor": "process-pool", "wall_s": 1.5},
-            "thread-pool": {"executor": "thread-pool", "wall_s": 1.2},
             "process-pool-shm": {
                 "executor": "process-pool-shm",
                 "wall_s": 0.6,
@@ -69,13 +68,7 @@ ORBITS_PAYLOAD = {
             "backends": {"numpy": {"total_s": 0.004}},
         },
         {
-            # The acceptance-criterion graph: optional jit metrics plus the
-            # always-measured delta-recount invariants.
-            "jit": {
-                "available": True,
-                "identical": True,
-                "speedup_edge": 6.0,
-            },
+            # The acceptance-criterion graph: the delta-recount invariants.
             "delta": {"identical": True, "speedup": 8.0},
         },
     ],
@@ -321,41 +314,19 @@ class TestGate:
             ]
         )
 
-    def test_optional_jit_metrics_enforced_when_measured(self, tmp_path):
+    def test_orbits_payload_passes(self, tmp_path):
         assert self._run_orbits(tmp_path, ORBITS_PAYLOAD) == 0
-
-    def test_optional_jit_metrics_skip_on_null(self, tmp_path, capsys):
-        # Without numba the benchmark records null jit metrics — the
-        # optional checks skip instead of failing the gate.
-        fresh = json.loads(json.dumps(ORBITS_PAYLOAD))
-        fresh["results"][1]["jit"] = {
-            "available": False,
-            "identical": None,
-            "speedup_edge": None,
-        }
-        assert self._run_orbits(tmp_path, fresh) == 0
-        assert "not measurable here" in capsys.readouterr().out
-
-    def test_optional_jit_floor_fails_when_measured_low(self, tmp_path):
-        fresh = json.loads(json.dumps(ORBITS_PAYLOAD))
-        fresh["results"][1]["jit"]["speedup_edge"] = 1.2  # below the 2.0 floor
-        assert self._run_orbits(tmp_path, fresh) == 1
-
-    def test_optional_jit_identity_fails_when_measured_false(self, tmp_path):
-        fresh = json.loads(json.dumps(ORBITS_PAYLOAD))
-        fresh["results"][1]["jit"]["identical"] = False
-        assert self._run_orbits(tmp_path, fresh) == 1
 
     def test_delta_invariants_always_enforced(self, tmp_path):
         fresh = json.loads(json.dumps(ORBITS_PAYLOAD))
         fresh["results"][1]["delta"]["speedup"] = 3.0  # below the 5.0 floor
         assert self._run_orbits(tmp_path, fresh) == 1
 
-    def test_missing_optional_subtree_is_schema_stale(self, tmp_path, capsys):
-        # null skips, but a *missing* jit subtree means the benchmark
-        # output predates the script — that still fails loudly.
+    def test_missing_subtree_is_schema_stale(self, tmp_path, capsys):
+        # A *missing* delta subtree means the benchmark output predates the
+        # script — that fails loudly.
         fresh = json.loads(json.dumps(ORBITS_PAYLOAD))
-        del fresh["results"][1]["jit"]
+        del fresh["results"][1]["delta"]
         assert self._run_orbits(tmp_path, fresh) == 1
         assert "missing from the fresh run" in capsys.readouterr().out
 
@@ -377,7 +348,7 @@ class TestGate:
         # committed baseline and must be skipped, not failed.
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
         fresh["suite"]["scheduler_overlap"] = {
-            "executor": "thread-pool",
+            "executor": "serial",
             "speedup": 0.1,  # would fail the 0.5x rule if compared
         }
         _write(tmp_path / "baselines", "BENCH_runner.json", RUNNER_PAYLOAD)
@@ -418,6 +389,36 @@ class TestGate:
             ]
         )
 
+    def test_baseline_with_a_thread_pool_entry_still_gates(self, tmp_path):
+        # Baselines written before the thread-pool executor was removed
+        # carry its timing; the fresh run has none and must still pass.
+        baseline = json.loads(json.dumps(RUNNER_PAYLOAD))
+        baseline["suite"]["executors"]["thread-pool"] = {
+            "executor": "thread-pool",
+            "wall_s": 1.2,
+        }
+        assert self._run_runner(tmp_path, baseline, RUNNER_PAYLOAD) == 0
+
+    def test_baseline_with_a_null_jit_subtree_still_gates(self, tmp_path):
+        # Orbit baselines from before the numba backend was removed carry
+        # a null ``jit`` record; it is no longer compared.
+        baseline = json.loads(json.dumps(ORBITS_PAYLOAD))
+        baseline["results"][1]["jit"] = {
+            "available": False,
+            "identical": None,
+            "speedup_edge": None,
+        }
+        _write(tmp_path / "baselines", "BENCH_orbits.json", baseline)
+        _write(tmp_path / "fresh", "BENCH_orbits.json", ORBITS_PAYLOAD)
+        code = check_regression.main(
+            [
+                "--baseline-dir", str(tmp_path / "baselines"),
+                "--fresh-dir", str(tmp_path / "fresh"),
+                "--files", "BENCH_orbits.json",
+            ]
+        )
+        assert code == 0
+
     def test_single_cpu_fresh_run_skips_parallel_checks(self, tmp_path, capsys):
         # A 1-cpu container cannot demonstrate parallel speedups: the shm
         # floor and every pooled relative check skip by name, with both
@@ -447,7 +448,7 @@ class TestGate:
         baseline = json.loads(json.dumps(RUNNER_PAYLOAD))
         baseline["cpus"] = 1
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
-        fresh["suite"]["executors"]["thread-pool"]["wall_s"] = 99.0
+        fresh["suite"]["executors"]["process-pool-shm"]["wall_s"] = 99.0
         assert self._run_runner(tmp_path, baseline, fresh) == 0
         out = capsys.readouterr().out
         assert "baseline recorded 1 cpu(s), fresh 4" in out

@@ -210,6 +210,12 @@ class TestServeCommands:
             ["query", "--artifact", "x", "--nodes", "0", "--format", "legacy"],
             ["serve", "--server", "auto"],
             ["serve-stats", "--format", "table"],
+            # The compute-backend flag and the removed backend names.
+            ["align", "--dataset", "tiny", "--backend", "numpy"],
+            ["run-suite", "--backend", "numpy"],
+            ["align", "--dataset", "tiny", "--orbit-backend", "numba"],
+            ["run-suite", "--executor", "thread-pool"],
+            ["export-artifact", "--dataset", "tiny", "--executor", "thread-pool"],
         ],
     )
     def test_removed_options_are_rejected(self, argv, capsys):

@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.config import HTCConfig
@@ -69,13 +70,13 @@ class TestOrbitBackendDeprecation:
     orbit-backend selector, so it never warns and still validates."""
 
     def test_explicit_backend_resolves_without_warning(self):
-        from repro.orbits.engine import orbit_registry
+        from repro.orbits.engine import resolve_backend
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = HTCConfig(orbit_backend="numpy")
         assert config.orbit_backend == "numpy"
-        assert orbit_registry().resolve(config.orbit_backend) == "numpy"
+        assert resolve_backend(config.orbit_backend) == "numpy"
 
     def test_auto_default_never_warns(self):
         with warnings.catch_warnings():
@@ -86,15 +87,48 @@ class TestOrbitBackendDeprecation:
         with pytest.raises(ValueError, match="orbit_backend"):
             HTCConfig(orbit_backend="abacus")
 
+    def test_removed_numba_backend_lists_the_choices(self):
+        with pytest.raises(ValueError, match="orbit_backend") as excinfo:
+            HTCConfig(orbit_backend="numba")
+        assert "('auto', 'numpy', 'python')" in str(excinfo.value)
+
 
 class TestExecutorBackendField:
     def test_default_is_auto(self):
         assert HTCConfig().executor_backend == "auto"
 
     def test_explicit_backends_accepted(self):
-        for name in ("serial", "thread-pool"):
+        for name in ("serial", "process-pool", "process-pool-shm"):
             assert HTCConfig(executor_backend=name).executor_backend == name
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="executor_backend"):
             HTCConfig(executor_backend="carrier-pigeon")
+
+    def test_removed_thread_pool_lists_the_choices(self):
+        with pytest.raises(ValueError, match="executor_backend") as excinfo:
+            HTCConfig(executor_backend="thread-pool")
+        assert (
+            "('auto', 'process-pool', 'process-pool-shm', 'serial')"
+            in str(excinfo.value)
+        )
+
+
+class TestPrecisionFields:
+    def test_defaults_validate(self):
+        config = HTCConfig()
+        assert config.compute_dtype == "float64"
+        assert config.precision_policy.is_exact
+
+    def test_float32_policy(self):
+        config = HTCConfig(compute_dtype="float32")
+        assert config.precision_policy.compute_dtype == np.dtype(np.float32)
+        assert config.precision_policy.accum_dtype == np.dtype(np.float64)
+
+    def test_bad_compute_dtype_rejected(self):
+        with pytest.raises(ValueError, match="precision policy"):
+            HTCConfig(compute_dtype="float16")
+
+    def test_removed_compute_backend_field_rejected(self):
+        with pytest.raises(TypeError, match="backend"):
+            HTCConfig(backend="numpy")

@@ -600,16 +600,27 @@ class TestRunnerObservability:
         assert all("observability" not in a for a in report.artifacts)
 
 
-class TestBackendResolutionCounter:
-    def test_resolution_counted(self):
-        from repro.backend.registry import get_registry
+# ----------------------------------------------------------------------
+# backend selection and the similarity hot path
+# ----------------------------------------------------------------------
+class TestSelectionRecordsNothing:
+    def test_backend_selection_and_kernels_leave_metrics_untouched(self):
+        """Choosing a backend or scoring a block is not a metrics event."""
+        from repro.backend import get_executor_backend, resolve_executor_backend
+        from repro.orbits import engine
+        from repro.similarity import cosine_similarity, pearson_similarity
 
-        registry = get_registry("executor")
-        counter_before = default_registry().counter(
-            "backend_resolutions_total", kind="executor", backend="serial"
-        ).value
-        registry.resolve("serial")
-        counter_after = default_registry().counter(
-            "backend_resolutions_total", kind="executor", backend="serial"
-        ).value
-        assert counter_after == counter_before + 1
+        before = default_registry().snapshot()
+        for name in ("auto", "serial", "process-pool", "process-pool-shm"):
+            resolve_executor_backend(name)
+            get_executor_backend(name)
+        for name in ("auto",) + engine.available_backends():
+            engine.resolve_backend(name)
+        rng = np.random.default_rng(0)
+        source, target = rng.standard_normal((70, 8)), rng.standard_normal((50, 8))
+        pearson_similarity(source, target)
+        cosine_similarity(source, target)
+        assert default_registry().snapshot() == before
+        assert "backend_resolutions_total" not in {
+            name for name, _, _ in default_registry().collect()
+        }

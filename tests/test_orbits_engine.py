@@ -15,13 +15,13 @@ import pytest
 
 from repro.graph.builders import from_edge_list, from_networkx
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
+from repro.core import HTCConfig
 from repro.orbits import engine, vectorized
 from repro.orbits.brute_force import brute_force_edge_orbits, brute_force_node_orbits
-from repro.orbits.cache import OrbitCache
-from repro.orbits.edge_orbits import EdgeOrbitCounts
+from repro.orbits.cache import OrbitCache, graph_content_hash
 from repro.orbits.graphlets import EDGE_ORBIT_COUNT, NODE_ORBIT_COUNT
 
-from _helpers import orbit_stress_graphs
+from _helpers import loop_edge_statistics, orbit_stress_graphs
 
 # The vectorized backend needs numpy >= 2.0 (np.bitwise_count); the whole
 # module is about cross-validating it against the reference.
@@ -136,6 +136,63 @@ STATISTIC_FIELDS = (
 )
 
 
+def _assert_loop_oracle_identical(graph):
+    stats = loop_edge_statistics(graph)
+    oracle = vectorized.edge_orbits_from_statistics(stats)
+    fast = engine.count_edge_orbits(graph, backend="numpy")
+    assert oracle.edges == fast.edges
+    np.testing.assert_array_equal(oracle.counts, fast.counts)
+    np.testing.assert_array_equal(
+        vectorized.node_orbits_from_statistics(stats, graph.degrees),
+        engine.count_node_orbits(graph, backend="numpy"),
+    )
+
+
+class TestLoopOracle:
+    """numpy backend == the loop oracle's statistics, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_erdos_renyi(self, seed):
+        graph = erdos_renyi_graph(
+            20 + 3 * seed, 0.5 + 0.4 * seed, random_state=seed
+        )
+        _assert_loop_oracle_identical(graph)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_powerlaw_cluster(self, seed):
+        graph = powerlaw_cluster_graph(
+            15 + 3 * seed, 2 + seed % 3, 0.7, random_state=seed
+        )
+        _assert_loop_oracle_identical(graph)
+
+    def test_structured_graphs(self):
+        for edges, n in [
+            ([(0, 1)], 2),  # single edge
+            ([(0, 1), (1, 2), (2, 0)], 3),  # triangle
+            ([(0, 1), (1, 2), (2, 3), (3, 0)], 4),  # 4-cycle
+            ([(i, j) for i in range(5) for j in range(i + 1, 5)], 5),  # K5
+            ([(0, i) for i in range(1, 7)], 7),  # star
+        ]:
+            _assert_loop_oracle_identical(from_edge_list(edges, n_nodes=n))
+
+    def test_empty_graph(self):
+        graph = from_edge_list([], n_nodes=5)
+        assert loop_edge_statistics(graph).edges == []
+        _assert_loop_oracle_identical(graph)
+
+    def test_kernel_statistics_match_vectorized(self):
+        graphs = {"er": erdos_renyi_graph(60, 6.0, random_state=5)}
+        graphs.update(orbit_stress_graphs())
+        for label, graph in graphs.items():
+            expected = vectorized.compute_edge_statistics(graph)
+            oracle = loop_edge_statistics(graph)
+            for name in vectorized._FIELD_NAMES:
+                np.testing.assert_array_equal(
+                    getattr(oracle, name), getattr(expected, name),
+                    err_msg=f"{label}: {name}",
+                )
+
+
 class TestChunking:
     """Chunked products and 4-clique passes equal a single-chunk run."""
 
@@ -204,36 +261,72 @@ class TestBackendSelection:
     def test_available_backends(self):
         assert set(engine.available_backends()) >= {"python", "numpy"}
 
-    def test_register_backend(self):
-        def fake_edge(graph):
-            return EdgeOrbitCounts(
-                edges=graph.edge_list(),
-                counts=np.zeros((graph.n_edges, EDGE_ORBIT_COUNT), dtype=np.int64),
-            )
+    def test_auto_resolves_to_numpy_without_warning(self, recwarn):
+        assert engine.resolve_backend("auto") == "numpy"
+        assert len(recwarn) == 0
 
-        def fake_node(graph):
-            return np.zeros((graph.n_nodes, NODE_ORBIT_COUNT), dtype=np.int64)
+    def test_removed_backend_name_lists_the_choices(self):
+        with pytest.raises(ValueError, match="unknown orbit backend") as excinfo:
+            engine.resolve_backend("numba")
+        assert "('numpy', 'python')" in str(excinfo.value)
 
-        engine.register_backend("fake", fake_edge, fake_node)
-        try:
-            graph = from_edge_list([(0, 1), (1, 2)], n_nodes=3)
-            counts = engine.count_edge_orbits(graph, backend="fake")
-            assert counts.counts.sum() == 0
-            assert "fake" in engine.available_backends()
-            # Unverified backends never share cache records with verified
-            # ones: the fake backend's zeros must not be served from (or
-            # leak into) the python backend's entry.
-            cache = OrbitCache()
-            reference = engine.count_edge_orbits(graph, backend="python", cache=cache)
-            assert reference.counts.sum() > 0
-            assert engine.count_edge_orbits(graph, backend="fake", cache=cache).counts.sum() == 0
-            assert engine.count_edge_orbits(graph, backend="python", cache=cache).counts.sum() > 0
-        finally:
-            engine.orbit_registry().unregister("fake")
+    def test_numpy_below_2_falls_back_to_python(self, monkeypatch):
+        monkeypatch.setattr(engine, "_HAS_BITWISE_COUNT", False)
+        assert engine.available_backends() == ("python",)
+        assert engine.resolve_backend("auto") == "python"
+        with pytest.raises(ValueError, match="NumPy >= 2.0"):
+            engine.resolve_backend("numpy")
+        with pytest.raises(ValueError, match="orbit_backend"):
+            HTCConfig(orbit_backend="numpy")
+        assert HTCConfig(orbit_backend="python").orbit_backend == "python"
 
-    def test_register_auto_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
-            engine.register_backend("auto", None, None)
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda graph: engine.count_edge_orbits(graph).counts,
+            engine.count_node_orbits,
+            engine.graphlet_degree_vectors,
+        ],
+        ids=["edge", "node", "gdv"],
+    )
+    def test_numpy_below_2_counts_through_the_reference(self, count, monkeypatch):
+        graph = erdos_renyi_graph(30, 4.0, random_state=6)
+        expected = count(graph)  # auto = numpy here
+        calls = []
+        python = engine._BACKENDS["python"]
+
+        def spy(counter):
+            def wrapped(g):
+                calls.append(counter.__name__)
+                return counter(g)
+
+            return wrapped
+
+        monkeypatch.setattr(engine, "_HAS_BITWISE_COUNT", False)
+        monkeypatch.setitem(
+            engine._BACKENDS,
+            "python",
+            engine.OrbitBackend(
+                name="python",
+                count_edge_orbits=spy(python.count_edge_orbits),
+                count_node_orbits=spy(python.count_node_orbits),
+            ),
+        )
+        np.testing.assert_array_equal(count(graph), expected)
+        assert len(calls) == 1
+
+    def test_numpy_below_2_rejects_explicit_numpy_at_every_entry_point(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "_HAS_BITWISE_COUNT", False)
+        graph = from_edge_list([(0, 1), (1, 2)], n_nodes=3)
+        for count in (
+            engine.count_edge_orbits,
+            engine.count_node_orbits,
+            engine.graphlet_degree_vectors,
+        ):
+            with pytest.raises(ValueError, match="NumPy >= 2.0"):
+                count(graph, backend="numpy", cache=OrbitCache())
 
     def test_package_level_exports(self):
         from repro.orbits import count_edge_orbits, count_node_orbits
@@ -243,6 +336,46 @@ class TestBackendSelection:
         assert counts.orbit_total(2) == 3
         gdv = count_node_orbits(graph, backend="numpy")
         np.testing.assert_array_equal(gdv[:, 3], [1, 1, 1])
+
+
+class TestCacheKeys:
+    """Both backends file records under the plain graph content hash.
+
+    On-disk caches written before the backend registry was removed keep
+    hitting, and a record one backend wrote serves the other.
+    """
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_disk_records_are_named_by_content_hash(self, backend, tmp_path):
+        graph = erdos_renyi_graph(20, 3.0, random_state=8)
+        cache = OrbitCache(directory=tmp_path)
+        engine.count_edge_orbits(graph, backend=backend, cache=cache)
+        engine.count_node_orbits(graph, backend=backend, cache=cache)
+        key = graph_content_hash(graph)
+        assert sorted(p.name for p in tmp_path.glob("*.npz")) == [
+            f"{key}.edge.npz",
+            f"{key}.node.npz",
+        ]
+
+    @pytest.mark.parametrize(
+        "writer, reader", [("python", "numpy"), ("numpy", "python")]
+    )
+    def test_record_written_by_one_backend_serves_the_other(
+        self, writer, reader
+    ):
+        graph = powerlaw_cluster_graph(30, 3, 0.6, random_state=9)
+        cache = OrbitCache()
+        edges = engine.count_edge_orbits(graph, backend=writer, cache=cache)
+        gdv = engine.count_node_orbits(graph, backend=writer, cache=cache)
+        assert cache.stats()["hits"] == 0
+        np.testing.assert_array_equal(
+            engine.count_edge_orbits(graph, backend=reader, cache=cache).counts,
+            edges.counts,
+        )
+        np.testing.assert_array_equal(
+            engine.count_node_orbits(graph, backend=reader, cache=cache), gdv
+        )
+        assert cache.stats()["hits"] == 2  # the reader never counted
 
 
 class TestGraphletDegreeVectors:

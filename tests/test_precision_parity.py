@@ -94,7 +94,7 @@ class TestFloat64BitIdentity:
     def test_score_kernels(self, embeddings, kernel):
         source, target = embeddings
         default = kernel(source, target)
-        explicit = kernel(source, target, policy="float64", backend="numpy")
+        explicit = kernel(source, target, policy="float64")
         assert default.dtype == np.float64
         assert np.array_equal(default, explicit)
 

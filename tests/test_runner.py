@@ -69,9 +69,9 @@ def _system_exit_resolver(name, config):
     """The in-process analogue of :func:`_hard_exit_resolver`.
 
     ``SystemExit`` is the closest interceptable stand-in for a dying
-    worker under the serial and thread-pool executors (a real ``os._exit``
-    would kill the whole test process); both must report the same
-    worker-crashed failure the process pool does.
+    worker under the serial executor (a real ``os._exit`` would kill the
+    whole test process); it must report the same worker-crashed failure the
+    process pool does.
     """
     if name != "Killer":
         return resolve_method(name, config)
@@ -271,10 +271,10 @@ class TestRunSuite:
 class TestExecutorBackends:
     def test_manifest_and_report_record_the_executor(self, tmp_path):
         suite = _tiny_suite(name="exec-record")
-        report = run_suite(suite, tmp_path, jobs=2, executor="thread-pool")
-        assert report.executor == "thread-pool"
+        report = run_suite(suite, tmp_path, jobs=2, executor="process-pool")
+        assert report.executor == "process-pool"
         manifest = load_manifest(report.suite_dir)
-        assert manifest["executor"] == "thread-pool"
+        assert manifest["executor"] == "process-pool"
 
     def test_single_job_auto_stays_serial(self, tmp_path):
         report = run_suite(
@@ -301,22 +301,28 @@ class TestExecutorBackends:
             )
 
         serial = hashes("serial")
-        assert hashes("thread-pool") == serial
         assert hashes("process-pool") == serial
+        assert hashes("process-pool-shm") == serial
 
     def test_suite_spec_executor_backend_is_used(self, tmp_path):
-        suite = _tiny_suite(name="exec-spec", executor_backend="thread-pool")
+        # Two workers and two jobs: "auto" would pick the process pool.
+        suite = _tiny_suite(name="exec-spec", executor_backend="serial")
         report = run_suite(suite, tmp_path, jobs=2)
-        assert report.executor == "thread-pool"
+        assert report.executor == "serial"
 
     def test_explicit_argument_overrides_suite_spec(self, tmp_path):
-        suite = _tiny_suite(name="exec-override", executor_backend="thread-pool")
+        suite = _tiny_suite(name="exec-override", executor_backend="process-pool")
         report = run_suite(suite, tmp_path, jobs=2, executor="serial")
         assert report.executor == "serial"
 
-    def test_thread_pool_timeout_without_sigalrm(self, tmp_path):
+    @pytest.mark.parametrize(
+        "executor", ["serial", "process-pool", "process-pool-shm"]
+    )
+    def test_every_executor_enforces_the_job_timeout(self, tmp_path, executor):
+        # Every remaining executor enforces the budget inside the job with
+        # SIGALRM; none abandons a running job from outside.
         suite = SuiteSpec(
-            name="slow-threads",
+            name="slow-" + executor,
             datasets=["tiny"],
             methods=["HTC"],
             config=dict(FAST_CONFIG),
@@ -326,12 +332,36 @@ class TestExecutorBackends:
             suite,
             tmp_path,
             jobs=2,
-            executor="thread-pool",
+            executor=executor,
             method_resolver=_sleepy_resolver,
         )
+        assert report.executor == executor
         assert report.counts == {"timeout": 1}
         (artifact,) = report.artifacts
         assert "0.3" in artifact["error"]
+
+    def test_removed_executor_in_suite_file_fails_before_any_job(self, tmp_path):
+        spec = tmp_path / "suite.json"
+        payload = _tiny_suite(name="exec-removed").to_dict()
+        payload["executor_backend"] = "thread-pool"
+        spec.write_text(json.dumps(payload))
+        suite = SuiteSpec.from_json_file(spec)
+        with pytest.raises(ValueError, match="unknown executor backend") as excinfo:
+            run_suite(suite, tmp_path / "out", jobs=2)
+        assert "('process-pool', 'process-pool-shm', 'serial')" in str(excinfo.value)
+        assert not list((tmp_path / "out").rglob("*.json"))
+
+    def test_removed_orbit_backend_in_suite_file_fails_its_jobs(self, tmp_path):
+        spec = tmp_path / "suite.json"
+        payload = _tiny_suite(name="orbit-removed", methods=("HTC",)).to_dict()
+        payload["config"]["orbit_backend"] = "numba"
+        spec.write_text(json.dumps(payload))
+        report = run_suite(SuiteSpec.from_json_file(spec), tmp_path / "out", jobs=1)
+        assert report.counts == {"failed": 1}
+        (artifact,) = report.artifacts
+        assert "orbit_backend must be one of ('auto', 'numpy', 'python')" in (
+            artifact["error"]
+        )
 
 
 class TestWorkerCrashRecovery:
@@ -357,13 +387,24 @@ class TestWorkerCrashRecovery:
         (killed,) = [a for a in report.artifacts if a["spec"]["method"] == "Killer"]
         assert "worker crashed" in killed["error"]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread-pool"])
-    def test_in_process_backends_fail_identically(self, tmp_path, executor):
+    def test_shared_memory_pool_survives_worker_death(self, tmp_path):
         report = run_suite(
             self._crash_suite(),
             tmp_path,
             jobs=2,
-            executor=executor,
+            executor="process-pool-shm",
+            method_resolver=_hard_exit_resolver,
+        )
+        assert self._statuses(report) == {"Degree": "done", "Killer": "failed"}
+        (killed,) = [a for a in report.artifacts if a["spec"]["method"] == "Killer"]
+        assert "worker crashed" in killed["error"]
+
+    def test_in_process_backend_fails_identically(self, tmp_path):
+        report = run_suite(
+            self._crash_suite(),
+            tmp_path,
+            jobs=2,
+            executor="serial",
             method_resolver=_system_exit_resolver,
         )
         assert self._statuses(report) == {"Degree": "done", "Killer": "failed"}

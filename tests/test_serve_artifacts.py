@@ -8,6 +8,7 @@ import pytest
 from repro.core import HTCAligner, HTCConfig
 from repro.core.result import AlignmentResult
 from repro.datasets import load_dataset
+from repro.orbits.engine import DEFAULT_BACKEND
 from repro.serve.artifacts import (
     ARRAYS_FILE,
     MANIFEST_FILE,
@@ -250,6 +251,28 @@ class TestConfigSerialization:
         payload["future_knob"] = 42
         rebuilt = deserialize_config(payload)
         assert not hasattr(rebuilt, "future_knob")
+
+    @pytest.mark.parametrize(
+        "selector, recorded",
+        [("auto", DEFAULT_BACKEND), ("python", "python"), ("numpy", "numpy")],
+    )
+    def test_orbit_backend_provenance(self, selector, recorded, tmp_path):
+        config = HTCConfig(orbit_backend=selector)
+        info = save_artifact(make_result(), config, root=tmp_path)
+        loaded = load_artifact(tmp_path, info.artifact_id)
+        assert loaded.metadata["orbit_backend"] == recorded
+
+    def test_stored_config_with_removed_backend_field_still_loads(self, tmp_path):
+        # Artifacts exported while HTCConfig still had a compute ``backend``
+        # field carry it in their manifest; they must keep loading.
+        config = HTCConfig(epochs=7, embedding_dim=16)
+        assert "backend" not in serialize_config(config)
+        info = save_artifact(make_result(), config, root=tmp_path, name="old")
+        manifest = json.loads((info.path / MANIFEST_FILE).read_text())
+        manifest["config"]["backend"] = "numpy"
+        (info.path / MANIFEST_FILE).write_text(json.dumps(manifest))
+        loaded = load_artifact(tmp_path, info.artifact_id)
+        assert loaded.config == config
 
     def test_live_cache_degrades_to_memory(self):
         from repro.orbits.cache import resolve_cache

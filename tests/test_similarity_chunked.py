@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import HTCAligner, HTCConfig
 from repro.datasets import load_dataset
+from repro.serve.index import build_index_from_embeddings
 from repro.similarity.chunked import (
     ChunkedScorer,
     chunked_greedy_match,
@@ -242,3 +243,31 @@ class TestAlignerChunkedBitIdentity:
     def test_config_rejects_invalid_chunk(self):
         with pytest.raises(ValueError):
             HTCConfig(score_chunk_size=0)
+
+
+class TestNoComputeBackendArgument:
+    """The kernels issue their GEMMs with ``np.matmul`` directly; none of
+    them takes the compute-backend selector any more, so a caller still
+    passing one fails loudly instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            pearson_similarity,
+            cosine_similarity,
+            lisi_matrix,
+            csls_matrix,
+            ChunkedScorer,
+            chunked_score_matrix,
+            streaming_hubness_degrees,
+            build_index_from_embeddings,
+        ],
+        ids=lambda kernel: kernel.__name__,
+    )
+    def test_backend_keyword_is_rejected(self, kernel):
+        source, target = _embeddings(12, 9, 4)
+        with pytest.raises(TypeError, match="backend"):
+            if kernel is streaming_hubness_degrees:
+                kernel(source, target, 3, backend="numpy")
+            else:
+                kernel(source, target, backend="numpy")
