@@ -8,11 +8,6 @@ root (plus a readable table under ``benchmarks/results/``).  This file is the
 perf trajectory for the counting stage: future PRs should not regress the
 recorded speedups.
 
-Delta recounting (``repro.orbits.delta``) rides along: a 1% edge mutation
-batch is patched and compared — bit-identically, including the cache
-re-entry under the mutated graph's hash — against a from-scratch recount of
-the mutated graph.
-
 Run with::
 
     python benchmarks/bench_orbit_counting.py            # full sweep
@@ -35,11 +30,9 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph  # noqa: E402
 from repro.orbits import engine  # noqa: E402
-from repro.orbits.cache import OrbitCache, graph_content_hash  # noqa: E402
-from repro.orbits.delta import apply_edge_batch, delta_count_node_orbits  # noqa: E402
+from repro.orbits.cache import OrbitCache  # noqa: E402
 
-#: (name, factory) per benchmark graph; the 2k-edge ER case is the
-#: acceptance-criterion configuration.
+#: (name, factory) per benchmark graph.
 GRAPH_SPECS = (
     ("er_small", lambda: erdos_renyi_graph(150, 6.0, random_state=0)),
     ("er_2k_edges", lambda: erdos_renyi_graph(500, 8.0, random_state=7)),
@@ -60,71 +53,6 @@ def _time(function, repeats: int) -> float:
         function()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _mutation_batch(graph, rng, n_changes):
-    """A disjoint (additions, removals) batch of ``n_changes`` edges each."""
-    edge_list = graph.edge_list()
-    present = set(edge_list)
-    picks = rng.permutation(len(edge_list)).tolist()[:n_changes]
-    removals = [edge_list[i] for i in picks]
-    additions = []
-    n = graph.n_nodes
-    while len(additions) < n_changes:
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u == v:
-            continue
-        edge = (min(u, v), max(u, v))
-        if edge in present or edge in additions:
-            continue
-        additions.append(edge)
-    return additions, removals
-
-
-def bench_delta(graph, repeats: int) -> dict:
-    """Delta-recount a 1% edge-mutation batch vs. a from-scratch recount."""
-    n_changes = max(1, graph.n_edges // 100 // 2)
-    rng = np.random.default_rng(42)
-    additions, removals = _mutation_batch(graph, rng, n_changes)
-    mutated = apply_edge_batch(
-        graph, add_edges=additions, remove_edges=removals
-    )
-    base = engine.count_node_orbits(graph, backend="numpy")
-
-    full_s = _time(
-        lambda: engine.count_node_orbits(mutated, backend="numpy"), repeats
-    )
-    delta_s = _time(
-        lambda: delta_count_node_orbits(
-            graph,
-            add_edges=additions,
-            remove_edges=removals,
-            node_orbits=base,
-        ),
-        repeats,
-    )
-
-    # Correctness: the patched matrix is bit-identical to the recount, and
-    # the cache re-entry lands under the mutated graph's content hash.
-    cache = OrbitCache()
-    engine.count_node_orbits(graph, backend="numpy", cache=cache)
-    result = delta_count_node_orbits(
-        graph, add_edges=additions, remove_edges=removals, cache=cache
-    )
-    full = engine.count_node_orbits(mutated, backend="numpy")
-    cached = cache.get_node_orbits(graph_content_hash(result.graph))
-    identical = bool(
-        np.array_equal(result.node_orbits, full)
-        and cached is not None
-        and np.array_equal(cached, full)
-    )
-    return {
-        "n_changed": len(additions) + len(removals),
-        "full_s": full_s,
-        "delta_s": delta_s,
-        "speedup": full_s / delta_s,
-        "identical": identical,
-    }
 
 
 def bench_graph(name: str, factory, repeats: int) -> dict:
@@ -167,7 +95,6 @@ def bench_graph(name: str, factory, repeats: int) -> dict:
         )
     )
 
-    record["delta"] = bench_delta(graph, repeats)
     return record
 
 
@@ -190,19 +117,17 @@ def main(argv=None) -> int:
     lines = [
         "Orbit-counting backends (best-of-%d, seconds)" % args.repeats,
         f"{'graph':<20}{'nodes':>7}{'edges':>7}{'python':>10}{'numpy':>10}"
-        f"{'speedup':>9}{'delta':>9}{'identical':>11}",
+        f"{'speedup':>9}{'identical':>11}",
     ]
     for name, factory in specs:
         record = bench_graph(name, factory, args.repeats)
         records.append(record)
-        identical = record["identical"] and record["delta"]["identical"]
         lines.append(
             f"{record['graph']:<20}{record['n_nodes']:>7}{record['n_edges']:>7}"
             f"{record['backends']['python']['total_s']:>10.3f}"
             f"{record['backends']['numpy']['total_s']:>10.3f}"
             f"{record['speedup_total']:>8.1f}x"
-            f"{record['delta']['speedup']:>8.1f}x"
-            f"{str(identical):>11}"
+            f"{str(record['identical']):>11}"
         )
         print(lines[-1])
 
@@ -218,11 +143,7 @@ def main(argv=None) -> int:
     REPORT_PATH.write_text("\n".join(lines) + "\n")
     print(f"\n[written to {JSON_PATH} and {REPORT_PATH}]")
 
-    failures = [
-        r["graph"]
-        for r in records
-        if not r["identical"] or not r["delta"]["identical"]
-    ]
+    failures = [r["graph"] for r in records if not r["identical"]]
     if failures:
         print(f"BACKEND MISMATCH on: {failures}", file=sys.stderr)
         return 1

@@ -69,12 +69,6 @@ CHECKS = {
         ("results.0.identical", "true", None),
         ("results.0.speedup_total", "floor", 2.0),
         ("results.0.backends.numpy.total_s", "time", None),
-        # Delta recounting on results.1 (er_2k_edges, present in both quick
-        # and full modes): a 1% edge-mutation batch must patch
-        # bit-identically (including the cache re-entry) and beat a
-        # from-scratch recount by 5x.
-        ("results.1.delta.identical", "true", None),
-        ("results.1.delta.speedup", "floor", 5.0),
     ],
     "BENCH_runner.json": [
         ("suite.all_done", "true", None),

@@ -7,7 +7,7 @@ without changing what a query *means* anywhere:
   single wire validator,
 * :mod:`repro.api.core` — routing into the one shared
   :meth:`~repro.serve.service.AlignmentService.query` entry point, plus the
-  SQLite-catalog-backed ``/artifacts`` listing,
+  ``/artifacts`` listing read from the store's manifests,
 * :mod:`repro.api.http` — a dependency-free threaded server built on the
   standard library's :mod:`http.server`.
 

@@ -10,10 +10,11 @@ in one place, so an HTTP response is byte-for-byte what an in-process
 Endpoints (all JSON)::
 
     GET  /health                    liveness + engine/schema versions
-    GET  /artifacts                 catalog-backed listing (filters: dataset,
-                                    method, dtype, name, kind; pagination:
+    GET  /artifacts                 store listing from the manifests (filters:
+                                    dataset, method, dtype, name, kind,
+                                    content_hash, config_hash; pagination:
                                     limit, offset; stable newest-first order)
-    GET  /artifacts/<artifact_id>   one artifact: catalog record + hosted info
+    GET  /artifacts/<artifact_id>   one artifact: manifest record + hosted info
     GET  /stats                     service counters snapshot
     GET  /metrics                   Prometheus text exposition (?format=json
                                     for the JSON snapshot)
@@ -44,9 +45,12 @@ from repro.api.models import (
     response_payload,
 )
 from repro.serve.artifacts import (
+    FILTER_FIELDS,
     ArtifactIntegrityError,
     ArtifactNotFoundError,
     ArtifactSchemaError,
+    artifact_record,
+    find_artifacts,
     list_artifacts,
 )
 from repro.obs.exposition import (
@@ -55,7 +59,6 @@ from repro.obs.exposition import (
     prometheus_text,
 )
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.serve.catalog import FILTER_FIELDS, ArtifactCatalog
 from repro.serve.service import AlignmentService
 
 
@@ -83,9 +86,9 @@ class ApiState:
     service:
         The hosting query service (created empty when omitted).
     root:
-        Artifact store root.  When set, ``/artifacts`` answers from its
-        SQLite catalog and queries for artifacts that are not hosted yet
-        are resolved by loading them from the store on first use
+        Artifact store root.  When set, ``/artifacts`` answers from the
+        manifests under it and queries for artifacts that are not hosted
+        yet are resolved by loading them from the store on first use
         (``auto_load``).
     auto_load:
         Lazily load store artifacts the first time they are queried.
@@ -104,10 +107,6 @@ class ApiState:
     def __post_init__(self) -> None:
         if self.root is not None:
             self.root = Path(self.root)
-
-    @property
-    def catalog(self) -> Optional[ArtifactCatalog]:
-        return ArtifactCatalog.for_store(self.root) if self.root else None
 
     def preload(self) -> int:
         """Host every artifact currently in the store; returns the count."""
@@ -182,13 +181,13 @@ def _parse_page_param(
 def handle_artifacts(
     state: ApiState, params: Optional[Mapping[str, str]] = None
 ) -> Dict[str, object]:
-    """Catalog-backed artifact listing (no directory walk when catalogued).
+    """Artifact listing, read from the store's manifests on every call.
 
     Pagination: ``limit``/``offset`` over the stable
-    ``(created_at DESC, artifact_id ASC)`` ordering, with ``total`` counting
-    every match regardless of the page.  Bad filter or pagination params are
-    a 422 with structured ``[{loc, msg}]`` detail entries (same error shape
-    as the query-payload validator).
+    ``(created_unix DESC, artifact_id ASC)`` ordering, with ``total``
+    counting every match regardless of the page.  Bad filter or pagination
+    params are a 422 with structured ``[{loc, msg}]`` detail entries (same
+    error shape as the query-payload validator).
     """
     params = dict(params or {})
     errors: list = []
@@ -208,30 +207,26 @@ def handle_artifacts(
             ),
             detail=errors,
         )
-    catalog = state.catalog
-    if catalog is not None:
-        return artifact_list_payload(
-            catalog.find(limit=limit, offset=offset, **params),
-            source="catalog",
-            total=catalog.count(**params),
-            limit=limit,
-            offset=offset,
-        )
-    # No store root: fall back to describing what is hosted in memory.
-    if params:
+    if state.root is not None:
+        records = find_artifacts(state.root, **params)
+        source = "store"
+    elif params:
         raise ApiBadRequestError(
             "filters require an artifact store (the service was started "
             "without --artifact-root)"
         )
-    records = [
-        state.service.describe(artifact_id)
-        for artifact_id in state.service.artifact_ids()
-    ]
+    else:
+        # No store root: describe what is hosted in memory.
+        records = [
+            state.service.describe(artifact_id)
+            for artifact_id in state.service.artifact_ids()
+        ]
+        source = "hosted"
     start = offset or 0
     stop = None if limit is None else start + limit
     return artifact_list_payload(
         records[start:stop],
-        source="hosted",
+        source=source,
         total=len(records),
         limit=limit,
         offset=offset,
@@ -239,11 +234,18 @@ def handle_artifacts(
 
 
 def handle_artifact_get(state: ApiState, artifact_id: str) -> Dict[str, object]:
-    """One artifact: the catalog record plus hosted-index details (if any)."""
+    """One artifact: its manifest record plus hosted-index details (if any).
+
+    The record is read from ``<root>/<artifact_id>/manifest.json`` alone; an
+    id the listing would not show (no such directory, an unreadable
+    manifest, or an id that leaves the root) has no record.
+    """
     record = None
-    catalog = state.catalog
-    if catalog is not None:
-        record = catalog.get(artifact_id)
+    if state.root is not None:
+        try:
+            record = artifact_record(state.root, artifact_id)
+        except (ArtifactNotFoundError, ArtifactIntegrityError, ArtifactSchemaError):
+            pass  # not listed, so unknown unless hosted
     hosted = artifact_id in state.service.artifact_ids()
     if record is None and not hosted:
         raise ApiNotFoundError(f"unknown artifact {artifact_id!r}")

@@ -32,7 +32,10 @@ from repro import __version__ as ENGINE_VERSION
 #: 2.0: ``/stats`` lost its query-cache fields and ``latency.<op>.stages``.
 #: 3.0: the backend-listing endpoint was removed (its path now returns the
 #: structured 404).
-API_SCHEMA_VERSION = "3.0"
+#: 4.0: ``/artifacts`` lists the manifests on disk, so its ``source`` is
+#: ``"store"`` (was ``"catalog"``), and ``/artifacts/<id>`` of a removed
+#: artifact directory is a 404 unless the artifact is hosted.
+API_SCHEMA_VERSION = "4.0"
 
 #: Query operations, mirroring :class:`~repro.serve.service.AlignmentService`.
 QUERY_OPS = ("match", "top_k", "reverse_match", "reverse_top_k")
@@ -298,7 +301,7 @@ def artifact_list_payload(
     limit: Optional[int] = None,
     offset: Optional[int] = None,
 ) -> Dict[str, object]:
-    """The ``GET /artifacts`` body (``source``: ``"catalog"`` or ``"hosted"``).
+    """The ``GET /artifacts`` body (``source``: ``"store"`` or ``"hosted"``).
 
     ``records`` is the returned page; ``total`` counts every record matching
     the filters regardless of pagination (defaults to the page length, which

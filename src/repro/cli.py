@@ -1,6 +1,6 @@
 """Command-line interface for the HTC reproduction.
 
-Eleven sub-commands cover the typical workflows without writing Python:
+Nine sub-commands cover the typical workflows without writing Python:
 
 ``datasets``
     List the bundled dataset stand-ins and their statistics.
@@ -28,11 +28,8 @@ Eleven sub-commands cover the typical workflows without writing Python:
     Serve an artifact store over HTTP (:mod:`repro.api`) with the
     dependency-free stdlib server.
 ``serve-stats``
-    Inspect an artifact store from its SQLite catalog (ids, shapes, index
-    sizes) — the same payload as ``GET /artifacts``.
-``catalog-sync``
-    Backfill/refresh the store's SQLite catalog from the manifests on disk
-    (stores written before the catalog existed, or edited by hand).
+    Inspect an artifact store from the manifests on disk (ids, shapes,
+    index sizes) — the same payload as ``GET /artifacts``.
 
 Dataset arguments accept registered names (``douban``, ``tiny``, ...) and
 prefixed names such as ``dir:/path/to/exported-pair`` (a directory written
@@ -54,7 +51,6 @@ Examples
         --op top-k --k 5 --nodes 0 1 2
     python -m repro.cli serve --artifact-root artifacts --port 8000
     python -m repro.cli serve-stats --artifact-root artifacts
-    python -m repro.cli catalog-sync --artifact-root artifacts
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ from repro.api.models import (
 from repro.runner import SuiteSpec, resolve_method, run_suite
 from repro.runner.executor import known_method_names
 from repro.serve import AlignmentService, export_result, list_artifacts
-from repro.serve.catalog import ArtifactCatalog
+from repro.serve.artifacts import find_artifacts
 
 
 def _dataset_arg(name: str) -> str:
@@ -390,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     stats = subparsers.add_parser(
-        "serve-stats", help="inspect an artifact store via its SQLite catalog"
+        "serve-stats", help="inspect an artifact store from its manifests"
     )
     stats.add_argument(
         "--artifact-root", default="artifacts", metavar="DIR",
@@ -403,16 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="json: the same payload as GET /artifacts (default); "
         "prometheus: the same text exposition format as GET /metrics, with "
         "store-level gauges — scrapeable without a running server",
-    )
-
-    sync = subparsers.add_parser(
-        "catalog-sync",
-        help="backfill/refresh the store's SQLite artifact catalog from the "
-        "manifests on disk",
-    )
-    sync.add_argument(
-        "--artifact-root", default="artifacts", metavar="DIR",
-        help="artifact store root directory",
     )
 
     return parser
@@ -680,24 +666,13 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
         state = ApiState(root=args.artifact_root, metrics=registry)
         print(handle_metrics(state).text, end="")
         return 0
-    catalog = ArtifactCatalog.for_store(args.artifact_root)
-    if catalog.count() < len(manifests):
-        # Pre-catalog store (or hand-edited): backfill before answering.
-        catalog.sync(args.artifact_root)
     print(
         json.dumps(
-            artifact_list_payload(catalog.find(), source="catalog"), indent=2
+            artifact_list_payload(
+                find_artifacts(args.artifact_root), source="store"
+            ),
+            indent=2,
         )
-    )
-    return 0
-
-
-def _cmd_catalog_sync(args: argparse.Namespace) -> int:
-    catalog = ArtifactCatalog.for_store(args.artifact_root)
-    registered, seen = catalog.sync(args.artifact_root)
-    print(
-        f"catalog under {args.artifact_root}: {seen} artifact(s) on disk, "
-        f"{registered} registered or updated, {catalog.count()} catalogued"
     )
     return 0
 
@@ -723,8 +698,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "serve-stats":
         return _cmd_serve_stats(args)
-    if args.command == "catalog-sync":
-        return _cmd_catalog_sync(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -124,7 +124,6 @@ class HTCConfig:
     max_refinement_iterations: int = 15
     use_refinement: bool = True
     use_lisi: bool = True
-    shared_encoder: bool = True
     augment_with_gdv: bool = False
     compute_dtype: str = "float64"
     orbit_backend: str = AUTO_BACKEND

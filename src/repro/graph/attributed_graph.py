@@ -85,9 +85,10 @@ class AttributedGraph:
         ``adjacency`` must already be a canonical CSR: symmetric, zero
         diagonal, sorted indices, no explicit zeros; ``attributes`` must be
         a validated ``(n, d)`` float64 matrix (e.g. taken from an existing
-        graph).  Used by hot paths that rebuild graphs they derived from a
-        validated one (:mod:`repro.orbits.delta`) — the public constructor's
-        symmetrise/clean pass costs more than an entire delta recount.
+        graph).  Used where a graph is rebuilt from arrays of one that was
+        already validated: :mod:`repro.backend.shm` attaches staged graphs
+        as read-only shared-memory views, which the public constructor's
+        symmetrise/clean pass would copy.
         """
         graph = cls.__new__(cls)
         graph._adjacency = adjacency

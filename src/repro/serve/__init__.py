@@ -7,7 +7,8 @@ servable asset, in three layers:
 
 * :mod:`repro.serve.artifacts` — a versioned, content-hash-addressed on-disk
   store (``arrays.npz`` + ``manifest.json`` per artifact) with per-array
-  integrity hashes and forward-compatible loading,
+  integrity hashes and forward-compatible loading; its manifests are the
+  only record of what it holds, listed afresh by ``find_artifacts``,
 * :mod:`repro.serve.index` — a sparse top-``k`` index holding only the best
   ``k`` scores/indices per source row (plus the reverse target→source view),
   ``O(n·k)`` memory instead of ``O(n_s·n_t)`` while answering every
@@ -32,7 +33,6 @@ from repro.serve.artifacts import (
     save_artifact,
     save_index_artifact,
 )
-from repro.serve.catalog import ArtifactCatalog
 from repro.serve.index import (
     SparseTopKIndex,
     StreamedIndexAssembler,
@@ -43,7 +43,6 @@ from repro.serve.service import AlignmentService, check_runtime_schema
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ArtifactCatalog",
     "check_runtime_schema",
     "ArtifactIntegrityError",
     "ArtifactNotFoundError",

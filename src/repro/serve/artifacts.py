@@ -23,6 +23,12 @@ Format stability:
 Loading supports two modes: ``"full"`` (rebuild the complete
 :class:`~repro.core.result.AlignmentResult`) and ``"serve"`` (load only the
 ``O(n·k)`` index arrays — the memory-light path the query service uses).
+
+The manifests on disk are the only record of what the store holds:
+:func:`find_artifacts` (``GET /artifacts``, ``serve-stats``) walks them on
+every call and :func:`artifact_record` (``GET /artifacts/<id>``) reads one,
+so a removed directory stops being listed and a copied-in one is listed at
+once.
 """
 
 from __future__ import annotations
@@ -77,6 +83,17 @@ class ArtifactSchemaError(ValueError):
 
 class ArtifactIntegrityError(ValueError):
     """An array's content does not match its recorded hash."""
+
+
+def _check_artifact_id(artifact_id: str) -> None:
+    """Refuse an id that names anything but one directory under the root.
+
+    An empty id, ``.``, ``..``, an absolute path or an id with a path
+    separator would resolve outside ``<root>/<id>``; each raises
+    :class:`ArtifactNotFoundError`, as an unknown id does.
+    """
+    if artifact_id in ("", ".", "..") or Path(artifact_id).name != artifact_id:
+        raise ArtifactNotFoundError(f"invalid artifact id {artifact_id!r}")
 
 
 def _slug(text: str) -> str:
@@ -170,8 +187,6 @@ def _write_artifact(
     last via tmp+rename, so a directory with a manifest always has its
     arrays in place.
     """
-    from repro.serve.catalog import register_write
-
     artifact_id = str(manifest["artifact_id"])
     content_hash = manifest["content_hash"]
     path = root / artifact_id
@@ -186,7 +201,6 @@ def _write_artifact(
                 tmp = path / (MANIFEST_FILE + ".tmp")
                 tmp.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
                 os.replace(tmp, path / MANIFEST_FILE)
-            register_write(root, existing, path)
             return ArtifactInfo(
                 artifact_id=artifact_id, path=path, manifest=existing, index=index
             )
@@ -196,7 +210,6 @@ def _write_artifact(
     tmp = path / (MANIFEST_FILE + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path / MANIFEST_FILE)
-    register_write(root, manifest, path)
     return ArtifactInfo(
         artifact_id=artifact_id, path=path, manifest=manifest, index=index
     )
@@ -478,6 +491,7 @@ def load_artifact(
     """
     if mode not in ("full", "serve"):
         raise ValueError(f'mode must be "full" or "serve", got {mode!r}')
+    _check_artifact_id(artifact_id)
     path = Path(root) / artifact_id
     if not path.is_dir():
         raise ArtifactNotFoundError(
@@ -570,6 +584,95 @@ def list_artifacts(root: Union[str, Path]) -> List[Dict[str, object]]:
     return manifests
 
 
+#: Equality filters accepted by :func:`find_artifacts`.
+FILTER_FIELDS = (
+    "name",
+    "kind",
+    "content_hash",
+    "dataset",
+    "method",
+    "config_hash",
+    "dtype",
+)
+
+
+def record_from_manifest(
+    manifest: Dict[str, object], path: Optional[Union[str, Path]] = None
+) -> Dict[str, object]:
+    """Flatten one artifact manifest into a listing record.
+
+    ``config_hash`` is the spec hash of the manifest's config payload (the
+    same hashing the runner uses), so artifacts produced by the same config
+    collapse to one queryable key even across dataset pairs.
+    """
+    index_meta = dict(manifest.get("index") or {})
+    shape = list(index_meta.get("shape") or [None, None])
+    metadata = dict(manifest.get("metadata") or {})
+    config = manifest.get("config")
+    version = manifest.get("schema_version")
+    return {
+        "artifact_id": str(manifest["artifact_id"]),
+        "name": str(manifest.get("name", "")),
+        "kind": str(manifest.get("kind", "alignment")),
+        "content_hash": manifest.get("content_hash"),
+        "dataset": metadata.get("dataset"),
+        "method": metadata.get("method"),
+        "config_hash": spec_hash(config) if config is not None else None,
+        "dtype": manifest.get("dtype"),
+        "schema_version": (
+            ".".join(str(x) for x in version)
+            if isinstance(version, (list, tuple))
+            else (str(version) if version is not None else None)
+        ),
+        "n_source": shape[0],
+        "n_target": shape[1],
+        "index_k": index_meta.get("k"),
+        "created_unix": manifest.get("created_unix"),
+        "path": str(path) if path is not None else None,
+        "metadata": metadata,
+    }
+
+
+def find_artifacts(
+    root: Union[str, Path], **filters: Optional[str]
+) -> List[Dict[str, object]]:
+    """Records of the artifacts under ``root`` matching ``filters``.
+
+    ``filters`` are equalities on :data:`FILTER_FIELDS` (``None`` values
+    are ignored).  Records come newest first, then by artifact id, and a
+    manifest without ``created_unix`` sorts last, so pages cut with
+    ``limit``/``offset`` are stable.
+    """
+    unknown = sorted(set(filters) - set(FILTER_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown artifact filter(s) {unknown}; "
+            f"expected any of {list(FILTER_FIELDS)}"
+        )
+    wanted = {key: value for key, value in filters.items() if value is not None}
+    root = Path(root)
+    records = []
+    for manifest in list_artifacts(root):
+        record = record_from_manifest(manifest, root / str(manifest["artifact_id"]))
+        if all(record[key] == value for key, value in wanted.items()):
+            records.append(record)
+    records.sort(
+        key=lambda record: (
+            record["created_unix"] is None,
+            -float(record["created_unix"] or 0.0),
+            record["artifact_id"],
+        )
+    )
+    return records
+
+
+def artifact_record(root: Union[str, Path], artifact_id: str) -> Dict[str, object]:
+    """The listing record of one artifact, read from its manifest alone."""
+    _check_artifact_id(artifact_id)
+    path = Path(root) / artifact_id
+    return record_from_manifest(_read_manifest(path, require_dtype=False), path)
+
+
 def canonical_manifest(manifest: Dict[str, object]) -> str:
     """Stable JSON rendering of a manifest (used in tests and debugging)."""
     return canonical_json(manifest)
@@ -589,5 +692,9 @@ __all__ = [
     "export_result",
     "load_artifact",
     "list_artifacts",
+    "FILTER_FIELDS",
+    "record_from_manifest",
+    "find_artifacts",
+    "artifact_record",
     "canonical_manifest",
 ]

@@ -43,7 +43,6 @@ from repro.api.models import (
 from repro.serve.artifacts import (
     SCHEMA_VERSION,
     Artifact,
-    ArtifactNotFoundError,
     ArtifactSchemaError,
     load_artifact,
 )
@@ -130,37 +129,6 @@ class AlignmentService:
         """Load an artifact from a store and host it; returns its id."""
         artifact = load_artifact(root, artifact_id, mode=mode, verify=verify)
         return self.add(artifact)
-
-    def load_matching(
-        self,
-        root: Union[str, Path],
-        *,
-        mode: str = "serve",
-        verify: bool = True,
-        **filters,
-    ) -> str:
-        """Load the newest artifact matching a catalog query.
-
-        Resolves through the SQLite catalog (``<root>/catalog.sqlite``, see
-        :mod:`repro.serve.catalog`) instead of a directory walk: ``filters``
-        are the catalog's equality filters (``dataset=``, ``method=``,
-        ``dtype=``, ``name=``, ``content_hash=``, ``config_hash=``,
-        ``kind=``).  Raises
-        :class:`~repro.serve.artifacts.ArtifactNotFoundError` when nothing
-        matches.
-        """
-        from repro.serve.catalog import ArtifactCatalog
-
-        record = ArtifactCatalog.for_store(root).latest(**filters)
-        if record is None:
-            described = {k: v for k, v in filters.items() if v is not None}
-            raise ArtifactNotFoundError(
-                f"no catalogued artifact under {root} matches {described}; "
-                "run `repro.cli catalog-sync` if the store predates the catalog"
-            )
-        return self.load(
-            root, str(record["artifact_id"]), mode=mode, verify=verify
-        )
 
     def add(self, artifact: Artifact) -> str:
         """Host an already-loaded artifact (replaces a same-id artifact).

@@ -132,7 +132,6 @@ def pearson_similarity(
     target: np.ndarray,
     *,
     out: Optional[np.ndarray] = None,
-    chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
 ) -> np.ndarray:
     """Pearson correlation between every source row and every target row.
@@ -142,13 +141,11 @@ def pearson_similarity(
     with everything.
 
     ``out`` optionally receives the result in place (one ``(n_s, n_t)``
-    allocation is the peak memory either way).  ``chunk_rows`` is accepted for
-    signature compatibility with the streaming kernels; the result is
-    bit-identical for every value (see :mod:`repro.similarity.chunked` for
-    kernels that avoid materialising the matrix altogether).  ``policy``
-    selects the precision policy (see the module docstring).
+    allocation is the peak memory either way; see
+    :mod:`repro.similarity.chunked` for kernels that avoid materialising the
+    matrix altogether).  ``policy`` selects the precision policy (see the
+    module docstring).
     """
-    del chunk_rows  # blocking is always window-aligned; results are identical
     policy = resolve_policy(policy)
     source, target = _validate_embeddings(source, target)
     out = _allocate_out(out, (source.shape[0], target.shape[0]), policy)
@@ -161,11 +158,9 @@ def cosine_similarity(
     target: np.ndarray,
     *,
     out: Optional[np.ndarray] = None,
-    chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
 ) -> np.ndarray:
     """Cosine similarity between every source row and every target row."""
-    del chunk_rows  # blocking is always window-aligned; results are identical
     policy = resolve_policy(policy)
     source, target = _validate_embeddings(source, target)
     out = _allocate_out(out, (source.shape[0], target.shape[0]), policy)

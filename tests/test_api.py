@@ -1,4 +1,4 @@
-"""The repro.api surface: models, dispatch, the HTTP server, catalog, versions.
+"""The repro.api surface: models, dispatch, the HTTP server, listing, versions.
 
 The end-to-end tests below run against the stdlib HTTP server over a real
 socket: structured 4xx bodies, request framing, and bit-parity of HTTP
@@ -7,7 +7,9 @@ responses with direct ``AlignmentService`` calls.
 
 import http.client
 import json
+import shutil
 import socket
+import sqlite3
 import threading
 
 import numpy as np
@@ -26,8 +28,14 @@ from repro.api.models import (
     response_payload,
 )
 from repro.serve import AlignmentService, export_result
-from repro.serve.artifacts import SCHEMA_VERSION, ArtifactSchemaError
-from repro.serve.catalog import FILTER_FIELDS, ArtifactCatalog, record_from_manifest
+from repro.serve.artifacts import (
+    FILTER_FIELDS,
+    MANIFEST_FILE,
+    SCHEMA_VERSION,
+    ArtifactSchemaError,
+    find_artifacts,
+    record_from_manifest,
+)
 from repro.serve.service import check_runtime_schema
 
 
@@ -216,7 +224,7 @@ class TestDispatch:
         state = ApiState(root=root)
         status, payload = dispatch(state, "GET", "/artifacts")
         assert status == 200
-        assert payload["source"] == "catalog"
+        assert payload["source"] == "store"
         assert artifact_id in [a["artifact_id"] for a in payload["artifacts"]]
         status, payload = dispatch(
             state, "GET", "/artifacts", params={"dataset": "tiny", "limit": "1"}
@@ -318,13 +326,13 @@ class TestDispatch:
         status, payload = dispatch(ApiState(root=root), "POST", "/bogus", body={})
         assert status == 404
 
-    def test_stats_key_set_of_schema_3_0(self, store):
+    def test_stats_key_set_of_schema_4_0(self, store):
         root, artifact_id, _ = store
         state = ApiState(root=root)
         dispatch(state, "POST", "/match", body={"artifact_id": artifact_id, "nodes": [0]})
         status, payload = dispatch(state, "GET", "/stats")
         assert status == 200
-        assert API_SCHEMA_VERSION == payload["schema_version"] == "3.0"
+        assert API_SCHEMA_VERSION == payload["schema_version"] == "4.0"
         assert set(payload) == {
             "schema_version",
             "engine_version",
@@ -359,7 +367,7 @@ class TestRemovedBackendsEndpoint:
         status, payload = dispatch(ApiState(), "GET", "/backends")
         assert status == 404
         assert payload["error"]["code"] == "not_found"
-        assert payload["schema_version"] == API_SCHEMA_VERSION == "3.0"
+        assert payload["schema_version"] == API_SCHEMA_VERSION
 
     def test_counted_under_the_catch_all_endpoint_label(self):
         from repro.obs.metrics import MetricsRegistry
@@ -600,7 +608,7 @@ class TestRequestFraming:
 
 
 # ----------------------------------------------------------------------
-# the SQLite catalog
+# the store listing: the manifests on disk, read on every request
 # ----------------------------------------------------------------------
 def _make_manifest(artifact_id, dataset="tiny", method="HTC", created=1.0):
     return {
@@ -616,54 +624,246 @@ def _make_manifest(artifact_id, dataset="tiny", method="HTC", created=1.0):
     }
 
 
-class TestCatalog:
-    def test_register_and_lookup(self, tmp_path):
-        catalog = ArtifactCatalog.for_store(tmp_path)
-        catalog.register_manifest(_make_manifest("a-1"), tmp_path / "a-1")
-        record = catalog.get("a-1")
-        assert record["dataset"] == "tiny"
-        assert record["n_source"] == 10
-        assert record["index_k"] == 4
-        assert record["metadata"]["method"] == "HTC"
-        assert catalog.get("missing") is None
+def _write_manifest(root, manifest):
+    directory = root / manifest["artifact_id"]
+    directory.mkdir(parents=True)
+    (directory / MANIFEST_FILE).write_text(json.dumps(manifest))
 
-    def test_register_is_idempotent(self, tmp_path):
-        catalog = ArtifactCatalog.for_store(tmp_path)
-        catalog.register_manifest(_make_manifest("a-1"))
-        catalog.register_manifest(_make_manifest("a-1"))
-        assert catalog.count() == 1
 
+class TestStoreListing:
     def test_find_filters_and_order(self, tmp_path):
-        catalog = ArtifactCatalog.for_store(tmp_path)
-        catalog.register_manifest(_make_manifest("a-1", method="HTC", created=1.0))
-        catalog.register_manifest(_make_manifest("b-1", method="IsoRank", created=2.0))
-        catalog.register_manifest(_make_manifest("c-1", method="HTC", created=3.0))
-        assert [r["artifact_id"] for r in catalog.find()] == ["c-1", "b-1", "a-1"]
-        assert [r["artifact_id"] for r in catalog.find(method="HTC")] == ["c-1", "a-1"]
-        assert catalog.latest(method="HTC")["artifact_id"] == "c-1"
-        assert [r["artifact_id"] for r in catalog.find(since=2.5)] == ["c-1"]
-        assert len(catalog.find(limit=2)) == 2
+        _write_manifest(tmp_path, _make_manifest("a-1", method="HTC", created=1.0))
+        _write_manifest(tmp_path, _make_manifest("b-1", method="IsoRank", created=3.0))
+        _write_manifest(tmp_path, _make_manifest("c-1", method="HTC", created=3.0))
+        undated = _make_manifest("d-1", method="HTC")
+        del undated["created_unix"]
+        _write_manifest(tmp_path, undated)
+        # Newest first, ids ascending within one timestamp, undated last.
+        ids = [r["artifact_id"] for r in find_artifacts(tmp_path)]
+        assert ids == ["b-1", "c-1", "a-1", "d-1"]
+        ids = [r["artifact_id"] for r in find_artifacts(tmp_path, method="HTC")]
+        assert ids == ["c-1", "a-1", "d-1"]
+        assert find_artifacts(tmp_path, dataset="other") == []
+        record = find_artifacts(tmp_path, name="a")[0]
+        assert record["n_source"] == 10 and record["index_k"] == 4
+        assert record["metadata"] == {"dataset": "tiny", "method": "HTC"}
+        assert record["path"] == str(tmp_path / "a-1")
         with pytest.raises(ValueError):
-            catalog.find(bogus="x")
+            find_artifacts(tmp_path, bogus="x")
 
-    def test_concurrent_register_and_lookup(self, tmp_path):
-        catalog = ArtifactCatalog.for_store(tmp_path)
-        errors = []
+    def test_listing_follows_the_directories(self, tmp_path):
+        root = tmp_path / "store"
+        ids = [
+            export_result(
+                np.random.default_rng(seed).standard_normal((8, 6)),
+                root=root,
+                name=f"art{seed}",
+                index_k=3,
+            ).artifact_id
+            for seed in range(2)
+        ]
+        state = ApiState(root=root)
+        shutil.rmtree(root / ids[0])
+        status, payload = dispatch(state, "GET", "/artifacts")
+        assert status == 200 and payload["total"] == 1
+        assert [a["artifact_id"] for a in payload["artifacts"]] == [ids[1]]
+        status, _ = dispatch(state, "GET", f"/artifacts/{ids[0]}")
+        assert status == 404
+        # A valid artifact directory copied in is listed with no extra step.
+        elsewhere = tmp_path / "elsewhere"
+        copied = export_result(
+            np.random.default_rng(9).standard_normal((8, 6)),
+            root=elsewhere,
+            name="copied",
+            index_k=3,
+        ).artifact_id
+        shutil.copytree(elsewhere / copied, root / copied)
+        status, payload = dispatch(state, "GET", "/artifacts")
+        assert sorted(a["artifact_id"] for a in payload["artifacts"]) == sorted(
+            [ids[1], copied]
+        )
+        status, payload = dispatch(state, "GET", f"/artifacts/{copied}")
+        assert status == 200 and payload["n_source"] == 8
+
+    def test_record_from_manifest_hashes_config(self):
+        manifest = _make_manifest("a-1")
+        manifest["config"] = {"epochs": 4}
+        record = record_from_manifest(manifest)
+        assert record["config_hash"]
+        assert record["schema_version"] == "1.1"
+
+
+# Six manifests in which every filter field of "a-1" is shared by some of the
+# others and not by all, so each filter selects a different subset.
+_LISTED = [
+    # artifact_id, kind, content_hash, dataset, method, config, dtype, created
+    ("a-1", "alignment", "h-shared", "tiny", "HTC", {"epochs": 4}, "float64", 1.0),
+    ("a-2", "index", "h-a2", "econ", "IsoRank", {"epochs": 8}, "float32", 0.5),
+    ("b-1", "alignment", "h-b1", "tiny", "IsoRank", {"epochs": 4}, "float32", 5.0),
+    ("c-1", "index", "h-c1", "econ", "HTC", None, "float64", 5.0),
+    ("d-1", "alignment", "h-shared", "econ", "Degree", {"epochs": 4}, "float64", 2.0),
+    ("e-1", "alignment", "h-e1", "tiny", "HTC", None, "float32", None),
+]
+# Newest first, ids ascending within one timestamp, undated last.
+_LISTED_ORDER = ["b-1", "c-1", "d-1", "a-1", "a-2", "e-1"]
+
+
+@pytest.fixture
+def listed_store(tmp_path):
+    for artifact_id, kind, content, dataset, method, config, dtype, created in _LISTED:
+        manifest = _make_manifest(artifact_id, dataset=dataset, method=method)
+        manifest.update(kind=kind, content_hash=content, dtype=dtype)
+        if config is not None:
+            manifest["config"] = config
+        if created is None:
+            del manifest["created_unix"]
+        else:
+            manifest["created_unix"] = created
+        _write_manifest(tmp_path, manifest)
+    return tmp_path
+
+
+def _listed_ids(payload):
+    return [a["artifact_id"] for a in payload["artifacts"]]
+
+
+class TestStoreListingQueries:
+    """``GET /artifacts`` filters, pages and records, read from the
+    manifests on every request."""
+
+    @pytest.mark.parametrize(
+        "field, expected",
+        [
+            ("name", ["a-1", "a-2"]),
+            ("kind", ["b-1", "d-1", "a-1", "e-1"]),
+            ("content_hash", ["d-1", "a-1"]),
+            ("dataset", ["b-1", "a-1", "e-1"]),
+            ("method", ["c-1", "a-1", "e-1"]),
+            ("config_hash", ["b-1", "d-1", "a-1"]),
+            ("dtype", ["c-1", "d-1", "a-1"]),
+        ],
+    )
+    def test_each_filter_field_selects_its_matches(
+        self, listed_store, field, expected
+    ):
+        state = ApiState(root=listed_store)
+        _, record = dispatch(state, "GET", "/artifacts/a-1")
+        status, payload = dispatch(
+            state, "GET", "/artifacts", params={field: record[field]}
+        )
+        assert status == 200 and payload["source"] == "store"
+        assert _listed_ids(payload) == expected
+        assert payload["total"] == payload["n_artifacts"] == len(expected)
+        assert all(a[field] == record[field] for a in payload["artifacts"])
+
+    def test_filters_combine_as_and(self, listed_store):
+        state = ApiState(root=listed_store)
+        _, payload = dispatch(
+            state, "GET", "/artifacts", params={"dataset": "tiny", "method": "HTC"}
+        )
+        assert _listed_ids(payload) == ["a-1", "e-1"]
+        _, payload = dispatch(
+            state, "GET", "/artifacts", params={"kind": "index", "dtype": "float64"}
+        )
+        assert _listed_ids(payload) == ["c-1"]
+        _, payload = dispatch(
+            state, "GET", "/artifacts", params={"kind": "index", "dataset": "tiny"}
+        )
+        assert payload["total"] == 0 and payload["artifacts"] == []
+
+    @pytest.mark.parametrize("limit", [1, 2, 4, 10])
+    def test_pages_tile_the_listing(self, listed_store, limit):
+        state = ApiState(root=listed_store)
+        ids, offset = [], 0
+        while True:
+            status, payload = dispatch(
+                state,
+                "GET",
+                "/artifacts",
+                params={"limit": str(limit), "offset": str(offset)},
+            )
+            assert status == 200 and payload["total"] == len(_LISTED)
+            assert payload["limit"] == limit and payload["offset"] == offset
+            assert payload["n_artifacts"] == len(payload["artifacts"]) <= limit
+            if not payload["artifacts"]:
+                break
+            ids += _listed_ids(payload)
+            offset += limit
+        assert ids == _LISTED_ORDER
+
+    def test_get_answers_the_listed_record(self, listed_store):
+        state = ApiState(root=listed_store)
+        _, listing = dispatch(state, "GET", "/artifacts")
+        assert _listed_ids(listing) == _LISTED_ORDER
+        for record in listing["artifacts"]:
+            status, payload = dispatch(
+                state, "GET", f"/artifacts/{record['artifact_id']}"
+            )
+            assert status == 200
+            assert payload == {"hosted": False, **record}
+
+    def test_leftover_catalog_database_is_ignored(self, listed_store):
+        # Stores written before the listing read the manifests may still
+        # hold the SQLite catalog file: it is a file, so it is never listed.
+        with sqlite3.connect(listed_store / "catalog.sqlite") as connection:
+            connection.execute("CREATE TABLE artifacts (artifact_id TEXT)")
+            connection.execute("INSERT INTO artifacts VALUES ('ghost-1')")
+        connection.close()
+        state = ApiState(root=listed_store)
+        _, payload = dispatch(state, "GET", "/artifacts")
+        assert _listed_ids(payload) == _LISTED_ORDER
+        for artifact_id in ("catalog.sqlite", "ghost-1"):
+            status, _ = dispatch(state, "GET", f"/artifacts/{artifact_id}")
+            assert status == 404
+
+    @pytest.mark.parametrize(
+        "manifest_text",
+        [
+            "{not json",
+            json.dumps({**_make_manifest("z-1"), "schema_version": [99, 0]}),
+        ],
+        ids=["corrupt", "newer-major-schema"],
+    )
+    def test_unreadable_manifest_is_neither_listed_nor_got(
+        self, listed_store, manifest_text
+    ):
+        (listed_store / "z-1").mkdir()
+        (listed_store / "z-1" / MANIFEST_FILE).write_text(manifest_text)
+        state = ApiState(root=listed_store)
+        _, payload = dispatch(state, "GET", "/artifacts")
+        assert _listed_ids(payload) == _LISTED_ORDER
+        status, payload = dispatch(state, "GET", "/artifacts/z-1")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+
+    def test_listing_during_concurrent_exports(self, tmp_path):
+        # Exports write their arrays first and rename the manifest into
+        # place last, so a listing taken mid-export never fails and never
+        # shows a partial artifact.
+        root = tmp_path / "store"
+        state = ApiState(root=root)
+        errors, exported = [], []
 
         def writer(index):
             try:
-                for j in range(10):
-                    catalog.register_manifest(
-                        _make_manifest(f"w{index}-{j}", created=float(j))
+                for j in range(3):
+                    matrix = np.random.default_rng(10 * index + j).standard_normal(
+                        (6, 5)
                     )
+                    info = export_result(
+                        matrix, root=root, name=f"w{index}-{j}", index_k=2
+                    )
+                    exported.append(info.artifact_id)
             except Exception as error:  # noqa: BLE001 - collected for assert
                 errors.append(error)
 
         def reader():
             try:
                 for _ in range(20):
-                    catalog.count()
-                    catalog.find(limit=5)
+                    status, payload = dispatch(state, "GET", "/artifacts")
+                    assert status == 200
+                    for record in payload["artifacts"]:
+                        assert record["n_source"] == 6 and record["index_k"] == 2
             except Exception as error:  # noqa: BLE001 - collected for assert
                 errors.append(error)
 
@@ -674,34 +874,46 @@ class TestCatalog:
         for thread in threads:
             thread.join()
         assert not errors
-        assert catalog.count() == 40
+        _, payload = dispatch(state, "GET", "/artifacts")
+        assert payload["total"] == 12
+        assert sorted(_listed_ids(payload)) == sorted(exported)
 
-    def test_sync_backfills_and_prunes(self, store, tmp_path):
-        root, artifact_id, _ = store
-        # Fresh catalog in a copied location: simulate a pre-catalog store.
-        catalog = ArtifactCatalog(tmp_path / "standalone.sqlite")
-        registered, seen = catalog.sync(root)
-        assert (registered, seen) == (1, 1)
-        assert catalog.get(artifact_id) is not None
-        # Second sync is a no-op; a vanished directory is pruned.
-        assert catalog.sync(root) == (0, 1)
-        catalog.register_manifest(_make_manifest("ghost-1"))
-        catalog.sync(root)
-        assert catalog.get("ghost-1") is None
 
-    def test_write_time_registration(self, tmp_path):
-        matrix = np.random.default_rng(3).standard_normal((8, 6))
-        info = export_result(matrix, root=tmp_path, name="auto", index_k=3)
-        record = ArtifactCatalog.for_store(tmp_path).get(info.artifact_id)
-        assert record is not None
-        assert record["n_source"] == 8
+class TestIdsStayInsideTheStore:
+    """An artifact id names one directory under the store root, nothing
+    else: ids that would resolve outside it are unknown artifacts."""
 
-    def test_record_from_manifest_hashes_config(self):
-        manifest = _make_manifest("a-1")
-        manifest["config"] = {"epochs": 4}
-        record = record_from_manifest(manifest)
-        assert record["config_hash"]
-        assert record["schema_version"] == "1.1"
+    @pytest.fixture
+    def stores(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        matrix = np.random.default_rng(5).standard_normal((8, 6))
+        outside = export_result(
+            matrix, root=tmp_path / "other", name="outside", index_k=3
+        )
+        return root, outside
+
+    def test_post_with_an_outside_id_is_404_and_hosts_nothing(self, stores):
+        root, outside = stores
+        state = ApiState(root=root)
+        for artifact_id in (
+            str(outside.path.resolve()),
+            f"../other/{outside.artifact_id}",
+        ):
+            status, payload = dispatch(
+                state, "POST", "/match", body={"artifact_id": artifact_id, "nodes": [0]}
+            )
+            assert status == 404, artifact_id
+            assert payload["error"]["code"] == "not_found"
+        assert state.service.artifact_ids() == []
+
+    def test_get_parent_directory_is_404(self, stores):
+        root, outside = stores
+        # A manifest one level up: resolving ".." would read it.
+        shutil.copy(outside.path / MANIFEST_FILE, root.parent / MANIFEST_FILE)
+        status, payload = dispatch(ApiState(root=root), "GET", "/artifacts/..")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
 
 
 class TestPackageSurface:

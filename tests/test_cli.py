@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from repro.api.core import ApiState, dispatch
 from repro.cli import build_parser, main
+from repro.serve import export_result
 
 
 class TestParser:
@@ -179,25 +183,35 @@ class TestServeCommands:
         assert payload["k"] is None
         assert len(payload["results"]) == 1
 
-    def test_catalog_sync_backfills(self, tmp_path, capsys):
-        artifact_id = self._export(tmp_path, capsys)
-        root = tmp_path / "arts"
-        (root / "catalog.sqlite").unlink()  # simulate a pre-catalog store
-        code = main(["catalog-sync", "--artifact-root", str(root)])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "1 registered or updated" in output
-        from repro.serve.catalog import ArtifactCatalog
-
-        assert ArtifactCatalog.for_store(root).get(artifact_id) is not None
-
     def test_serve_stats_lists_artifacts(self, tmp_path, capsys):
         artifact_id = self._export(tmp_path, capsys)
         code = main(["serve-stats", "--artifact-root", str(tmp_path / "arts")])
         assert code == 0
-        output = capsys.readouterr().out
-        assert artifact_id in output
-        assert "tiny" in output
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["source"] == "store"
+        assert [a["artifact_id"] for a in payload["artifacts"]] == [artifact_id]
+        assert payload["artifacts"][0]["dataset"] == "tiny"
+
+    def test_serve_stats_follows_the_directories(self, tmp_path, capsys):
+        root = tmp_path / "arts"
+        ids = [
+            export_result(
+                np.random.default_rng(seed).standard_normal((8, 6)),
+                root=root,
+                name=f"art{seed}",
+                index_k=3,
+            ).artifact_id
+            for seed in range(2)
+        ]
+        assert main(["serve-stats", "--artifact-root", str(root)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == dispatch(ApiState(root=root), "GET", "/artifacts")[1]
+        assert sorted(a["artifact_id"] for a in payload["artifacts"]) == sorted(ids)
+        shutil.rmtree(root / ids[0])
+        assert main(["serve-stats", "--artifact-root", str(root)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [a["artifact_id"] for a in payload["artifacts"]] == [ids[1]]
+        assert payload["total"] == 1
 
     def test_serve_stats_empty_store(self, tmp_path, capsys):
         code = main(["serve-stats", "--artifact-root", str(tmp_path / "arts")])
@@ -216,6 +230,8 @@ class TestServeCommands:
             ["align", "--dataset", "tiny", "--orbit-backend", "numba"],
             ["run-suite", "--executor", "thread-pool"],
             ["export-artifact", "--dataset", "tiny", "--executor", "thread-pool"],
+            # The SQLite catalog's backfill command.
+            ["catalog-sync"],
         ],
     )
     def test_removed_options_are_rejected(self, argv, capsys):

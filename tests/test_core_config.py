@@ -64,6 +64,12 @@ class TestHTCConfig:
         config = HTCConfig(topology_mode="diffusion", diffusion_orders=(1, 2))
         assert config.topology_mode == "diffusion"
 
+    def test_removed_shared_encoder_field_rejected(self):
+        # The encoder is always shared (paper §IV-B); the field was never
+        # read, so setting it to False silently trained a shared encoder.
+        with pytest.raises(TypeError, match="shared_encoder"):
+            HTCConfig(shared_encoder=True)
+
 
 class TestOrbitBackendDeprecation:
     """The ``orbit_backend`` warning is withdrawn: the field is the one

@@ -395,3 +395,96 @@ class TestGraphletDegreeVectors:
         second = engine.graphlet_degree_vectors(graph, cache=cache)
         np.testing.assert_allclose(first, second)
         assert cache.stats()["hits"] == 1
+
+
+def _edit(graph, add=(), remove=()):
+    """``graph`` with ``add`` edges inserted and ``remove`` edges deleted."""
+    edges = (set(graph.edge_list()) - set(remove)) | set(add)
+    return from_edge_list(sorted(edges), n_nodes=graph.n_nodes)
+
+
+def _absent_edge(graph, rng):
+    while True:
+        u, v = sorted(int(x) for x in rng.choice(graph.n_nodes, 2, replace=False))
+        if not graph.has_edge(u, v):
+            return (u, v)
+
+
+class TestEdgeEdits:
+    """An edited graph's GDVs come from a from-scratch recount.
+
+    These are the properties any correct recount of an edge edit must
+    show: rows of nodes too far from the edit keep their counts, the
+    edited edge's endpoints change degree, and a cache primed with the
+    unedited graph never answers for the edited one.
+    """
+
+    @staticmethod
+    def _graph(kind, seed):
+        if kind == "er":
+            return erdos_renyi_graph(60, 4.0, random_state=seed)
+        return powerlaw_cluster_graph(150, 2, 0.6, random_state=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("op", ["add", "remove"])
+    @pytest.mark.parametrize("kind", ["er", "powerlaw"])
+    def test_rows_beyond_two_hops_keep_their_counts(self, kind, op, seed):
+        # A graphlet has at most 4 nodes, so a node's orbits can involve the
+        # edited edge only if the node lies within two hops of it in the
+        # graph that has the edge.
+        graph = self._graph(kind, seed)
+        rng = np.random.default_rng(300 + seed)
+        if op == "add":
+            edge = _absent_edge(graph, rng)
+            edited = _edit(graph, add=[edge])
+            with_edge = edited
+        else:
+            edge = graph.edge_list()[int(rng.integers(graph.n_edges))]
+            edited = _edit(graph, remove=[edge])
+            with_edge = graph
+        adj = with_edge.adjacency_sets()
+        near = set(edge)
+        for _ in range(2):
+            near |= {w for node in near for w in adj[node]}
+        far = np.setdiff1d(np.arange(graph.n_nodes), sorted(near))
+        assert far.size > 0
+        before = engine.count_node_orbits(graph)
+        after = engine.count_node_orbits(edited)
+        np.testing.assert_array_equal(after[far], before[far])
+        step = 1 if op == "add" else -1
+        np.testing.assert_array_equal(
+            after[list(edge), 0], before[list(edge), 0] + step
+        )
+        np.testing.assert_array_equal(
+            after, engine.count_node_orbits(edited, backend="python")
+        )
+
+    @pytest.mark.parametrize("op", ["add", "remove"])
+    def test_cache_primed_with_the_unedited_graph_recounts(self, op):
+        graph = erdos_renyi_graph(60, 5.0, random_state=3)
+        rng = np.random.default_rng(9)
+        if op == "add":
+            edited = _edit(graph, add=[_absent_edge(graph, rng)])
+        else:
+            edited = _edit(graph, remove=[graph.edge_list()[5]])
+        cache = OrbitCache()
+        base = engine.count_node_orbits(graph, cache=cache)
+        via_cache = engine.count_node_orbits(edited, cache=cache)
+        assert cache.stats() == {"hits": 0, "misses": 2, "entries": 2}
+        np.testing.assert_array_equal(via_cache, engine.count_node_orbits(edited))
+        assert not np.array_equal(via_cache, base)
+        np.testing.assert_array_equal(
+            cache.get_node_orbits(graph_content_hash(graph)), base
+        )
+
+    def test_undoing_an_edit_hits_the_unedited_entry(self):
+        graph = erdos_renyi_graph(50, 5.0, random_state=2)
+        edge = graph.edge_list()[3]
+        cache = OrbitCache()
+        base = engine.count_node_orbits(graph, cache=cache)
+        restored = _edit(_edit(graph, remove=[edge]), add=[edge])
+        assert graph_content_hash(restored) == graph_content_hash(graph)
+        np.testing.assert_array_equal(
+            engine.count_node_orbits(restored, cache=cache), base
+        )
+        assert cache.stats()["hits"] == 1

@@ -165,6 +165,20 @@ class TestIntegrityAndSchema:
         with pytest.raises(ArtifactNotFoundError):
             load_artifact(tmp_path, "nope-000000000000")
 
+    def test_ids_that_leave_the_root_are_refused(self, tmp_path):
+        # A loadable artifact one directory below the root: only a
+        # separator-free id names a directory of the root itself.
+        nested = save_artifact(make_result(), root=tmp_path / "sub")
+        for artifact_id in (
+            "",
+            ".",
+            "..",
+            str(nested.path),
+            f"sub/{nested.artifact_id}",
+        ):
+            with pytest.raises(ArtifactNotFoundError, match="invalid artifact id"):
+                load_artifact(tmp_path, artifact_id)
+
     def test_corrupt_array_detected(self, tmp_path):
         info = save_artifact(make_result(), root=tmp_path)
         arrays = dict(np.load(info.path / ARRAYS_FILE))

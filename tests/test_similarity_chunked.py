@@ -247,8 +247,9 @@ class TestAlignerChunkedBitIdentity:
 
 class TestNoComputeBackendArgument:
     """The kernels issue their GEMMs with ``np.matmul`` directly; none of
-    them takes the compute-backend selector any more, so a caller still
-    passing one fails loudly instead of being silently ignored."""
+    them takes the compute-backend selector any more, and the dense kernels
+    take no ``chunk_rows``, so a caller still passing either fails loudly
+    instead of being silently ignored."""
 
     @pytest.mark.parametrize(
         "kernel",
@@ -271,3 +272,15 @@ class TestNoComputeBackendArgument:
                 kernel(source, target, 3, backend="numpy")
             else:
                 kernel(source, target, backend="numpy")
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [pearson_similarity, cosine_similarity],
+        ids=lambda kernel: kernel.__name__,
+    )
+    def test_chunk_rows_keyword_is_rejected(self, kernel):
+        # The dense kernels always block by window; ``chunk_rows`` selects
+        # the streamed path only in lisi_matrix/csls_matrix.
+        source, target = _embeddings(12, 9, 4)
+        with pytest.raises(TypeError, match="chunk_rows"):
+            kernel(source, target, chunk_rows=4)
