@@ -20,7 +20,7 @@ similarity path:
 2. **Dense vs chunked peak memory.**  ``tracemalloc``-traced peaks of the
    LISI → mutual-nearest-neighbour pipeline: dense (materialise the full
    score matrix) vs :func:`repro.similarity.chunked.chunked_mutual_nearest_neighbors`
-   (stream row chunks).
+   (stream row blocks of the height the similarity engine sets).
 3. **Greedy matching memory.**  The former ``argsort(scores, axis=None)``
    selection vs the new lazy-heap ``greedy_match`` on the same matrix.
 
@@ -224,7 +224,6 @@ def _traced_peak(function) -> tuple:
 def bench_kernel_memory(quick: bool) -> dict:
     """Measurement 2: dense vs chunked LISI → MNN peak memory."""
     n_source, n_target, dim = (1200, 1000, 24) if quick else (3000, 2500, 32)
-    chunk = 256
     rng = np.random.default_rng(0)
     source = rng.standard_normal((n_source, dim))
     target = rng.standard_normal((n_target, dim))
@@ -234,7 +233,7 @@ def bench_kernel_memory(quick: bool) -> dict:
 
     def chunked():
         return chunked_mutual_nearest_neighbors(
-            source, target, correction="lisi", n_neighbors=10, chunk_rows=chunk
+            source, target, correction="lisi", n_neighbors=10
         )
 
     start = time.perf_counter()
@@ -245,7 +244,6 @@ def bench_kernel_memory(quick: bool) -> dict:
     chunked_s = time.perf_counter() - start
     return {
         "shape": [n_source, n_target, dim],
-        "chunk_rows": chunk,
         "dense_peak_mb": dense_peak / 1e6,
         "chunked_peak_mb": chunked_peak / 1e6,
         "memory_ratio": dense_peak / chunked_peak,
@@ -333,8 +331,7 @@ def main(argv=None) -> int:
         f" jobs=1 {overlap['serial_s']:.2f}s, jobs=4 {overlap['parallel4_s']:.2f}s"
         f" -> {overlap['speedup']:.2f}x",
         "",
-        f"[2] LISI->MNN peak memory, shape {kernels['shape']}"
-        f" (chunk_rows={kernels['chunk_rows']}):",
+        f"[2] LISI->MNN peak memory, shape {kernels['shape']}:",
         f"    dense {kernels['dense_peak_mb']:.1f} MB vs chunked"
         f" {kernels['chunked_peak_mb']:.1f} MB"
         f"  ({kernels['memory_ratio']:.1f}x less, identical:"

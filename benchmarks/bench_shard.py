@@ -94,7 +94,6 @@ def make_config() -> HTCConfig:
         max_refinement_iterations=2,
         orbit_backend="auto",
         orbit_cache="off",  # no cross-run reuse: each path pays its own way
-        score_chunk_size=256,
         random_state=0,
     )
 

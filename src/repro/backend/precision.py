@@ -61,23 +61,11 @@ class PrecisionPolicy:
         """True for the bit-identical float64 policy."""
         return self.compute_dtype == np.dtype(np.float64)
 
-    @property
-    def itemsize(self) -> int:
-        """Bytes per score element under this policy."""
-        return int(self.compute_dtype.itemsize)
-
     # ------------------------------------------------------------------
     # array helpers
     # ------------------------------------------------------------------
-    def asarray(self, array) -> np.ndarray:
-        """``np.asarray`` in the compute dtype (no copy when already right)."""
-        return np.asarray(array, dtype=self.compute_dtype)
-
     def empty(self, shape) -> np.ndarray:
         return np.empty(shape, dtype=self.compute_dtype)
-
-    def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=self.compute_dtype)
 
     def cast(self, array: np.ndarray) -> np.ndarray:
         """Cast to the compute dtype, returning the input unchanged if it
@@ -102,19 +90,6 @@ class PrecisionPolicy:
                 f"{self.name!r}, got {out.dtype} {out.shape}"
             )
         return out
-
-    # ------------------------------------------------------------------
-    # reductions (float64 accumulation)
-    # ------------------------------------------------------------------
-    def mean(self, array: np.ndarray, axis: int) -> np.ndarray:
-        """Mean along ``axis`` accumulated in ``accum_dtype``.
-
-        Under the float64 policy this is bit-identical to a plain
-        ``array.mean(axis=axis)`` (NumPy already accumulates float64 input
-        in float64); under float32 it is the policy's documented
-        compute-low/accumulate-high behaviour.
-        """
-        return array.mean(axis=axis, dtype=self.accum_dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -127,7 +127,6 @@ def _config_from_args(args: argparse.Namespace) -> HTCConfig:
         compute_dtype=args.dtype,
         orbit_backend=args.orbit_backend,
         orbit_cache=args.orbit_cache,
-        score_chunk_size=args.chunk_size,
         shard_count=args.shards,
         random_state=args.seed,
         **kwargs,
@@ -163,14 +162,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         default="memory",
         metavar="SPEC",
         help='orbit-count cache: "memory" (default), "off", or a directory path',
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="stream similarity scoring in row chunks of this size "
-        "(bounded memory, bit-identical results; default: dense)",
     )
     parser.add_argument(
         "--shards",
@@ -498,12 +489,12 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
     # (and --resume caches) stay stable.
     if args.dtype != "float64":
         config["compute_dtype"] = args.dtype
-    if args.chunk_size is not None:
-        config["score_chunk_size"] = args.chunk_size
     if args.shards is not None:
         config["shard_count"] = args.shards
     if args.shard_overlap is not None:
         config["shard_overlap"] = args.shard_overlap
+    if args.stitch != "memory":
+        config["extra"] = {"stitch": args.stitch}
     # The executor rides on the SuiteSpec, never in the job config: spec
     # hashes (and --resume caches) are identical across executor backends.
     return SuiteSpec(

@@ -157,10 +157,7 @@ class HTCAligner:
             orbit_matrices = {k: out.alignment_matrix for k, out in refined.items()}
             trusted_counts = {k: out.trusted_pairs for k, out in refined.items()}
             alignment_matrix, importance = integrate_alignment_matrices(
-                orbit_matrices,
-                trusted_counts,
-                chunk_rows=config.score_chunk_size,
-                policy=config.precision_policy,
+                orbit_matrices, trusted_counts, policy=config.precision_policy
             )
 
         result = AlignmentResult(

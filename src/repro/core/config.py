@@ -79,13 +79,6 @@ class HTCConfig:
         in-memory cache keyed by graph content hash), ``"off"``, a directory
         path for an on-disk cache, a bool, or an
         :class:`repro.orbits.OrbitCache` instance.
-    score_chunk_size:
-        Row-chunk size for the similarity/LISI scoring stages.  ``None``
-        (default) keeps the fully dense behaviour; an integer streams the
-        score matrices in chunks of (about) that many rows, bounding the
-        temporary memory per orbit view (see
-        :mod:`repro.similarity.chunked`).  Results are bit-identical either
-        way.
     shard_count:
         ``None`` (default) aligns the whole pair in one shot.  An integer
         ``N >= 1`` routes alignment through the partition–align–stitch
@@ -128,7 +121,6 @@ class HTCConfig:
     compute_dtype: str = "float64"
     orbit_backend: str = AUTO_BACKEND
     orbit_cache: Union[bool, str, object] = "memory"
-    score_chunk_size: Optional[int] = None
     shard_count: Optional[int] = None
     shard_overlap: int = 1
     executor_backend: str = AUTO_BACKEND
@@ -170,10 +162,6 @@ class HTCConfig:
             raise ValueError(
                 "max_refinement_iterations must be >= 1, "
                 f"got {self.max_refinement_iterations}"
-            )
-        if self.score_chunk_size is not None and self.score_chunk_size < 1:
-            raise ValueError(
-                f"score_chunk_size must be >= 1 or None, got {self.score_chunk_size}"
             )
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError(

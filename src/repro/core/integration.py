@@ -10,11 +10,12 @@ different orbit-importance profiles of dense and sparse networks (Fig. 6).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.backend.precision import PolicyLike, resolve_policy
+from repro.similarity.chunked import _row_blocks
 
 
 def orbit_importance(trusted_pair_counts: Dict[int, int]) -> Dict[int, float]:
@@ -35,22 +36,17 @@ def orbit_importance(trusted_pair_counts: Dict[int, int]) -> Dict[int, float]:
 def integrate_alignment_matrices(
     orbit_matrices: Dict[int, np.ndarray],
     trusted_pair_counts: Dict[int, int],
-    chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
 ) -> Tuple[np.ndarray, Dict[int, float]]:
     """Combine per-orbit alignment matrices into the final matrix ``M``.
 
-    ``chunk_rows`` bounds the broadcast temporaries of the weighted
-    accumulation to one row chunk at a time (``γ_k · M_k`` otherwise
-    materialises a full extra matrix per orbit); the sum is elementwise, so
-    the result is bit-identical for every chunking.
-
-    ``policy`` selects the precision (:mod:`repro.backend.precision`).  The
-    float64 default performs exactly the historical per-orbit accumulation;
-    the float32 policy keeps the *output* in float32 but accumulates each
-    row chunk's γ-weighted sum in a float64 buffer (compute-low /
-    accumulate-high), so the 13-view reduction does not lose precision to
-    the storage dtype.
+    The γ-weighted sum runs over the row blocks of the similarity engine
+    (:mod:`repro.similarity.chunked`): each block accumulates its orbits in
+    a float64 buffer, in orbit order, and is stored in the compute dtype of
+    ``policy`` (:mod:`repro.backend.precision`).  Under the float64 default
+    this is bit-identical to ``M += γ_k · M_k`` over whole matrices; under
+    float32 the output is float32 but the 13-view reduction does not lose
+    precision to the storage dtype (compute-low / accumulate-high).
 
     Returns
     -------
@@ -70,33 +66,16 @@ def integrate_alignment_matrices(
         raise ValueError(f"alignment matrices have inconsistent shapes: {shapes}")
 
     importance = orbit_importance(trusted_pair_counts)
-    shape = next(iter(shapes))
+    n_rows, n_cols = next(iter(shapes))
     policy = resolve_policy(policy)
-    n_rows = shape[0]
-    step = max(1, n_rows) if chunk_rows is None else max(1, int(chunk_rows))
-    if policy.is_exact:
-        final = np.zeros(shape, dtype=np.float64)
-        for orbit, matrix in orbit_matrices.items():
-            matrix = np.asarray(matrix, dtype=np.float64)
-            for start in range(0, n_rows, step):
-                final[start : start + step] += (
-                    importance[orbit] * matrix[start : start + step]
-                )
-        return final, importance
-    # Reduced precision: float32 output, per-chunk float64 accumulator so
-    # only one chunk-sized double buffer is live at a time.  Without an
-    # explicit chunking the accumulator is still bounded — a full-height
-    # float64 buffer would forfeit the policy's memory reduction.
-    if chunk_rows is None:
-        step = max(1, min(n_rows, 256))
-    final = policy.zeros(shape)
-    for start in range(0, n_rows, step):
-        accumulator = np.zeros(final[start : start + step].shape, dtype=policy.accum_dtype)
+    final = policy.empty((n_rows, n_cols))
+    for start, stop in _row_blocks(n_rows, n_cols):
+        accumulator = np.zeros((stop - start, n_cols), dtype=policy.accum_dtype)
         for orbit, matrix in orbit_matrices.items():
             accumulator += importance[orbit] * np.asarray(
-                matrix[start : start + step], dtype=policy.accum_dtype
+                matrix[start:stop], dtype=policy.accum_dtype
             )
-        final[start : start + step] = accumulator
+        final[start:stop] = accumulator
     return final, importance
 
 

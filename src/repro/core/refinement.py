@@ -51,8 +51,6 @@ class TrustedPairRefiner:
     def _score_matrix(
         self, source_embedding: np.ndarray, target_embedding: np.ndarray
     ) -> np.ndarray:
-        # ``score_chunk_size`` streams the LISI scoring in row chunks,
-        # bounding the temporary memory per view; results are bit-identical.
         # ``compute_dtype`` selects the precision policy of the scoring
         # GEMMs (float64 default = exact).
         policy = self.config.precision_policy
@@ -61,7 +59,6 @@ class TrustedPairRefiner:
                 source_embedding,
                 target_embedding,
                 n_neighbors=self.config.n_neighbors,
-                chunk_rows=self.config.score_chunk_size,
                 policy=policy,
             )
         return pearson_similarity(source_embedding, target_embedding, policy=policy)

@@ -245,7 +245,6 @@ def save_artifact(
     name: str = "alignment",
     index_k: int = DEFAULT_INDEX_K,
     reverse_k: Optional[int] = None,
-    chunk_rows: Optional[int] = None,
     metadata: Optional[Dict[str, object]] = None,
     overwrite: bool = False,
 ) -> ArtifactInfo:
@@ -263,7 +262,7 @@ def save_artifact(
         Store root directory (created if missing).
     name:
         Human-readable prefix of the artifact id.
-    index_k, reverse_k, chunk_rows:
+    index_k, reverse_k:
         Sparse-index parameters (see :func:`repro.serve.index.build_index`).
     metadata:
         Free-form JSON-safe annotations (dataset, method, suite job id ...).
@@ -273,12 +272,7 @@ def save_artifact(
         content-addressed, so same id means same bytes).
     """
     root = Path(root)
-    index = build_index(
-        result.alignment_matrix,
-        k=index_k,
-        reverse_k=reverse_k,
-        chunk_rows=chunk_rows,
-    )
+    index = build_index(result.alignment_matrix, k=index_k, reverse_k=reverse_k)
     arrays = dict(result.array_payload())
     arrays.update(index.array_payload())
 

@@ -18,9 +18,9 @@ how the matrix was scanned, so
 * ``index.match(rows)`` equals ``dense[rows].argmax(axis=1)`` (numpy's
   argmax also resolves ties to the lowest index).
 
-The builders stream the matrix in row chunks (via the existing chunked
-kernels), so an index can be constructed without ever materialising a dense
-matrix larger than one chunk.
+:func:`build_index` and :func:`build_index_from_embeddings` fold the matrix
+in the row blocks of the similarity engine (:mod:`repro.similarity.chunked`),
+so the latter never materialises more of the dense matrix than one block.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.backend.precision import PolicyLike, as_score_matrix
-from repro.similarity.chunked import ChunkedScorer, resolve_chunk_rows
+from repro.similarity.chunked import ChunkedScorer, _row_blocks
 from repro.similarity.matching import top_k_indices
 
 #: Default number of stored candidates per row/column.
@@ -109,11 +109,19 @@ class SparseTopKIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _check_nodes(self, nodes: np.ndarray, axis: int) -> np.ndarray:
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.intp))
+    def _check_nodes(self, nodes, axis: int) -> np.ndarray:
+        # The wire rule of repro.api.models.parse_query_request: an empty
+        # sequence is valid, any other non-integer dtype (floats, bools) is
+        # rejected rather than truncated.
+        nodes = np.atleast_1d(np.asarray(nodes))
         if nodes.ndim != 1:
             raise ValueError("node ids must be a scalar or 1-D sequence")
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.shape[axis]):
+        if nodes.size == 0:
+            return np.empty(0, dtype=np.intp)
+        if nodes.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be integers, got dtype {nodes.dtype}")
+        nodes = nodes.astype(np.intp, copy=False)
+        if nodes.min() < 0 or nodes.max() >= self.shape[axis]:
             raise IndexError(
                 f"node ids must be in [0, {self.shape[axis]}), "
                 f"got range [{nodes.min()}, {nodes.max()}]"
@@ -395,26 +403,22 @@ def build_index(
     score_matrix: np.ndarray,
     k: int = DEFAULT_INDEX_K,
     reverse_k: Optional[int] = None,
-    chunk_rows: Optional[int] = None,
 ) -> SparseTopKIndex:
-    """Index a dense score matrix, streaming it in row chunks.
+    """Index a dense score matrix, folding it in row blocks.
 
-    ``chunk_rows`` bounds the temporary working set; the result is
-    independent of the chunking (the selection order is total).  The score
-    matrix's float32/float64 dtype is preserved in the stored index.
+    The result is independent of the block height (the selection order is
+    total).  The score matrix's float32/float64 dtype is preserved in the
+    stored index.
     """
     scores = as_score_matrix(score_matrix)
     if scores.ndim != 2:
         raise ValueError(f"score_matrix must be 2-D, got shape {scores.shape}")
     n_source, n_target = scores.shape
-    chunk = resolve_chunk_rows(chunk_rows, n_source)
-
-    def blocks() -> Iterable[Tuple[int, np.ndarray]]:
-        for start in range(0, n_source, chunk):
-            yield start, scores[start : start + chunk]
-
     return _build_from_blocks(
-        blocks(),
+        (
+            (start, scores[start:stop])
+            for start, stop in _row_blocks(n_source, n_target)
+        ),
         n_source,
         n_target,
         k,
@@ -432,7 +436,6 @@ def build_index_from_embeddings(
     measure: str = "pearson",
     correction: Optional[str] = None,
     n_neighbors: int = 10,
-    chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
 ) -> SparseTopKIndex:
     """Index the (corrected) similarity of two embedding matrices.
@@ -449,7 +452,6 @@ def build_index_from_embeddings(
         measure=measure,
         correction=correction,
         n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
         policy=policy,
     )
     return _build_from_blocks(

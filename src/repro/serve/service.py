@@ -220,7 +220,8 @@ class AlignmentService:
         (:func:`~repro.api.models.parse_query_request`).  Semantic failures
         keep their long-standing exception types so existing callers are
         unchanged: unknown artifact → ``KeyError``, node ids out of range →
-        ``IndexError``, bad ``op``/``k`` → ``ValueError``.  The response's
+        ``IndexError``, non-integer node ids (floats, bools) and bad
+        ``op``/``k`` → ``ValueError``.  The response's
         ``results`` stays an ndarray (bit-identical to the wrapper methods);
         :func:`~repro.api.models.response_payload` renders the wire dict.
         """
@@ -266,7 +267,7 @@ class AlignmentService:
         ).results
 
     def _run_op(
-        self, index: SparseTopKIndex, op: str, nodes: np.ndarray, k: Optional[int]
+        self, index: SparseTopKIndex, op: str, nodes, k: Optional[int]
     ) -> np.ndarray:
         if op == "match":
             return index.match(nodes)
@@ -284,9 +285,9 @@ class AlignmentService:
         started = time.perf_counter()
         with self._lock:
             index = self._get_index(artifact_id)
-        node_array = np.atleast_1d(np.asarray(nodes, dtype=np.intp))
-        answers = self._run_op(index, op, node_array, k)
-        self._note(op, node_array.size, started)
+        # The index validates the ids (integers only, in range).
+        answers = self._run_op(index, op, nodes, k)
+        self._note(op, answers.shape[0], started)
         return answers
 
     def _op_handles(self, op: str) -> _OpMetrics:

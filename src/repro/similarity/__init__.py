@@ -3,24 +3,21 @@
 This package turns node embeddings into alignment scores:
 
 * :mod:`repro.similarity.measures` — Pearson-correlation and cosine
-  similarity matrices between two embedding sets,
+  similarity matrices between two embedding sets (the dense reference),
+* :mod:`repro.similarity.chunked` — the one engine that builds every score
+  matrix: :class:`ChunkedScorer` streams it in row blocks whose height the
+  code sets from a fixed cell budget, bit-identical to the dense reference,
 * :mod:`repro.similarity.lisi` — the Locally Isolated Similarity Index
   (Eq. 9-11), which corrects raw similarity for hubness,
 * :mod:`repro.similarity.csls` — the CSLS alternative hubness correction,
 * :mod:`repro.similarity.matching` — mutual-nearest-neighbour (trusted-pair)
-  detection, greedy one-to-one matching, and top-k retrieval,
-* :mod:`repro.similarity.chunked` — memory-bounded streaming versions of all
-  of the above that process the score matrix in row chunks (bit-identical to
-  the dense kernels).
+  detection, greedy one-to-one matching, and top-k retrieval on a score
+  matrix.
 """
 
 from repro.similarity.chunked import (
     ChunkedScorer,
-    chunked_greedy_match,
     chunked_mutual_nearest_neighbors,
-    chunked_score_matrix,
-    chunked_top_k_indices,
-    streaming_hubness_degrees,
 )
 from repro.similarity.csls import csls_matrix
 from repro.similarity.lisi import hubness_degrees, lisi_matrix
@@ -41,9 +38,5 @@ __all__ = [
     "greedy_match",
     "top_k_indices",
     "ChunkedScorer",
-    "chunked_score_matrix",
     "chunked_mutual_nearest_neighbors",
-    "chunked_greedy_match",
-    "chunked_top_k_indices",
-    "streaming_hubness_degrees",
 ]

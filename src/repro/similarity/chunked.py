@@ -1,33 +1,35 @@
-"""Memory-bounded (chunked) similarity scoring and matching kernels.
+"""The block engine that builds every score matrix.
 
-Every scoring path in this package conceptually produces an ``(n_s, n_t)``
-score matrix — Pearson/cosine similarity, optionally hubness-corrected (LISI
-or CSLS).  For the paper-scale sweeps that matrix (×13 orbit views) is the
-peak-memory driver, yet most consumers only reduce it: mutual nearest
-neighbours, greedy matching and top-``k`` retrieval all need a handful of
-per-row/per-column statistics.
+Every scoring path in this package produces an ``(n_s, n_t)`` score matrix —
+Pearson/cosine similarity, optionally hubness-corrected (LISI or CSLS).
+:class:`ChunkedScorer` builds it in *row blocks*: ``lisi_matrix``,
+``csls_matrix`` and ``build_index_from_embeddings`` assemble or fold them,
+and :func:`chunked_mutual_nearest_neighbors` finds trusted pairs without
+materialising the matrix at all — ``O(block × n_t)`` peak instead of
+``O(n_s × n_t)``.
 
-This module streams the score matrix in *row chunks* instead:
+**Block height.**  No caller chooses it: a block holds about
+:data:`_BLOCK_CELL_BUDGET` cells, so its height is that budget divided by
+the number of targets, rounded down to a multiple of
+:data:`~repro.similarity.measures.BLOCK_ROWS` (at least one window).  The
+rule ignores the dtype, so the float32 policy halves the peak memory of
+the float64 one.  Tests monkeypatch the budget to force one window per
+block or a single block.
 
-* :func:`chunked_score_matrix` assembles the full matrix while bounding the
-  temporary working set to one chunk (for callers that do need the matrix),
-* :func:`chunked_mutual_nearest_neighbors`, :func:`chunked_greedy_match` and
-  :func:`chunked_top_k_indices` never materialise it at all —
-  ``O(chunk_rows × n_t)`` peak instead of ``O(n_s × n_t)``,
-* :func:`streaming_hubness_degrees` computes the LISI/CSLS hubness terms from
-  a running per-column top-``m`` buffer.
-
-**Bit-identity.**  All results are bit-identical to the dense path.  Two
-mechanisms guarantee this:
+**Bit-identity.**  Results are bit-identical to the dense reference
+(:func:`~repro.similarity.measures.pearson_similarity` →
+:func:`~repro.similarity.lisi.hubness_degrees` →
+:func:`_apply_hubness_correction`) for every block height.  Two mechanisms
+guarantee this:
 
 1. every GEMM is issued over the same absolute-aligned
    :data:`~repro.similarity.measures.BLOCK_ROWS` windows as the dense
-   kernels (chunk sizes are rounded up to a multiple of the window), so each
-   output element is produced by the exact same floating-point operations;
+   kernels, so each output element is produced by the exact same
+   floating-point operations;
 2. the per-column top-``m`` means are computed from a *sorted* top block in
-   both paths (:func:`repro.similarity.lisi._column_top_mean`), so the
-   summation order depends only on the selected values, not on whether they
-   were found by a full partition or a running accumulator.
+   both paths (:func:`_column_top_mean`), so the summation order depends
+   only on the selected values, not on whether they were found by a full
+   partition or a running accumulator.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.backend.precision import PolicyLike, resolve_policy
-from repro.similarity.lisi import (
-    _apply_hubness_correction,
-    _column_top_mean,
-    _row_hubness,
-)
-from repro.similarity.matching import _greedy_core, top_k_indices
 from repro.similarity.measures import (
     BLOCK_ROWS,
     _cosine_factors,
@@ -57,23 +53,76 @@ MEASURES = ("pearson", "cosine")
 #: Supported hubness corrections (``None`` = raw similarity).
 CORRECTIONS = (None, "lisi", "csls")
 
-#: Default streaming chunk (rows); a multiple of :data:`BLOCK_ROWS`.
-DEFAULT_CHUNK_ROWS = 4 * BLOCK_ROWS
+#: Cells (rows × targets) per block.  2**18 puts perfbench's 400×380 and
+#: 400×240 views in one block each, and gives 256-row blocks on the
+#: 1200×1000 quick pair of ``benchmarks/bench_runner.py``; 2**19 would give
+#: 512 rows there, where streamed MNN saves 1.1x memory against its gated 2x.
+_BLOCK_CELL_BUDGET = 1 << 18
 
 
-def resolve_chunk_rows(chunk_rows: Optional[int], n_rows: int) -> int:
-    """Normalise a user chunk size to an aligned, positive row count.
+def _block_rows(n_target: int) -> int:
+    """Rows per block: the cell budget over ``n_target``, in whole windows."""
+    rows = _BLOCK_CELL_BUDGET // max(n_target, 1)
+    return max(BLOCK_ROWS, rows - rows % BLOCK_ROWS)
 
-    Chunk boundaries must fall on multiples of :data:`BLOCK_ROWS` so the
-    chunked GEMM calls coincide with the dense path's aligned windows (the
-    bit-identity requirement); arbitrary values are rounded up.
+
+def _row_blocks(n_rows: int, n_cols: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` row blocks of an ``(n_rows, n_cols)`` matrix."""
+    step = _block_rows(n_cols)
+    for start in range(0, n_rows, step):
+        yield start, min(n_rows, start + step)
+
+
+def _row_hubness(similarity: np.ndarray, m: int) -> np.ndarray:
+    """Mean of the ``m`` largest entries of every row (float64 accumulated).
+
+    Row-wise selection only touches the row's own entries, so calling this
+    per row block gives bit-identical values.
     """
-    if chunk_rows is None:
-        chunk_rows = DEFAULT_CHUNK_ROWS
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    aligned = ((chunk_rows + BLOCK_ROWS - 1) // BLOCK_ROWS) * BLOCK_ROWS
-    return max(BLOCK_ROWS, min(aligned, max(n_rows, BLOCK_ROWS)))
+    n_cols = similarity.shape[1]
+    if m == 0 or similarity.shape[0] == 0:
+        return np.zeros(similarity.shape[0], dtype=np.float64)
+    top = np.partition(similarity, n_cols - m, axis=1)[:, n_cols - m:]
+    return top.mean(axis=1, dtype=np.float64)
+
+
+def _column_top_mean(top_block: np.ndarray) -> np.ndarray:
+    """Mean over a ``(m, n_cols)`` block of per-column top values.
+
+    The block is sorted along axis 0 first so the summation order depends
+    only on the *multiset* of selected values, not on how they were selected.
+    This is what lets the streaming top-``m`` accumulator (which gathers the
+    same values in a different order) reproduce the dense result bit for bit.
+    """
+    if top_block.shape[0] == 0:
+        return np.zeros(top_block.shape[1], dtype=np.float64)
+    return np.sort(top_block, axis=0).mean(axis=0, dtype=np.float64)
+
+
+def _apply_hubness_correction(
+    similarity: np.ndarray,
+    source_hubness: np.ndarray,
+    target_hubness: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``2·sim − D_s[:, None] − D_t[None, :]`` in the one shared op order.
+
+    The blocks of :class:`ChunkedScorer` and the dense reference must
+    perform these three elementwise operations in exactly this sequence for
+    the bit-identity contract to hold; keep them here only.
+    ``out is similarity`` applies the correction in place.  A float32
+    ``out`` receives float64-computed values cast on store (numpy's
+    in-place same-kind casting).
+    """
+    if out is None:
+        out = np.empty_like(similarity)
+    if out is similarity:
+        out *= 2.0
+    else:
+        np.multiply(similarity, 2.0, out=out)
+    out -= source_hubness[:, None]
+    out -= target_hubness[None, :]
+    return out
 
 
 class ChunkedScorer:
@@ -91,18 +140,14 @@ class ChunkedScorer:
         measure).
     n_neighbors:
         Hubness neighbourhood size (ignored without a correction).
-    chunk_rows:
-        Streaming granularity; rounded up to a multiple of
-        :data:`~repro.similarity.measures.BLOCK_ROWS`.
     policy:
         Precision policy (see :mod:`repro.backend.precision`).  Blocks and
         factors are held in the policy's compute dtype; the hubness vectors
         are always float64 (reduction statistics accumulate in
-        ``accum_dtype``).  The float64 default is bit-identical to the
-        historical scorer.
+        ``accum_dtype``).
 
-    Only ``O(n·d)`` factor matrices and ``O(chunk_rows × n_t)`` block
-    buffers are held at any time.
+    Only ``O(n·d)`` factor matrices and one block buffer (see the module
+    docstring for its height) are held at any time.
     """
 
     def __init__(
@@ -113,7 +158,6 @@ class ChunkedScorer:
         measure: str = "pearson",
         correction: Optional[str] = None,
         n_neighbors: int = 10,
-        chunk_rows: Optional[int] = None,
         policy: PolicyLike = None,
     ) -> None:
         if measure not in MEASURES:
@@ -133,7 +177,6 @@ class ChunkedScorer:
         self.measure = measure
         self.correction = correction
         self.n_neighbors = n_neighbors
-        self.chunk_rows = resolve_chunk_rows(chunk_rows, self.n_source)
         self._source_hubness: Optional[np.ndarray] = None
         self._target_hubness: Optional[np.ndarray] = None
 
@@ -153,9 +196,8 @@ class ChunkedScorer:
             row_offset=start,
         )
 
-    def _chunk_bounds(self) -> Iterator[Tuple[int, int]]:
-        for start in range(0, self.n_source, self.chunk_rows):
-            yield start, min(self.n_source, start + self.chunk_rows)
+    def _block_bounds(self) -> Iterator[Tuple[int, int]]:
+        return _row_blocks(self.n_source, self.n_target)
 
     # ------------------------------------------------------------------
     # hubness (pass 1)
@@ -182,7 +224,7 @@ class ChunkedScorer:
         m_target = min(self.n_neighbors, self.n_source)
         source_hubness = np.zeros(self.n_source, dtype=np.float64)
         column_top: Optional[np.ndarray] = None
-        for start, stop in self._chunk_bounds():
+        for start, stop in self._block_bounds():
             block = self.raw_block(
                 start, stop, out=None if out is None else out[start:stop]
             )
@@ -206,7 +248,7 @@ class ChunkedScorer:
         return source_hubness, target_hubness
 
     # ------------------------------------------------------------------
-    # corrected blocks / rows (pass 2)
+    # corrected blocks (pass 2)
     # ------------------------------------------------------------------
     def _apply_correction(self, block: np.ndarray, start: int) -> np.ndarray:
         source_hubness, target_hubness = self.hubness()
@@ -231,24 +273,14 @@ class ChunkedScorer:
         return block
 
     def iter_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield ``(start, stop, block)`` row chunks of the score matrix."""
+        """Yield ``(start, stop, block)`` row blocks of the score matrix."""
         if self.correction is not None:
             self.hubness()  # pass 1 before the first block is emitted
-        for start, stop in self._chunk_bounds():
+        for start, stop in self._block_bounds():
             yield start, stop, self.block(start, stop)
 
-    def row(self, i: int) -> np.ndarray:
-        """One score row, bit-identical to ``dense_matrix[i]``.
-
-        Recomputes the aligned window containing ``i`` so the GEMM shape
-        matches the dense path exactly.
-        """
-        window_start = (i // BLOCK_ROWS) * BLOCK_ROWS
-        window_stop = min(self.n_source, window_start + BLOCK_ROWS)
-        return self.block(window_start, window_stop)[i - window_start]
-
     def full_matrix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Assemble the full score matrix chunk by chunk into ``out``.
+        """Assemble the full score matrix block by block into ``out``.
 
         Peak temporary memory beyond the output buffer itself is one factor
         pair plus the hubness accumulators — no second ``(n_s, n_t)`` array.
@@ -260,74 +292,21 @@ class ChunkedScorer:
             # policy instead of hard-rejecting anything non-float64.
             self.policy.validate_out(out, (self.n_source, self.n_target))
         if self.correction is None:
-            for start, stop in self._chunk_bounds():
+            for start, stop in self._block_bounds():
                 self.raw_block(start, stop, out=out[start:stop])
             return out
         # Fill raw similarity first, reusing it for the hubness pass so the
-        # similarity GEMMs run once, then correct in place chunk by chunk.
+        # similarity GEMMs run once, then correct in place block by block.
         if self._source_hubness is None:
             self._source_hubness, self._target_hubness = (
                 self._streaming_hubness(out=out)
             )
         else:
-            for start, stop in self._chunk_bounds():
+            for start, stop in self._block_bounds():
                 self.raw_block(start, stop, out=out[start:stop])
-        for start, stop in self._chunk_bounds():
+        for start, stop in self._block_bounds():
             self._apply_correction(out[start:stop], start)
         return out
-
-
-# ----------------------------------------------------------------------
-# public convenience kernels
-# ----------------------------------------------------------------------
-def chunked_score_matrix(
-    source_embeddings: np.ndarray,
-    target_embeddings: np.ndarray,
-    *,
-    measure: str = "pearson",
-    correction: Optional[str] = None,
-    n_neighbors: int = 10,
-    chunk_rows: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
-    policy: PolicyLike = None,
-) -> np.ndarray:
-    """Full (corrected) score matrix assembled with bounded temporaries."""
-    scorer = ChunkedScorer(
-        source_embeddings,
-        target_embeddings,
-        measure=measure,
-        correction=correction,
-        n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
-        policy=policy,
-    )
-    return scorer.full_matrix(out=out)
-
-
-def streaming_hubness_degrees(
-    source_embeddings: np.ndarray,
-    target_embeddings: np.ndarray,
-    n_neighbors: int,
-    *,
-    measure: str = "pearson",
-    chunk_rows: Optional[int] = None,
-    policy: PolicyLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hubness degree vectors without materialising the similarity matrix.
-
-    The vectors are float64 under every policy (reduction statistics
-    accumulate in ``accum_dtype``).
-    """
-    scorer = ChunkedScorer(
-        source_embeddings,
-        target_embeddings,
-        measure=measure,
-        correction="lisi",
-        n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
-        policy=policy,
-    )
-    return scorer.hubness()
 
 
 def chunked_mutual_nearest_neighbors(
@@ -337,10 +316,9 @@ def chunked_mutual_nearest_neighbors(
     measure: str = "pearson",
     correction: Optional[str] = "lisi",
     n_neighbors: int = 10,
-    chunk_rows: Optional[int] = None,
     policy: PolicyLike = None,
 ) -> List[Tuple[int, int]]:
-    """Trusted pairs (mutual argmaxes) in ``O(chunk_rows × n_t)`` memory.
+    """Trusted pairs (mutual argmaxes) in ``O(block × n_t)`` memory.
 
     Bit-identical to running
     :func:`repro.similarity.matching.mutual_nearest_neighbors` on the dense
@@ -353,7 +331,6 @@ def chunked_mutual_nearest_neighbors(
         measure=measure,
         correction=correction,
         n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
         policy=policy,
     )
     if scorer.n_source == 0 or scorer.n_target == 0:
@@ -374,86 +351,9 @@ def chunked_mutual_nearest_neighbors(
     ]
 
 
-def chunked_top_k_indices(
-    source_embeddings: np.ndarray,
-    target_embeddings: np.ndarray,
-    k: int,
-    *,
-    measure: str = "pearson",
-    correction: Optional[str] = None,
-    n_neighbors: int = 10,
-    chunk_rows: Optional[int] = None,
-    policy: PolicyLike = None,
-) -> np.ndarray:
-    """Per-row top-``k`` target indices without the full score matrix."""
-    scorer = ChunkedScorer(
-        source_embeddings,
-        target_embeddings,
-        measure=measure,
-        correction=correction,
-        n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
-        policy=policy,
-    )
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    effective_k = min(k, scorer.n_target)
-    result = np.empty((scorer.n_source, effective_k), dtype=np.intp)
-    if effective_k == 0:
-        return result
-    for start, stop, block in scorer.iter_blocks():
-        result[start:stop] = top_k_indices(block, k)
-    return result
-
-
-def chunked_greedy_match(
-    source_embeddings: np.ndarray,
-    target_embeddings: np.ndarray,
-    *,
-    measure: str = "pearson",
-    correction: Optional[str] = None,
-    n_neighbors: int = 10,
-    chunk_rows: Optional[int] = None,
-    policy: PolicyLike = None,
-) -> List[Tuple[int, int]]:
-    """Greedy one-to-one matching in ``O(chunk_rows × n_t)`` memory.
-
-    Runs the same lazy heap algorithm as
-    :func:`repro.similarity.matching.greedy_match`; rows whose candidate was
-    taken are recomputed from their aligned GEMM window, so the produced
-    matching is identical to the dense one.
-    """
-    scorer = ChunkedScorer(
-        source_embeddings,
-        target_embeddings,
-        measure=measure,
-        correction=correction,
-        n_neighbors=n_neighbors,
-        chunk_rows=chunk_rows,
-        policy=policy,
-    )
-    if scorer.n_source == 0 or scorer.n_target == 0:
-        return []
-    heap: List[Tuple[float, int, int]] = []
-    for start, _stop, block in scorer.iter_blocks():
-        maxima = block.max(axis=1)
-        argmaxima = block.argmax(axis=1)
-        heap.extend(
-            (-float(maxima[r]), start + r, int(argmaxima[r]))
-            for r in range(block.shape[0])
-        )
-    return _greedy_core(heap, scorer.row, scorer.n_source, scorer.n_target)
-
-
 __all__ = [
     "MEASURES",
     "CORRECTIONS",
-    "DEFAULT_CHUNK_ROWS",
-    "resolve_chunk_rows",
     "ChunkedScorer",
-    "chunked_score_matrix",
-    "streaming_hubness_degrees",
     "chunked_mutual_nearest_neighbors",
-    "chunked_top_k_indices",
-    "chunked_greedy_match",
 ]

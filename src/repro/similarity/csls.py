@@ -9,9 +9,8 @@ neighbourhood similarity once:
 
 with ``r_T(x)`` the mean similarity of ``x`` to its ``k`` nearest target
 neighbours.  With Pearson similarity the two coincide; CSLS is provided on
-cosine similarity as an alternative scoring function, and is used by the
-extended ablation tests to check that HTC's gains are not an artefact of one
-particular hubness correction.
+cosine similarity as a library-level alternative scoring function.  No
+pipeline stage or ablation variant calls it.
 """
 
 from __future__ import annotations
@@ -21,21 +20,20 @@ from typing import Optional
 import numpy as np
 
 from repro.backend.precision import PolicyLike
-from repro.similarity.lisi import _hubness_corrected_matrix
-from repro.similarity.measures import cosine_similarity
+from repro.similarity.chunked import ChunkedScorer
 
 
 def csls_matrix(
     source_embeddings: np.ndarray,
     target_embeddings: np.ndarray,
     n_neighbors: int = 10,
-    similarity: Optional[np.ndarray] = None,
     *,
-    chunk_rows: Optional[int] = None,
     out: Optional[np.ndarray] = None,
     policy: PolicyLike = None,
 ) -> np.ndarray:
     """CSLS-adjusted cosine-similarity matrix between two embedding sets.
+
+    Built in row blocks by :class:`~repro.similarity.chunked.ChunkedScorer`.
 
     Parameters
     ----------
@@ -43,33 +41,22 @@ def csls_matrix(
         ``(n_s, d)`` and ``(n_t, d)`` embedding matrices.
     n_neighbors:
         Neighbourhood size ``k`` of the local scaling.
-    similarity:
-        Optional pre-computed cosine-similarity matrix (skips recomputation
-        and makes ``chunk_rows`` a no-op).
-    chunk_rows:
-        If set, assemble the matrix in bounded row chunks (bit-identical to
-        the dense path); see :mod:`repro.similarity.chunked`.
     out:
         Optional pre-allocated ``(n_s, n_t)`` output buffer in the active
         policy's compute dtype — a mismatched buffer is rejected with an
-        error naming the policy; the result is written into it (a provided
-        ``similarity`` is never mutated unless it *is* ``out``).
+        error naming the policy; the result is written into it.
     policy:
-        Precision policy (see :mod:`repro.backend.precision`); the float64
-        default is bit-identical to the historical kernel.
+        Precision policy (see :mod:`repro.backend.precision`).
     """
-    return _hubness_corrected_matrix(
+    scorer = ChunkedScorer(
         source_embeddings,
         target_embeddings,
-        n_neighbors,
-        similarity,
-        chunk_rows,
-        out,
         measure="cosine",
         correction="csls",
-        similarity_fn=cosine_similarity,
+        n_neighbors=n_neighbors,
         policy=policy,
     )
+    return scorer.full_matrix(out=out)
 
 
 __all__ = ["csls_matrix"]

@@ -46,18 +46,31 @@ def _best_unused(row: np.ndarray, used_target: np.ndarray) -> Tuple[float, int]:
     return float(row[j]), j
 
 
-def _greedy_core(
-    heap: List[Tuple[float, int, int]],
-    fetch_row,
-    n_source: int,
-    n_target: int,
-) -> List[Tuple[int, int]]:
-    """Shared heap loop of the dense and chunked greedy matchers.
+def greedy_match(score_matrix: np.ndarray) -> List[Tuple[int, int]]:
+    """Greedy one-to-one matching by descending score.
 
-    ``heap`` holds ``(-score, row, col)`` candidates (one per row);
-    ``fetch_row(i)`` returns row ``i`` of the score matrix and is only called
-    when a row's candidate column has been taken by an earlier match.
+    Repeatedly picks the highest remaining score whose row and column are both
+    unused (ties broken by lowest row, then lowest column).  Useful for
+    producing a hard alignment from the final score matrix.
+
+    The selection is heap-based with lazy per-row re-evaluation: each row
+    contributes its best currently-unused column to a max-heap, and a row
+    whose candidate column got taken is re-scanned on pop.  This replaces the
+    former full ``argsort(scores, axis=None)`` — ``O(n_s·n_t·log(n_s·n_t))``
+    time plus an ``(n_s·n_t)`` index array — with ``O(n_s + n_t)`` extra
+    memory.
     """
+    scores = as_score_matrix(score_matrix)
+    if scores.ndim != 2 or scores.size == 0:
+        return []
+    n_source, n_target = scores.shape
+    # (negated score, row, col): heapq pops the highest score first, ties by
+    # lowest row then lowest column.
+    maxima = scores.max(axis=1)
+    argmaxima = scores.argmax(axis=1)
+    heap = [
+        (-float(maxima[i]), i, int(argmaxima[i])) for i in range(n_source)
+    ]
     heapq.heapify(heap)
     used_source = np.zeros(n_source, dtype=bool)
     used_target = np.zeros(n_target, dtype=bool)
@@ -71,43 +84,13 @@ def _greedy_core(
             # Stale candidate: re-evaluate this row over unused columns.
             if used_target.all():
                 break
-            score, j = _best_unused(fetch_row(i), used_target)
+            score, j = _best_unused(scores[i], used_target)
             heapq.heappush(heap, (-score, i, j))
             continue
         pairs.append((i, j))
         used_source[i] = True
         used_target[j] = True
     return pairs
-
-
-def greedy_match(score_matrix: np.ndarray) -> List[Tuple[int, int]]:
-    """Greedy one-to-one matching by descending score.
-
-    Repeatedly picks the highest remaining score whose row and column are both
-    unused (ties broken by lowest row, then lowest column).  Useful for
-    producing a hard alignment from the final score matrix.
-
-    The selection is heap-based with lazy per-row re-evaluation: each row
-    contributes its best currently-unused column to a max-heap, and a row
-    whose candidate column got taken is re-scanned on pop.  This replaces the
-    former full ``argsort(scores, axis=None)`` — ``O(n_s·n_t·log(n_s·n_t))``
-    time plus an ``(n_s·n_t)`` index array — with ``O(n_s + n_t)`` extra
-    memory, which is what lets the chunked scorer run the same algorithm
-    without ever materialising the matrix
-    (:func:`repro.similarity.chunked.chunked_greedy_match`).
-    """
-    scores = as_score_matrix(score_matrix)
-    if scores.ndim != 2 or scores.size == 0:
-        return []
-    n_source, n_target = scores.shape
-    # (negated score, row, col): heapq pops the highest score first, ties by
-    # lowest row then lowest column.
-    maxima = scores.max(axis=1)
-    argmaxima = scores.argmax(axis=1)
-    heap = [
-        (-float(maxima[i]), i, int(argmaxima[i])) for i in range(n_source)
-    ]
-    return _greedy_core(heap, lambda i: scores[i], n_source, n_target)
 
 
 def top_k_indices(score_matrix: np.ndarray, k: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 All dense measures compute their score matrix in fixed row *windows* of
 :data:`BLOCK_ROWS` rows, aligned to absolute row indices.  The windowing is
 invisible to callers (the full matrix comes back either way) but it is what
-makes the memory-bounded streaming kernels in :mod:`repro.similarity.chunked`
-**bit-identical** to the dense path: BLAS GEMM results depend on the operand
+makes the block engine in :mod:`repro.similarity.chunked` **bit-identical**
+to these dense kernels: BLAS GEMM results depend on the operand
 shapes, so ``(a @ b)[s:e]`` and ``a[s:e] @ b`` can differ in the last ulp.
 By always issuing the same aligned ``(BLOCK_ROWS, d) x (d, n_t)`` products,
 every code path performs the exact same floating-point operations per output
@@ -142,8 +142,8 @@ def pearson_similarity(
 
     ``out`` optionally receives the result in place (one ``(n_s, n_t)``
     allocation is the peak memory either way; see
-    :mod:`repro.similarity.chunked` for kernels that avoid materialising the
-    matrix altogether).  ``policy`` selects the precision policy (see the
+    :func:`repro.similarity.chunked.chunked_mutual_nearest_neighbors` for
+    trusted pairs without materialising the matrix).  ``policy`` selects the precision policy (see the
     module docstring).
     """
     policy = resolve_policy(policy)

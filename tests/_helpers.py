@@ -18,6 +18,50 @@ from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.orbits.vectorized import EdgeStatistics
+from repro.similarity import chunked
+from repro.similarity.chunked import _apply_hubness_correction
+from repro.similarity.lisi import hubness_degrees
+from repro.similarity.measures import (
+    BLOCK_ROWS,
+    cosine_similarity,
+    pearson_similarity,
+)
+
+#: Block budgets of the similarity engine under test, as functions of the
+#: number of targets: one window per block, two windows per block, and the
+#: whole matrix as one block.
+BLOCK_BUDGETS = {
+    "one-window": lambda n_target: 1,
+    "two-windows": lambda n_target: 2 * BLOCK_ROWS * max(n_target, 1),
+    "one-block": lambda n_target: 1 << 62,
+}
+
+
+def set_block_budget(monkeypatch, budget: str, n_target: int) -> None:
+    """Patch the engine's cell budget to the ``BLOCK_BUDGETS[budget]`` case."""
+    monkeypatch.setattr(
+        chunked, "_BLOCK_CELL_BUDGET", BLOCK_BUDGETS[budget](n_target)
+    )
+
+
+def dense_score_matrix(
+    source, target, *, measure="pearson", correction=None, n_neighbors=10,
+    policy=None,
+):
+    """The dense reference every block-built score matrix must equal.
+
+    The whole-matrix windowed GEMM, then :func:`hubness_degrees` over the
+    full matrix, then the shared correction — the route ``lisi_matrix`` and
+    ``csls_matrix`` took before the block engine built every matrix.
+    """
+    measure_fn = pearson_similarity if measure == "pearson" else cosine_similarity
+    similarity = measure_fn(source, target, policy=policy)
+    if correction is None:
+        return similarity
+    source_hubness, target_hubness = hubness_degrees(similarity, n_neighbors)
+    return _apply_hubness_correction(
+        similarity, source_hubness, target_hubness, out=similarity
+    )
 
 
 def numerical_gradient(func, value, epsilon=1e-6):

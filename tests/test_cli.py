@@ -232,6 +232,8 @@ class TestServeCommands:
             ["export-artifact", "--dataset", "tiny", "--executor", "thread-pool"],
             # The SQLite catalog's backfill command.
             ["catalog-sync"],
+            # The score-matrix block height is the engine's, not the user's.
+            ["run-suite", "--chunk-size", "64"],
         ],
     )
     def test_removed_options_are_rejected(self, argv, capsys):

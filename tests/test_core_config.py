@@ -64,11 +64,20 @@ class TestHTCConfig:
         config = HTCConfig(topology_mode="diffusion", diffusion_orders=(1, 2))
         assert config.topology_mode == "diffusion"
 
-    def test_removed_shared_encoder_field_rejected(self):
-        # The encoder is always shared (paper §IV-B); the field was never
-        # read, so setting it to False silently trained a shared encoder.
-        with pytest.raises(TypeError, match="shared_encoder"):
-            HTCConfig(shared_encoder=True)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # The encoder is always shared (paper §IV-B); the field was never
+            # read, so setting it to False silently trained a shared encoder.
+            ("shared_encoder", True),
+            # Score matrices are built in blocks whose height the similarity
+            # engine sets; there is no dense path left to opt out of.
+            ("score_chunk_size", 256),
+        ],
+    )
+    def test_removed_fields_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            HTCConfig(**{field: value})
 
 
 class TestOrbitBackendDeprecation:

@@ -14,6 +14,7 @@ Two contracts are locked here:
 
 import numpy as np
 import pytest
+from _helpers import BLOCK_BUDGETS, dense_score_matrix, set_block_budget
 
 from repro.backend.precision import (
     FLOAT32,
@@ -28,15 +29,11 @@ from repro.nn.tensor import Tensor
 from repro.serve.index import build_index_from_embeddings
 from repro.similarity import (
     ChunkedScorer,
-    chunked_greedy_match,
     chunked_mutual_nearest_neighbors,
-    chunked_score_matrix,
-    chunked_top_k_indices,
     cosine_similarity,
     csls_matrix,
     lisi_matrix,
     pearson_similarity,
-    streaming_hubness_degrees,
     top_k_indices,
 )
 
@@ -86,9 +83,7 @@ class TestFloat64BitIdentity:
             lambda s, t, **kw: cosine_similarity(s, t, **kw),
             lambda s, t, **kw: lisi_matrix(s, t, n_neighbors=10, **kw),
             lambda s, t, **kw: csls_matrix(s, t, n_neighbors=10, **kw),
-            lambda s, t, **kw: chunked_score_matrix(
-                s, t, correction="lisi", chunk_rows=64, **kw
-            ),
+            lambda s, t, **kw: ChunkedScorer(s, t, **kw).full_matrix(),
         ],
     )
     def test_score_kernels(self, embeddings, kernel):
@@ -101,26 +96,15 @@ class TestFloat64BitIdentity:
     def test_chunked_matchers(self, embeddings):
         source, target = embeddings
         assert chunked_mutual_nearest_neighbors(
-            source, target, chunk_rows=64
-        ) == chunked_mutual_nearest_neighbors(
-            source, target, chunk_rows=64, policy="float64"
-        )
-        assert chunked_greedy_match(
-            source, target, chunk_rows=64
-        ) == chunked_greedy_match(source, target, chunk_rows=64, policy="float64")
-        assert np.array_equal(
-            chunked_top_k_indices(source, target, 5, chunk_rows=64),
-            chunked_top_k_indices(
-                source, target, 5, chunk_rows=64, policy="float64"
-            ),
-        )
+            source, target
+        ) == chunked_mutual_nearest_neighbors(source, target, policy="float64")
 
     def test_streaming_hubness(self, embeddings):
         source, target = embeddings
-        plain = streaming_hubness_degrees(source, target, 10, chunk_rows=64)
-        explicit = streaming_hubness_degrees(
-            source, target, 10, chunk_rows=64, policy="float64"
-        )
+        plain = ChunkedScorer(source, target, correction="lisi").hubness()
+        explicit = ChunkedScorer(
+            source, target, correction="lisi", policy="float64"
+        ).hubness()
         assert np.array_equal(plain[0], explicit[0])
         assert np.array_equal(plain[1], explicit[1])
 
@@ -138,9 +122,9 @@ class TestFloat64BitIdentity:
         rng = np.random.default_rng(3)
         matrices = {k: rng.standard_normal((20, 16)) for k in range(4)}
         counts = {0: 3, 1: 0, 2: 5, 3: 2}
-        default, _ = integrate_alignment_matrices(matrices, counts, chunk_rows=7)
+        default, _ = integrate_alignment_matrices(matrices, counts)
         explicit, _ = integrate_alignment_matrices(
-            matrices, counts, chunk_rows=7, policy="float64"
+            matrices, counts, policy="float64"
         )
         assert np.array_equal(default, explicit)
 
@@ -155,18 +139,18 @@ class TestFloat32Tolerances:
         # [-4, 4] — 1e-4 absolute is the documented envelope.
         assert np.abs(full64 - full32).max() < 1e-4
 
-    def test_chunked_float32_is_identical_to_dense_float32(self, embeddings):
+    @pytest.mark.parametrize("budget", sorted(BLOCK_BUDGETS))
+    def test_chunked_float32_is_identical_to_dense_float32(
+        self, monkeypatch, embeddings, budget
+    ):
         source, target = embeddings
-        dense = lisi_matrix(source, target, n_neighbors=10, policy="float32")
-        chunked = chunked_score_matrix(
-            source,
-            target,
-            correction="lisi",
-            n_neighbors=10,
-            chunk_rows=64,
-            policy="float32",
+        dense = dense_score_matrix(
+            source, target, correction="lisi", n_neighbors=10, policy="float32"
         )
+        set_block_budget(monkeypatch, budget, target.shape[0])
+        chunked = lisi_matrix(source, target, n_neighbors=10, policy="float32")
         # The aligned-window bit-identity contract holds *within* a policy.
+        assert chunked.dtype == np.float32
         assert np.array_equal(dense, chunked)
 
     def test_p_at_1_and_topk_prefix(self, embeddings):
@@ -184,13 +168,11 @@ class TestFloat32Tolerances:
 
     def test_hubness_vectors_accumulate_in_float64(self, embeddings):
         source, target = embeddings
-        scorer = ChunkedScorer(
-            source, target, correction="lisi", chunk_rows=64, policy="float32"
-        )
+        scorer = ChunkedScorer(source, target, correction="lisi", policy="float32")
         source_hubness, target_hubness = scorer.hubness()
         assert source_hubness.dtype == np.float64
         assert target_hubness.dtype == np.float64
-        sh64, th64 = streaming_hubness_degrees(source, target, 10, chunk_rows=64)
+        sh64, th64 = ChunkedScorer(source, target, correction="lisi").hubness()
         assert np.abs(source_hubness - sh64).max() < 1e-5
         assert np.abs(target_hubness - th64).max() < 1e-5
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from _helpers import BLOCK_BUDGETS, set_block_budget
 
 from repro.eval.protocol import MethodResult
 from repro.runner import (
@@ -592,6 +593,25 @@ class TestCLIRunSuite:
         manifest = load_manifest(tmp_path / "out" / "fromjson")
         assert len(manifest["jobs"]) == 2
 
+    def test_run_suite_carries_streaming_stitch(self):
+        from repro.cli import _suite_from_args, build_parser
+        from repro.core import HTCConfig
+        from repro.shard.executor import ShardedAligner
+
+        parser = build_parser()
+        default = _suite_from_args(parser.parse_args(["run-suite"]))
+        # Only a non-default stitch enters the config, so existing spec
+        # hashes do not move.
+        assert "extra" not in default.config
+        args = parser.parse_args(
+            ["run-suite", "--shards", "2", "--stitch", "streaming"]
+        )
+        suite = _suite_from_args(args)
+        assert suite.config["extra"] == {"stitch": "streaming"}
+        method = resolve_method("HTC", HTCConfig(**suite.config))
+        assert isinstance(method, ShardedAligner)
+        assert method.stitch == "streaming"
+
     def test_run_suite_propagates_failure_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -639,27 +659,29 @@ class TestMethodResultRoundtrip:
 
 
 class TestIntegrationChunking:
-    def test_integrate_chunked_identical(self):
+    @pytest.mark.parametrize("budget", sorted(BLOCK_BUDGETS))
+    def test_integrate_chunked_identical(self, monkeypatch, budget):
         from repro.core.integration import integrate_alignment_matrices
 
         rng = np.random.default_rng(0)
-        matrices = {k: rng.standard_normal((37, 21)) for k in range(4)}
+        matrices = {k: rng.standard_normal((137, 21)) for k in range(4)}
         counts = {0: 3, 1: 0, 2: 5, 3: 2}
-        dense, _ = integrate_alignment_matrices(matrices, counts)
-        for chunk in (1, 8, 100):
-            chunked, _ = integrate_alignment_matrices(
-                matrices, counts, chunk_rows=chunk
-            )
-            np.testing.assert_array_equal(dense, chunked)
+        # The whole-matrix sum in orbit order, the float64 reference.
+        expected = np.zeros((137, 21))
+        for orbit, matrix in matrices.items():
+            expected += counts[orbit] / 10 * matrix
+        set_block_budget(monkeypatch, budget, 21)
+        final, _ = integrate_alignment_matrices(matrices, counts)
+        np.testing.assert_array_equal(final, expected)
 
-    def test_integrate_empty_matrices(self):
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    def test_integrate_empty_matrices(self, policy):
         from repro.core.integration import integrate_alignment_matrices
 
-        for chunk in (None, 4):
-            final, importance = integrate_alignment_matrices(
-                {0: np.zeros((0, 5)), 1: np.zeros((0, 5))},
-                {0: 3, 1: 1},
-                chunk_rows=chunk,
-            )
-            assert final.shape == (0, 5)
-            assert importance == {0: 0.75, 1: 0.25}
+        final, importance = integrate_alignment_matrices(
+            {0: np.zeros((0, 5)), 1: np.zeros((0, 5))},
+            {0: 3, 1: 1},
+            policy=policy,
+        )
+        assert final.shape == (0, 5)
+        assert importance == {0: 0.75, 1: 0.25}

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from _helpers import set_block_budget
 
 from repro.core import HTCAligner, HTCConfig
 from repro.core.result import AlignmentResult
-from repro.datasets import load_dataset
+from repro.datasets.synthetic import tiny_pair
 from repro.orbits.engine import DEFAULT_BACKEND
 from repro.serve.artifacts import (
     ARRAYS_FILE,
@@ -83,16 +84,18 @@ class TestRoundTrip:
         )
 
     @pytest.mark.parametrize("topology_mode", ["orbit", "adjacency"])
-    @pytest.mark.parametrize("chunk_size", [None, 16])
-    def test_trained_result_round_trip(self, tmp_path, topology_mode, chunk_size):
+    @pytest.mark.parametrize("budget", ["one-window", "one-block"])
+    def test_trained_result_round_trip(
+        self, monkeypatch, tmp_path, topology_mode, budget
+    ):
         """save -> load -> query parity for real pipeline outputs."""
-        pair = load_dataset("tiny", random_state=0)
+        pair = tiny_pair(100, random_state=0)  # two windows of rows
+        set_block_budget(monkeypatch, budget, pair.target.n_nodes)
         config = HTCConfig(
             epochs=4,
             embedding_dim=8,
             orbits=(0, 1),
             topology_mode=topology_mode,
-            score_chunk_size=chunk_size,
             n_neighbors=5,
         )
         result = HTCAligner(config).align(pair)

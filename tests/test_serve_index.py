@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _helpers import BLOCK_BUDGETS, dense_score_matrix, set_block_budget
 
 from repro.serve.index import (
     DEFAULT_INDEX_K,
@@ -9,8 +10,9 @@ from repro.serve.index import (
     build_index,
     build_index_from_embeddings,
 )
-from repro.similarity.chunked import chunked_score_matrix
 from repro.similarity.matching import top_k_indices
+
+BUDGETS = sorted(BLOCK_BUDGETS)
 
 
 def random_matrix(n_s, n_t, seed=0):
@@ -42,9 +44,11 @@ class TestForwardQueries:
         )
 
     @pytest.mark.parametrize("shape", [(80, 37), (37, 80)])
-    def test_tie_heavy_matrix_bit_identical(self, shape):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_tie_heavy_matrix_bit_identical(self, monkeypatch, shape, budget):
         matrix = tie_heavy_matrix(*shape, levels=3, seed=3)
-        index = build_index(matrix, k=8, chunk_rows=16)
+        set_block_budget(monkeypatch, budget, shape[1])
+        index = build_index(matrix, k=8)
         rows = np.arange(shape[0])
         np.testing.assert_array_equal(index.match(rows), matrix.argmax(axis=1))
         for k in (1, 4, 8):
@@ -81,10 +85,12 @@ class TestForwardQueries:
 
 
 class TestReverseQueries:
-    @pytest.mark.parametrize("shape", [(55, 33), (33, 55)])
-    def test_reverse_equals_transposed_dense(self, shape):
+    @pytest.mark.parametrize("shape", [(55, 33), (33, 55), (155, 33)])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_reverse_equals_transposed_dense(self, monkeypatch, shape, budget):
         matrix = random_matrix(*shape, seed=5)
-        index = build_index(matrix, k=4, reverse_k=7, chunk_rows=16)
+        set_block_budget(monkeypatch, budget, shape[1])
+        index = build_index(matrix, k=4, reverse_k=7)
         cols = np.arange(shape[1])
         np.testing.assert_array_equal(
             index.reverse_match(cols), matrix.argmax(axis=0)
@@ -94,9 +100,11 @@ class TestReverseQueries:
                 index.reverse_top_k(cols, k), top_k_indices(matrix.T, k)
             )
 
-    def test_reverse_tie_heavy(self):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_reverse_tie_heavy(self, monkeypatch, budget):
         matrix = tie_heavy_matrix(70, 40, levels=2, seed=6)
-        index = build_index(matrix, k=3, reverse_k=6, chunk_rows=8)
+        set_block_budget(monkeypatch, budget, 40)
+        index = build_index(matrix, k=3, reverse_k=6)
         cols = np.arange(40)
         np.testing.assert_array_equal(
             index.reverse_match(cols), matrix.argmax(axis=0)
@@ -107,30 +115,34 @@ class TestReverseQueries:
 
 
 class TestChunkingInvariance:
-    def test_result_independent_of_chunk_rows(self):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_result_independent_of_block_budget(self, monkeypatch, budget):
         matrix = tie_heavy_matrix(130, 90, levels=5, seed=7)
-        reference = build_index(matrix, k=7, reverse_k=7, chunk_rows=None)
-        for chunk_rows in (1, 17, 64, 128, 1000):
-            other = build_index(matrix, k=7, reverse_k=7, chunk_rows=chunk_rows)
-            np.testing.assert_array_equal(reference.indices, other.indices)
-            np.testing.assert_array_equal(reference.scores, other.scores)
-            np.testing.assert_array_equal(
-                reference.reverse_indices, other.reverse_indices
-            )
-            np.testing.assert_array_equal(
-                reference.reverse_scores, other.reverse_scores
-            )
+        set_block_budget(monkeypatch, "one-block", 90)
+        reference = build_index(matrix, k=7, reverse_k=7)
+        set_block_budget(monkeypatch, budget, 90)
+        other = build_index(matrix, k=7, reverse_k=7)
+        np.testing.assert_array_equal(reference.indices, other.indices)
+        np.testing.assert_array_equal(reference.scores, other.scores)
+        np.testing.assert_array_equal(
+            reference.reverse_indices, other.reverse_indices
+        )
+        np.testing.assert_array_equal(
+            reference.reverse_scores, other.reverse_scores
+        )
 
 
 class TestEmbeddingBuilder:
     @pytest.mark.parametrize("correction", [None, "lisi", "csls"])
-    def test_matches_dense_scoring(self, correction):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_matches_dense_scoring(self, monkeypatch, correction, budget):
         rng = np.random.default_rng(8)
         source = rng.standard_normal((90, 12))
         target = rng.standard_normal((70, 12))
-        dense = chunked_score_matrix(
+        dense = dense_score_matrix(
             source, target, measure="pearson", correction=correction, n_neighbors=5
         )
+        set_block_budget(monkeypatch, budget, 70)
         index = build_index_from_embeddings(
             source,
             target,
@@ -138,7 +150,6 @@ class TestEmbeddingBuilder:
             measure="pearson",
             correction=correction,
             n_neighbors=5,
-            chunk_rows=64,
         )
         rows = np.arange(90)
         np.testing.assert_array_equal(index.top_k(rows, 6), top_k_indices(dense, 6))
@@ -181,6 +192,26 @@ class TestValidationAndEdges:
             build_index(matrix, k=2, reverse_k=0)
         with pytest.raises(ValueError):
             build_index(np.zeros(3), k=1)
+
+    @pytest.mark.parametrize("nodes", [[0.7], [True, False], np.array([1.0])])
+    @pytest.mark.parametrize(
+        "method",
+        ["match", "top_k", "top_k_scores", "reverse_match", "reverse_top_k"],
+    )
+    def test_non_integer_nodes_raise(self, method, nodes):
+        index = build_index(random_matrix(10, 8, seed=11), k=2)
+        args = (2,) if "top_k" in method else ()
+        with pytest.raises(ValueError, match="integers"):
+            getattr(index, method)(nodes, *args)
+
+    def test_integer_and_empty_nodes_answer(self):
+        matrix = random_matrix(10, 8, seed=11)
+        index = build_index(matrix, k=2)
+        np.testing.assert_array_equal(
+            index.match(np.array([0, 3], dtype=np.uint8)), matrix.argmax(axis=1)[[0, 3]]
+        )
+        assert index.match([]).shape == (0,)
+        assert index.reverse_top_k([], 2).shape == (0, 2)
 
     def test_scalar_node_query(self):
         matrix = random_matrix(10, 10, seed=13)

@@ -61,6 +61,34 @@ class TestQueries:
         service, _ = make_service_with_matrix(seed=6)
         assert service.match("m", []).size == 0
 
+    @pytest.mark.parametrize("nodes", [[1.9], [True], np.array([2.5])])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda service, nodes: service.match("m", nodes),
+            lambda service, nodes: service.top_k("m", nodes, 2),
+            lambda service, nodes: service.reverse_match("m", nodes),
+            lambda service, nodes: service.reverse_top_k("m", nodes, 2),
+        ],
+        ids=["match", "top_k", "reverse_match", "reverse_top_k"],
+    )
+    def test_non_integer_node_ids_are_rejected(self, call, nodes):
+        # The wire validator's rule in-process too: a float or bool id is
+        # refused, never truncated to the node it happens to round to.
+        service, _ = make_service_with_matrix(seed=6)
+        with pytest.raises(ValueError, match="integers"):
+            call(service, nodes)
+        assert service.stats()["queries"] == 0
+
+    def test_integer_lists_and_arrays_still_answer(self):
+        service, matrix = make_service_with_matrix(seed=6)
+        expected = matrix.argmax(axis=1)[[1, 2]]
+        np.testing.assert_array_equal(service.match("m", [1, 2]), expected)
+        np.testing.assert_array_equal(
+            service.match("m", np.array([1, 2], dtype=np.int32)), expected
+        )
+        assert service.top_k("m", [], 2).shape[0] == 0
+
 
 class TestMultiArtifact:
     def test_hosts_many_and_isolates_answers(self):

@@ -1,29 +1,24 @@
-"""Chunked-vs-dense cross-validation: every streaming kernel must be
-bit-identical to its dense counterpart, for every chunk size, including
-degenerate and empty shapes."""
+"""Block-engine-vs-dense cross-validation: every score matrix the engine
+builds must be bit-identical to the dense reference under every block
+budget, including degenerate and empty shapes."""
 
 import numpy as np
 import pytest
+from _helpers import BLOCK_BUDGETS, dense_score_matrix, set_block_budget
 
 from repro.core import HTCAligner, HTCConfig
-from repro.datasets import load_dataset
-from repro.serve.index import build_index_from_embeddings
+from repro.core.integration import integrate_alignment_matrices
+from repro.datasets.synthetic import tiny_pair
+from repro.serve.index import build_index, build_index_from_embeddings
+from repro.similarity import chunked
 from repro.similarity.chunked import (
     ChunkedScorer,
-    chunked_greedy_match,
+    _block_rows,
     chunked_mutual_nearest_neighbors,
-    chunked_score_matrix,
-    chunked_top_k_indices,
-    resolve_chunk_rows,
-    streaming_hubness_degrees,
 )
 from repro.similarity.csls import csls_matrix
 from repro.similarity.lisi import hubness_degrees, lisi_matrix
-from repro.similarity.matching import (
-    greedy_match,
-    mutual_nearest_neighbors,
-    top_k_indices,
-)
+from repro.similarity.matching import mutual_nearest_neighbors
 from repro.similarity.measures import (
     BLOCK_ROWS,
     cosine_similarity,
@@ -41,7 +36,7 @@ SHAPES = [
     (0, 0, 2),  # fully empty
 ]
 
-CHUNKS = [1, 3, BLOCK_ROWS, 100, 2 * BLOCK_ROWS, 10_000, None]
+BUDGETS = sorted(BLOCK_BUDGETS)
 
 
 def _embeddings(n_source, n_target, dim, seed=0):
@@ -52,88 +47,107 @@ def _embeddings(n_source, n_target, dim, seed=0):
     )
 
 
-class TestResolveChunkRows:
-    def test_rounds_up_to_block_multiple(self):
-        assert resolve_chunk_rows(1, 1000) == BLOCK_ROWS
-        assert resolve_chunk_rows(BLOCK_ROWS + 1, 1000) == 2 * BLOCK_ROWS
-        assert resolve_chunk_rows(BLOCK_ROWS, 1000) == BLOCK_ROWS
+def _block_bounds(scorer):
+    return [(start, stop) for start, stop, _block in scorer.iter_blocks()]
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_chunk_rows(0, 10)
 
-    def test_none_uses_default(self):
-        assert resolve_chunk_rows(None, 10_000) % BLOCK_ROWS == 0
+class TestBlockRule:
+    def test_rows_are_whole_windows(self, monkeypatch):
+        monkeypatch.setattr(chunked, "_BLOCK_CELL_BUDGET", 5 * BLOCK_ROWS * 10 + 3)
+        assert _block_rows(10) == 5 * BLOCK_ROWS
+        monkeypatch.setattr(chunked, "_BLOCK_CELL_BUDGET", 5 * BLOCK_ROWS * 10 - 1)
+        assert _block_rows(10) == 4 * BLOCK_ROWS
+
+    def test_at_least_one_window(self, monkeypatch):
+        monkeypatch.setattr(chunked, "_BLOCK_CELL_BUDGET", 1)
+        for n_target in (0, 1, 1000):
+            assert _block_rows(n_target) == BLOCK_ROWS
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("n_target", [380, 240])
+    def test_perfbench_views_are_one_block(self, n_target, policy):
+        # perfbench's align views (400×380 dense, 400×240 sparse) and their
+        # integration each take one block, under both precision policies.
+        source, target = _embeddings(400, n_target, 8)
+        scorer = ChunkedScorer(source, target, correction="lisi", policy=policy)
+        assert _block_bounds(scorer) == [(0, 400)]
+
+    def test_height_ignores_the_dtype(self):
+        source, target = _embeddings(1000, 1500, 2)
+        heights = {
+            policy: _block_bounds(ChunkedScorer(source, target, policy=policy))
+            for policy in ("float64", "float32")
+        }
+        assert heights["float64"] == heights["float32"]
+        assert len(heights["float64"]) > 1
 
 
 class TestScoreMatrixBitIdentity:
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_lisi_identical(self, shape, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lisi_identical(self, monkeypatch, shape, budget):
         source, target = _embeddings(*shape)
-        dense = lisi_matrix(source, target, n_neighbors=6)
-        chunked = chunked_score_matrix(
-            source,
-            target,
-            measure="pearson",
-            correction="lisi",
-            n_neighbors=6,
-            chunk_rows=chunk,
+        dense = dense_score_matrix(source, target, correction="lisi", n_neighbors=6)
+        set_block_budget(monkeypatch, budget, shape[1])
+        np.testing.assert_array_equal(
+            lisi_matrix(source, target, n_neighbors=6), dense
         )
-        np.testing.assert_array_equal(dense, chunked)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("chunk", [1, 100, None])
-    def test_csls_identical(self, shape, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_csls_identical(self, monkeypatch, shape, budget):
         source, target = _embeddings(*shape, seed=3)
-        dense = csls_matrix(source, target, 4)
-        chunked = chunked_score_matrix(
-            source,
-            target,
-            measure="cosine",
-            correction="csls",
-            n_neighbors=4,
-            chunk_rows=chunk,
+        dense = dense_score_matrix(
+            source, target, measure="cosine", correction="csls", n_neighbors=4
         )
-        np.testing.assert_array_equal(dense, chunked)
+        set_block_budget(monkeypatch, budget, shape[1])
+        np.testing.assert_array_equal(csls_matrix(source, target, 4), dense)
 
-    @pytest.mark.parametrize("chunk", [1, 70, None])
-    def test_raw_measures_identical(self, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_raw_measures_identical(self, monkeypatch, budget):
         source, target = _embeddings(150, 90, 12, seed=5)
+        set_block_budget(monkeypatch, budget, 90)
         np.testing.assert_array_equal(
             pearson_similarity(source, target),
-            chunked_score_matrix(
-                source, target, measure="pearson", chunk_rows=chunk
-            ),
+            ChunkedScorer(source, target, measure="pearson").full_matrix(),
         )
         np.testing.assert_array_equal(
             cosine_similarity(source, target),
-            chunked_score_matrix(
-                source, target, measure="cosine", chunk_rows=chunk
-            ),
+            ChunkedScorer(source, target, measure="cosine").full_matrix(),
         )
 
-    def test_lisi_chunk_rows_keyword_matches_dense(self):
+    def test_lisi_default_budget_matches_dense(self):
         source, target = _embeddings(200, 80, 10, seed=7)
         np.testing.assert_array_equal(
             lisi_matrix(source, target, 5),
-            lisi_matrix(source, target, 5, chunk_rows=33),
+            dense_score_matrix(source, target, correction="lisi", n_neighbors=5),
         )
 
-    def test_csls_chunk_rows_keyword_matches_dense(self):
+    def test_csls_default_budget_matches_dense(self):
         source, target = _embeddings(200, 80, 10, seed=8)
         np.testing.assert_array_equal(
             csls_matrix(source, target, 5),
-            csls_matrix(source, target, 5, chunk_rows=65),
+            dense_score_matrix(
+                source, target, measure="cosine", correction="csls", n_neighbors=5
+            ),
         )
 
     def test_out_buffer_is_used(self):
         source, target = _embeddings(100, 50, 8)
         out = np.empty((100, 50))
-        result = chunked_score_matrix(
-            source, target, correction="lisi", chunk_rows=64, out=out
-        )
+        result = lisi_matrix(source, target, 10, out=out)
         assert result is out
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_scorer_blocks_match_matrix_rows(self, monkeypatch, budget):
+        source, target = _embeddings(200, 70, 6, seed=23)
+        dense = dense_score_matrix(source, target, correction="lisi", n_neighbors=3)
+        set_block_budget(monkeypatch, budget, 70)
+        scorer = ChunkedScorer(source, target, correction="lisi", n_neighbors=3)
+        for start, stop in ((0, 64), (64, 128), (192, 200)):
+            np.testing.assert_array_equal(
+                scorer.block(start, stop), dense[start:stop]
+            )
 
     def test_invalid_measure_and_correction(self):
         source, target = _embeddings(4, 4, 2)
@@ -145,110 +159,71 @@ class TestScoreMatrixBitIdentity:
 
 class TestStreamingHubness:
     @pytest.mark.parametrize("shape", [(257, 119, 33), (40, 90, 7), (3, 3, 2)])
-    @pytest.mark.parametrize("chunk", [1, 64, 100, None])
-    def test_identical_to_dense(self, shape, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_identical_to_dense(self, monkeypatch, shape, budget):
         source, target = _embeddings(*shape, seed=11)
         similarity = pearson_similarity(source, target)
         dense_s, dense_t = hubness_degrees(similarity, 5)
-        stream_s, stream_t = streaming_hubness_degrees(
-            source, target, 5, chunk_rows=chunk
-        )
+        set_block_budget(monkeypatch, budget, shape[1])
+        scorer = ChunkedScorer(source, target, correction="lisi", n_neighbors=5)
+        stream_s, stream_t = scorer.hubness()
         np.testing.assert_array_equal(dense_s, stream_s)
         np.testing.assert_array_equal(dense_t, stream_t)
 
     def test_empty_shapes(self):
         source, target = _embeddings(0, 4, 3)
-        stream_s, stream_t = streaming_hubness_degrees(source, target, 3)
+        scorer = ChunkedScorer(source, target, correction="lisi", n_neighbors=3)
+        stream_s, stream_t = scorer.hubness()
         assert stream_s.shape == (0,)
         np.testing.assert_array_equal(stream_t, np.zeros(4))
 
 
 class TestChunkedMatching:
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("chunk", [1, 64, 100, None])
-    def test_mutual_nearest_neighbors(self, shape, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_mutual_nearest_neighbors(self, monkeypatch, shape, budget):
         source, target = _embeddings(*shape, seed=13)
         dense = mutual_nearest_neighbors(
-            lisi_matrix(source, target, 4)
-            if shape[0] and shape[1]
-            else np.zeros(shape[:2])
+            dense_score_matrix(source, target, correction="lisi", n_neighbors=4)
         )
-        chunked = chunked_mutual_nearest_neighbors(
-            source, target, correction="lisi", n_neighbors=4, chunk_rows=chunk
-        )
-        assert dense == chunked
-
-    @pytest.mark.parametrize("shape", [(257, 119, 33), (20, 60, 5), (0, 3, 2)])
-    @pytest.mark.parametrize("chunk", [1, 64, None])
-    def test_greedy_match(self, shape, chunk):
-        source, target = _embeddings(*shape, seed=17)
-        dense_matrix = chunked_score_matrix(
+        set_block_budget(monkeypatch, budget, shape[1])
+        chunked_pairs = chunked_mutual_nearest_neighbors(
             source, target, correction="lisi", n_neighbors=4
         )
-        dense = greedy_match(dense_matrix)
-        chunked = chunked_greedy_match(
-            source, target, correction="lisi", n_neighbors=4, chunk_rows=chunk
+        assert dense == chunked_pairs
+
+
+class TestAlignerBlockBitIdentity:
+    """The block budget must not change HTC: final and per-view matrices are
+    equal whether every score matrix is built one window or one block at a
+    time."""
+
+    def test_full_pipeline_identical(self, monkeypatch):
+        pair = tiny_pair(150, random_state=1)
+        assert pair.source.n_nodes > 2 * BLOCK_ROWS
+        config = HTCConfig(
+            epochs=4, embedding_dim=8, orbits=range(3), orbit_cache="off"
         )
-        assert dense == chunked
-
-    @pytest.mark.parametrize("k", [1, 4, 200])
-    @pytest.mark.parametrize("chunk", [1, 64, None])
-    def test_top_k(self, k, chunk):
-        source, target = _embeddings(150, 60, 9, seed=19)
-        dense = top_k_indices(pearson_similarity(source, target), k)
-        chunked = chunked_top_k_indices(
-            source, target, k, measure="pearson", chunk_rows=chunk
-        )
-        np.testing.assert_array_equal(dense, chunked)
-
-    def test_top_k_invalid(self):
-        source, target = _embeddings(5, 5, 2)
-        with pytest.raises(ValueError):
-            chunked_top_k_indices(source, target, 0)
-
-    def test_scorer_row_matches_matrix_row(self):
-        source, target = _embeddings(200, 70, 6, seed=23)
-        scorer = ChunkedScorer(
-            source, target, correction="lisi", n_neighbors=3, chunk_rows=128
-        )
-        matrix = chunked_score_matrix(
-            source, target, correction="lisi", n_neighbors=3
-        )
-        for i in (0, 63, 64, 199):
-            np.testing.assert_array_equal(scorer.row(i), matrix[i])
-
-
-class TestAlignerChunkedBitIdentity:
-    """The acceptance criterion: score_chunk_size must not change HTC."""
-
-    @pytest.mark.parametrize("chunk", [7, 64])
-    def test_full_pipeline_identical(self, chunk):
-        pair = load_dataset("tiny")
-        base = dict(
-            epochs=6, embedding_dim=12, random_state=0, orbit_cache="off"
-        )
-        dense = HTCAligner(HTCConfig(**base)).align(pair)
-        chunked = HTCAligner(
-            HTCConfig(score_chunk_size=chunk, **base)
-        ).align(pair)
+        results = {}
+        for budget in ("one-window", "one-block"):
+            set_block_budget(monkeypatch, budget, pair.target.n_nodes)
+            results[budget] = HTCAligner(config).align(pair)
+        windowed, whole = results["one-window"], results["one-block"]
         np.testing.assert_array_equal(
-            dense.alignment_matrix, chunked.alignment_matrix
+            windowed.alignment_matrix, whole.alignment_matrix
         )
-        assert dense.trusted_pair_counts == chunked.trusted_pair_counts
-        for orbit in dense.orbit_matrices:
+        assert windowed.trusted_pair_counts == whole.trusted_pair_counts
+        for orbit in whole.orbit_matrices:
             np.testing.assert_array_equal(
-                dense.orbit_matrices[orbit], chunked.orbit_matrices[orbit]
+                windowed.orbit_matrices[orbit], whole.orbit_matrices[orbit]
             )
-
-    def test_config_rejects_invalid_chunk(self):
-        with pytest.raises(ValueError):
-            HTCConfig(score_chunk_size=0)
 
 
 class TestNoComputeBackendArgument:
-    """The kernels issue their GEMMs with ``np.matmul`` directly; none of
-    them takes the compute-backend selector any more, and the dense kernels
-    take no ``chunk_rows``, so a caller still passing either fails loudly
+    """The kernels run their GEMMs with ``np.matmul`` directly and take
+    their block height from the engine's rule; none of them takes the
+    compute-backend selector, ``chunk_rows`` or a precomputed
+    ``similarity`` any more, so a caller still passing one fails loudly
     instead of being silently ignored."""
 
     @pytest.mark.parametrize(
@@ -259,8 +234,6 @@ class TestNoComputeBackendArgument:
             lisi_matrix,
             csls_matrix,
             ChunkedScorer,
-            chunked_score_matrix,
-            streaming_hubness_degrees,
             build_index_from_embeddings,
         ],
         ids=lambda kernel: kernel.__name__,
@@ -268,19 +241,40 @@ class TestNoComputeBackendArgument:
     def test_backend_keyword_is_rejected(self, kernel):
         source, target = _embeddings(12, 9, 4)
         with pytest.raises(TypeError, match="backend"):
-            if kernel is streaming_hubness_degrees:
-                kernel(source, target, 3, backend="numpy")
-            else:
-                kernel(source, target, backend="numpy")
+            kernel(source, target, backend="numpy")
 
     @pytest.mark.parametrize(
         "kernel",
-        [pearson_similarity, cosine_similarity],
+        [
+            pearson_similarity,
+            cosine_similarity,
+            lisi_matrix,
+            csls_matrix,
+            ChunkedScorer,
+            chunked_mutual_nearest_neighbors,
+            build_index_from_embeddings,
+            pytest.param(
+                lambda s, t, **kw: build_index(pearson_similarity(s, t), **kw),
+                id="build_index",
+            ),
+            pytest.param(
+                lambda s, t, **kw: integrate_alignment_matrices(
+                    {0: pearson_similarity(s, t)}, {0: 1}, **kw
+                ),
+                id="integrate_alignment_matrices",
+            ),
+        ],
         ids=lambda kernel: kernel.__name__,
     )
     def test_chunk_rows_keyword_is_rejected(self, kernel):
-        # The dense kernels always block by window; ``chunk_rows`` selects
-        # the streamed path only in lisi_matrix/csls_matrix.
         source, target = _embeddings(12, 9, 4)
         with pytest.raises(TypeError, match="chunk_rows"):
             kernel(source, target, chunk_rows=4)
+
+    @pytest.mark.parametrize(
+        "kernel", [lisi_matrix, csls_matrix], ids=lambda kernel: kernel.__name__
+    )
+    def test_similarity_keyword_is_rejected(self, kernel):
+        source, target = _embeddings(12, 9, 4)
+        with pytest.raises(TypeError, match="similarity"):
+            kernel(source, target, similarity=pearson_similarity(source, target))
