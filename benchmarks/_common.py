@@ -1,10 +1,11 @@
 """Shared configuration and reporting helpers for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md §5 for the experiment index).  The
-stand-in datasets are scaled down (``DATASET_SCALE``) so the whole harness
-runs on CPU in minutes; the *shape* of the results (method ordering, trends,
-crossovers) is what is being reproduced, not the absolute numbers.
+evaluation section (the "Experiment index" table of EXPERIMENTS.md lists
+them).  The stand-in datasets are scaled down (``DATASET_SCALE``) so the
+whole harness runs on CPU in minutes; the *shape* of the results (method
+ordering, trends, crossovers) is what is being reproduced, not the absolute
+numbers.
 
 Each benchmark prints its table/series and also writes it to
 ``benchmarks/results/<name>.txt`` so the output survives pytest's capture.

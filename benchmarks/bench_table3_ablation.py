@@ -2,8 +2,9 @@
 
 Rows: HTC-L (low-order, no fine-tuning), HTC-H (higher-order, no
 fine-tuning), HTC-LT (low-order + fine-tuning), HTC-DT (diffusion matrices +
-fine-tuning), HTC (full), plus the extra design ablations called out in
-DESIGN.md §6 (binary GOMs, raw Pearson instead of LISI).
+fine-tuning), HTC (full), plus the extra design ablations of
+``repro.core.variants`` (binary GOMs, raw Pearson instead of LISI), which
+EXPERIMENTS.md's "Ablation findings" discusses.
 
 Reproduced claims: HTC > HTC-H > HTC-L, fine-tuning helps (HTC-LT >= HTC-L),
 and diffusion matrices are no substitute for GOMs (HTC > HTC-DT).

@@ -5,8 +5,8 @@ predicted links, growing the anchor set iteratively from a small seed.  This
 implementation keeps the iterative *alignment-growth* loop, which is the part
 that matters for comparison, and simplifies the embedding step (spectral
 embeddings plus a linear cross-graph mapping re-fitted every round on the
-current anchor set) — the original uses cross-graph skip-gram walks.  The
-simplification is documented in DESIGN.md.
+current anchor set) — the original uses cross-graph skip-gram walks; see
+:mod:`repro.baselines.embedding`.
 """
 
 from __future__ import annotations

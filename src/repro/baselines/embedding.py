@@ -4,7 +4,7 @@ Both baselines first embed each network independently.  The original papers
 use skip-gram style training (LINE / DeepWalk); here the embedding is the
 truncated SVD of the normalised adjacency, which approximates the same
 first-order proximity signal deterministically and without a long training
-loop.  The simplification is documented in DESIGN.md.
+loop: PALE and CENALP are stand-ins, not reproductions of their training.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ def spectral_embedding(
         Embedding dimension (clipped to ``n_nodes - 1``).
     use_attributes:
         If True, node attributes are concatenated to the spectral coordinates.
+
+    ARPACK starts from a fixed-seed Gaussian vector and each column's
+    largest-magnitude entry is made positive, so equal graphs embed equally.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -37,13 +40,16 @@ def spectral_embedding(
     k = min(dim, max(n - 2, 1))
     laplacian = normalized_laplacian(graph.adjacency).astype(np.float64)
     try:
-        u, s, _ = spla.svds(laplacian, k=k)
+        v0 = np.random.default_rng(0).standard_normal(min(laplacian.shape))
+        u, s, _ = spla.svds(laplacian, k=k, v0=v0)
     except Exception:  # very small or degenerate graphs: dense fallback
         dense = laplacian.toarray() if sp.issparse(laplacian) else laplacian
         u_full, s_full, _ = np.linalg.svd(dense)
         u, s = u_full[:, :k], s_full[:k]
     order = np.argsort(-s)
-    embedding = u[:, order] * np.sqrt(np.maximum(s[order], 0.0))
+    u = u[:, order]
+    u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    embedding = u * np.sqrt(np.maximum(s[order], 0.0))
     if embedding.shape[1] < dim:
         embedding = np.pad(embedding, ((0, 0), (0, dim - embedding.shape[1])))
     if use_attributes:

@@ -162,7 +162,6 @@ class HTCAligner:
 
         result = AlignmentResult(
             alignment_matrix=alignment_matrix,
-            orbit_matrices=orbit_matrices,
             orbit_importance=importance,
             trusted_pair_counts=trusted_counts,
             source_embeddings={k: out.source_embedding for k, out in refined.items()},
@@ -176,7 +175,7 @@ class HTCAligner:
             source.name,
             target.name,
             result.total_time,
-            len(orbit_matrices),
+            len(importance),
         )
         return result
 

@@ -18,14 +18,13 @@ class AlignmentResult:
     ----------
     alignment_matrix:
         ``(n_source, n_target)`` final integrated alignment scores ``M``.
-    orbit_matrices:
-        Per-orbit alignment matrices ``M_k`` keyed by orbit id.
     orbit_importance:
         Posterior importance weights γ_k keyed by orbit id (sums to 1).
     trusted_pair_counts:
         Maximal number of trusted pairs found per orbit during fine-tuning.
     source_embeddings, target_embeddings:
-        Final per-orbit node embeddings keyed by orbit id.
+        Final per-orbit node embeddings keyed by orbit id.  Scoring them as
+        refinement did rebuilds each per-orbit ``M_k`` bit for bit (README).
     stage_times:
         Wall-clock seconds per pipeline stage (the Fig. 8 decomposition).
     training_losses:
@@ -33,7 +32,6 @@ class AlignmentResult:
     """
 
     alignment_matrix: np.ndarray
-    orbit_matrices: Dict[int, np.ndarray] = field(default_factory=dict)
     orbit_importance: Dict[int, float] = field(default_factory=dict)
     trusted_pair_counts: Dict[int, int] = field(default_factory=dict)
     source_embeddings: Dict[int, np.ndarray] = field(default_factory=dict)
@@ -76,8 +74,6 @@ class AlignmentResult:
         arrays: Dict[str, np.ndarray] = {
             "alignment_matrix": np.asarray(self.alignment_matrix)
         }
-        for orbit, matrix in self.orbit_matrices.items():
-            arrays[f"orbit_matrix_{orbit}"] = np.asarray(matrix)
         for orbit, emb in self.source_embeddings.items():
             arrays[f"source_embedding_{orbit}"] = np.asarray(emb)
         for orbit, emb in self.target_embeddings.items():
@@ -105,16 +101,15 @@ class AlignmentResult:
         """Rebuild a result from :meth:`array_payload` + :meth:`scalar_payload`.
 
         Unknown array or scalar keys are ignored so newer writers stay
-        loadable by older readers (forward compatibility).
+        loadable by older readers (forward compatibility); so are the
+        per-orbit score matrices that older writers stored.
         """
         if "alignment_matrix" not in arrays:
             raise ValueError("payload is missing the alignment_matrix array")
-        orbit_matrices: Dict[int, np.ndarray] = {}
         source_embeddings: Dict[int, np.ndarray] = {}
         target_embeddings: Dict[int, np.ndarray] = {}
         for name, array in arrays.items():
             for prefix, bucket in (
-                ("orbit_matrix_", orbit_matrices),
                 ("source_embedding_", source_embeddings),
                 ("target_embedding_", target_embeddings),
             ):
@@ -125,7 +120,6 @@ class AlignmentResult:
         losses = arrays.get("training_losses")
         return cls(
             alignment_matrix=np.asarray(arrays["alignment_matrix"]),
-            orbit_matrices=orbit_matrices,
             orbit_importance={
                 int(k): float(v)
                 for k, v in dict(scalars.get("orbit_importance", {})).items()
@@ -147,7 +141,7 @@ class AlignmentResult:
         shape = self.alignment_matrix.shape
         return (
             f"AlignmentResult(alignment_matrix={shape[0]}x{shape[1]}, "
-            f"orbits={sorted(self.orbit_matrices)}, total_time={self.total_time:.2f}s)"
+            f"orbits={sorted(self.orbit_importance)}, total_time={self.total_time:.2f}s)"
         )
 
 

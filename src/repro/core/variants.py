@@ -8,8 +8,8 @@ Paper variants
 * **HTC-DT** — diffusion matrices instead of GOMs, with fine-tuning,
 * **HTC** (a.k.a. HTC-HT) — the full method.
 
-Additional design ablations (DESIGN.md §6)
-------------------------------------------
+Additional design ablations (EXPERIMENTS.md, "Ablation findings")
+------------------------------------------------------------------
 * **HTC-binary** — binary instead of weighted GOMs,
 * **HTC-cosine** — raw Pearson similarity instead of LISI in fine-tuning,
 * **HTC-GDV** — extension: node attributes augmented with graphlet degree

@@ -4,7 +4,7 @@ One artifact is a directory::
 
     <root>/<artifact_id>/
         manifest.json    # schema version, config, scalars, array index, hashes
-        arrays.npz       # every array: result fields + sparse top-k index
+        arrays.npz       # every array, uncompressed: result fields + top-k index
 
 ``artifact_id`` is ``<name>-<hash12>`` where the hash covers the manifest's
 content — the config, the scalar payload and every array's shape/dtype/sha256
@@ -205,8 +205,7 @@ def _write_artifact(
                 artifact_id=artifact_id, path=path, manifest=existing, index=index
             )
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / ARRAYS_FILE, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    np.savez(path / ARRAYS_FILE, **arrays)
     tmp = path / (MANIFEST_FILE + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path / MANIFEST_FILE)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import HTCAligner, HTCConfig
+from repro.core import aligner as aligner_module
 from repro.core.aligner import (
     STAGE_FINE_TUNING,
     STAGE_INTEGRATION,
@@ -11,8 +12,12 @@ from repro.core.aligner import (
     STAGE_ORBIT_COUNTING,
     STAGE_TRAINING,
 )
+from repro.core.integration import integrate_alignment_matrices
+from repro.datasets.synthetic import tiny_pair
 from repro.eval.metrics import precision_at_q
 from repro.graph.builders import from_edge_list
+from repro.similarity.lisi import lisi_matrix
+from repro.similarity.measures import pearson_similarity
 
 
 class TestAlignmentResultContents:
@@ -23,10 +28,13 @@ class TestAlignmentResultContents:
         )
 
     def test_orbit_matrices_and_importance_keys_match(self, trained_result):
-        assert set(trained_result.orbit_matrices) == set(trained_result.orbit_importance)
-        assert set(trained_result.orbit_matrices) == set(
-            trained_result.trusted_pair_counts
-        )
+        # The per-view matrices are not kept; the per-view embeddings that
+        # rebuild them cover exactly the weighted views.
+        views = set(trained_result.orbit_importance)
+        assert set(trained_result.source_embeddings) == views
+        assert set(trained_result.target_embeddings) == views
+        assert set(trained_result.trusted_pair_counts) == views
+        assert not hasattr(trained_result, "orbit_matrices")
 
     def test_importance_normalised(self, trained_result):
         assert sum(trained_result.orbit_importance.values()) == pytest.approx(1.0)
@@ -123,6 +131,53 @@ class TestAlignerInterface:
         a = HTCAligner(config).align(clean_pair).alignment_matrix
         b = HTCAligner(config).align(clean_pair).alignment_matrix
         np.testing.assert_allclose(a, b)
+
+
+def rebuild_view_matrix(result, config, orbit):
+    """README's recipe: score one view's refined embeddings as refinement did."""
+    source = result.source_embeddings[orbit]
+    target = result.target_embeddings[orbit]
+    if config.use_lisi:
+        return lisi_matrix(
+            source,
+            target,
+            n_neighbors=config.n_neighbors,
+            policy=config.compute_dtype,
+        )
+    return pearson_similarity(source, target, policy=config.compute_dtype)
+
+
+class TestPerViewRecipe:
+    """A result keeps the per-view embeddings instead of the per-view
+    matrices; rescoring them gives exactly what integration summed."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"use_lisi": False}, {"compute_dtype": "float32"}],
+        ids=["lisi", "pearson", "float32"],
+    )
+    def test_embeddings_rebuild_integrated_matrices(self, monkeypatch, overrides):
+        pair = tiny_pair(150, random_state=0)
+        config = HTCConfig(
+            epochs=4, embedding_dim=8, n_neighbors=5, orbit_cache="off", **overrides
+        )
+        handed = {}
+
+        def record(orbit_matrices, trusted_pair_counts, policy=None):
+            handed.update(orbit_matrices)
+            return integrate_alignment_matrices(
+                orbit_matrices, trusted_pair_counts, policy=policy
+            )
+
+        monkeypatch.setattr(aligner_module, "integrate_alignment_matrices", record)
+        result = HTCAligner(config).align(pair)
+        assert sorted(handed) == sorted(result.orbit_importance)
+        assert sorted(handed) == list(config.resolved_orbits)
+        for orbit, matrix in handed.items():
+            rebuilt = rebuild_view_matrix(result, config, orbit)
+            assert rebuilt.dtype == matrix.dtype
+            assert matrix.dtype == config.precision_policy.compute_dtype
+            assert np.array_equal(rebuilt, matrix)
 
 
 class TestPartialOverlapPair:

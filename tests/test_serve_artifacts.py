@@ -1,6 +1,7 @@
 """Artifact store round-trip fidelity and integrity checks."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from repro.serve.artifacts import (
     ArtifactIntegrityError,
     ArtifactNotFoundError,
     ArtifactSchemaError,
+    _array_meta,
     deserialize_config,
+    export_result,
     list_artifacts,
     load_artifact,
     save_artifact,
+    save_index_artifact,
     serialize_config,
 )
+from repro.serve.index import build_index
+from repro.serve.service import AlignmentService
+from repro.similarity.lisi import lisi_matrix
 from repro.similarity.matching import top_k_indices
 
 
@@ -30,11 +37,10 @@ def make_result(n_s=30, n_t=25, seed=0):
     matrix = rng.standard_normal((n_s, n_t))
     return AlignmentResult(
         alignment_matrix=matrix,
-        orbit_matrices={0: matrix * 0.5, 2: matrix * 0.1},
         orbit_importance={0: 0.8, 2: 0.2},
         trusted_pair_counts={0: 7, 2: 3},
-        source_embeddings={0: rng.standard_normal((n_s, 4))},
-        target_embeddings={0: rng.standard_normal((n_t, 4))},
+        source_embeddings={k: rng.standard_normal((n_s, 4)) for k in (0, 2)},
+        target_embeddings={k: rng.standard_normal((n_t, 4)) for k in (0, 2)},
         stage_times={"multi_orbit_training": 1.25},
         training_losses=[3.5, 2.25, 1.125],
     )
@@ -50,14 +56,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             loaded.result.alignment_matrix, result.alignment_matrix
         )
-        assert sorted(loaded.result.orbit_matrices) == [0, 2]
+        assert sorted(loaded.result.source_embeddings) == [0, 2]
+        assert sorted(loaded.result.target_embeddings) == [0, 2]
         for orbit in (0, 2):
             np.testing.assert_array_equal(
-                loaded.result.orbit_matrices[orbit], result.orbit_matrices[orbit]
+                loaded.result.source_embeddings[orbit],
+                result.source_embeddings[orbit],
             )
             np.testing.assert_array_equal(
-                loaded.result.source_embeddings.get(orbit, np.empty(0)),
-                result.source_embeddings.get(orbit, np.empty(0)),
+                loaded.result.target_embeddings[orbit],
+                result.target_embeddings[orbit],
             )
         assert loaded.result.orbit_importance == result.orbit_importance
         assert loaded.result.trusted_pair_counts == result.trusted_pair_counts
@@ -239,15 +247,109 @@ class TestIntegrityAndSchema:
         assert load_artifact(tmp_path, repaired.artifact_id).result is not None
 
     def test_unknown_array_suffixes_ignored_by_from_payload(self):
-        """Arrays from a newer writer with non-numeric suffixes are skipped."""
+        """Arrays from a newer writer with non-numeric suffixes are skipped,
+        and so are an older writer's per-orbit matrices."""
         result = make_result(seed=7)
         arrays = result.array_payload()
         arrays["source_embedding_mean"] = np.zeros(3)
         arrays["orbit_matrix_summary"] = np.zeros((2, 2))
+        arrays["orbit_matrix_0"] = result.alignment_matrix * 0.5
         rebuilt = AlignmentResult.from_payload(arrays, result.scalar_payload())
-        assert sorted(rebuilt.orbit_matrices) == sorted(result.orbit_matrices)
-        assert sorted(rebuilt.source_embeddings) == sorted(
-            result.source_embeddings
+        assert not hasattr(rebuilt, "orbit_matrices")
+        assert rebuilt.array_payload().keys() == result.array_payload().keys()
+        for field_name in ("source_embeddings", "target_embeddings"):
+            rebuilt_views = getattr(rebuilt, field_name)
+            assert sorted(rebuilt_views) == sorted(getattr(result, field_name))
+            for orbit, embedding in getattr(result, field_name).items():
+                np.testing.assert_array_equal(rebuilt_views[orbit], embedding)
+
+
+@pytest.fixture(scope="module")
+def htc_run():
+    """A real three-view HTC result and the config that produced it."""
+    config = HTCConfig(epochs=3, embedding_dim=8, orbits=(0, 1, 2), n_neighbors=5)
+    return HTCAligner(config).align(tiny_pair(60, random_state=2)), config
+
+
+def _stored_members(path):
+    with zipfile.ZipFile(path / ARRAYS_FILE) as archive:
+        return {info.filename: info.compress_type for info in archive.infolist()}
+
+
+class TestStoredLayout:
+    """Artifacts hold no per-view matrices and write their arrays plainly."""
+
+    def test_htc_export_holds_embeddings_not_view_matrices(self, tmp_path, htc_run):
+        result, config = htc_run
+        info = export_result(result, config, root=tmp_path, name="htc")
+        names = set(info.manifest["arrays"])
+        assert not [name for name in names if name.startswith("orbit_matrix_")]
+        for orbit in result.orbit_importance:
+            assert {f"source_embedding_{orbit}", f"target_embedding_{orbit}"} <= names
+        assert set(_stored_members(info.path)) == {f"{name}.npy" for name in names}
+
+    @pytest.mark.parametrize("kind", ["htc", "bare-matrix", "index-only"])
+    def test_every_member_stored_uncompressed(self, tmp_path, htc_run, kind):
+        result, config = htc_run
+        if kind == "htc":
+            info = export_result(result, config, root=tmp_path)
+        elif kind == "bare-matrix":
+            info = export_result(result.alignment_matrix, root=tmp_path)
+        else:
+            index = build_index(result.alignment_matrix, k=5)
+            info = save_index_artifact(index, root=tmp_path)
+        members = _stored_members(info.path)
+        assert members
+        assert set(members.values()) == {zipfile.ZIP_STORED}
+
+    def test_old_writer_artifact_still_serves(self, tmp_path, htc_run):
+        """An artifact as older writers stored it — per-view matrices in the
+        npz and in the manifest's array record, deflated members — loads in
+        both modes and answers exactly as a fresh export does."""
+        result, config = htc_run
+        fresh = export_result(result, config, root=tmp_path / "new", index_k=6)
+        old = export_result(result, config, root=tmp_path / "old", index_k=6)
+        arrays = dict(np.load(old.path / ARRAYS_FILE))
+        for orbit in result.orbit_importance:
+            arrays[f"orbit_matrix_{orbit}"] = lisi_matrix(
+                result.source_embeddings[orbit],
+                result.target_embeddings[orbit],
+                n_neighbors=config.n_neighbors,
+            )
+        with open(old.path / ARRAYS_FILE, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        manifest = json.loads((old.path / MANIFEST_FILE).read_text())
+        manifest["arrays"] = _array_meta(arrays)
+        (old.path / MANIFEST_FILE).write_text(json.dumps(manifest))
+        assert set(_stored_members(old.path).values()) == {zipfile.ZIP_DEFLATED}
+
+        full = load_artifact(tmp_path / "old", old.artifact_id)
+        np.testing.assert_array_equal(
+            full.result.alignment_matrix, result.alignment_matrix
+        )
+        assert full.result.array_payload().keys() == result.array_payload().keys()
+        for orbit, embedding in result.source_embeddings.items():
+            np.testing.assert_array_equal(
+                full.result.source_embeddings[orbit], embedding
+            )
+        served = load_artifact(tmp_path / "old", old.artifact_id, mode="serve")
+        assert served.result is None
+
+        rows = np.arange(result.alignment_matrix.shape[0])
+        answers = []
+        for root, info in ((tmp_path / "new", fresh), (tmp_path / "old", old)):
+            service = AlignmentService()
+            service.load(root, info.artifact_id)
+            answers.append(
+                (
+                    service.match(info.artifact_id, rows),
+                    service.top_k(info.artifact_id, rows, 6),
+                )
+            )
+        for new_answer, old_answer in zip(*answers):
+            np.testing.assert_array_equal(old_answer, new_answer)
+        np.testing.assert_array_equal(
+            answers[1][1], top_k_indices(result.alignment_matrix, 6)
         )
 
 

@@ -194,9 +194,9 @@ class TestChunkedMatching:
 
 
 class TestAlignerBlockBitIdentity:
-    """The block budget must not change HTC: final and per-view matrices are
-    equal whether every score matrix is built one window or one block at a
-    time."""
+    """The block budget must not change HTC: the final matrix and every
+    view's refined embeddings (which rebuild its matrix) are equal whether
+    every score matrix is built one window or one block at a time."""
 
     def test_full_pipeline_identical(self, monkeypatch):
         pair = tiny_pair(150, random_state=1)
@@ -213,9 +213,13 @@ class TestAlignerBlockBitIdentity:
             windowed.alignment_matrix, whole.alignment_matrix
         )
         assert windowed.trusted_pair_counts == whole.trusted_pair_counts
-        for orbit in whole.orbit_matrices:
+        assert sorted(whole.source_embeddings) == [0, 1, 2]
+        for orbit in whole.source_embeddings:
             np.testing.assert_array_equal(
-                windowed.orbit_matrices[orbit], whole.orbit_matrices[orbit]
+                windowed.source_embeddings[orbit], whole.source_embeddings[orbit]
+            )
+            np.testing.assert_array_equal(
+                windowed.target_embeddings[orbit], whole.target_embeddings[orbit]
             )
 
 
