@@ -35,17 +35,21 @@ Per-worker dataset cache + BLAS thread governance
     plus the standard env knobs) and installs a per-worker dataset cache
     keyed by the pair content hash, so a suite touching D datasets attaches
     each one once per worker instead of loading it once per job.
+    :func:`single_blas_thread` pins BLAS to one thread for the length of a
+    block and reads the budget there was: HTC training runs under it, and
+    uses a second thread of its own only where that budget is at least 2.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import os
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,6 +149,43 @@ def apply_blas_thread_cap(cap: int) -> str:
     except Exception:  # pragma: no cover - defensive: never fail a worker
         return "env"
     return "threadpoolctl"
+
+
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[int]:
+    """Run the block with BLAS on one thread; yields the budget read on entry.
+
+    The budget is the fewest threads any loaded BLAS had on entry (1 where
+    none is found), so a process-pool worker capped by
+    :func:`apply_blas_thread_cap` reads its cap.  One thread makes float64
+    results independent of the thread count: OpenBLAS splits a long inner
+    dimension across its threads, and each split rounds differently.  The
+    pin is process-wide and is undone on exit, also when the block raises.
+    Prefers :mod:`threadpoolctl`; without it, uses the getter and setter of
+    every loaded OpenBLAS, and pins nothing where there is none.
+    """
+    try:
+        import threadpoolctl
+    except ImportError:
+        threadpoolctl = None
+    if threadpoolctl is not None:
+        counts = [
+            pool["num_threads"]
+            for pool in threadpoolctl.threadpool_info()
+            if pool.get("user_api") == "blas"
+        ]
+        with threadpoolctl.threadpool_limits(limits=1, user_api="blas"):
+            yield min(counts, default=1)
+        return
+    counts = [get() for get in _openblas_functions("get_num_threads")]
+    setters = _openblas_functions("set_num_threads")
+    for set_threads in setters:
+        set_threads(1)
+    try:
+        yield min(counts, default=1)
+    finally:
+        for set_threads, count in zip(setters, counts):
+            set_threads(count)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -526,5 +567,6 @@ __all__ = [
     "cached_attach_pair",
     "share_pair",
     "shm_worker_init",
+    "single_blas_thread",
     "worker_state",
 ]

@@ -99,10 +99,12 @@ class TrustedPairRefiner:
         iterations = 0
         for iterations in range(1, self.config.max_refinement_iterations + 1):
             # Reinforce the aggregation coefficients of the trusted nodes
-            # (the pairs of the last scored matrix).
-            for i, j in pairs:
-                reinforcement_source[i] *= beta
-                reinforcement_target[j] *= beta
+            # (the pairs of the last scored matrix).  Mutual nearest
+            # neighbours repeat no row and no column, so one indexed
+            # multiply per side scales each trusted node exactly once.
+            trusted = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+            reinforcement_source[trusted[:, 0]] *= beta
+            reinforcement_target[trusted[:, 1]] *= beta
 
             reinforced_source = reinforced_laplacian(
                 source_laplacian, reinforcement_source

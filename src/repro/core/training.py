@@ -16,15 +16,29 @@ a :class:`~repro.nn.functional.Propagation`: the views are exactly
 symmetric, so the stack is its own transpose, ``L X`` and each view's
 ``||L_k||_F^2`` are computed up front, and an epoch runs three sparse
 products per graph (the second layer forward and backward, and the loss).
+
+The two graphs' passes meet only at the shared weights, so while the
+calling thread runs the source pass (forward, loss, backward), a worker
+thread runs the target pass on a replica of the encoder: new leaf
+parameters over the same arrays, re-pointed after every optimiser step.
+Training pins BLAS to one thread (:func:`repro.backend.shm.single_blas_thread`)
+and starts the worker only where the BLAS thread budget it found was at
+least 2, so a process-pool worker capped at one thread trains serially.
+Each weight gets exactly two gradient terms, one per graph, and a sum of two
+terms does not depend on their order: losses and weights are bit-identical
+with or without the worker, on any BLAS thread count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backend.shm import single_blas_thread
 from repro.core.config import HTCConfig
 from repro.nn.functional import Propagation, frobenius_loss
 from repro.nn.layers import SharedGCNEncoder
@@ -64,6 +78,24 @@ def _stack(
     )
 
 
+class _GraphPass:
+    """One graph's half of an epoch: forward, loss and backward."""
+
+    def __init__(self, encoder: SharedGCNEncoder, stack: Propagation) -> None:
+        self.encoder = encoder
+        self.stack = stack
+        self.loss: Optional[Tensor] = None
+
+    def __call__(self) -> float:
+        loss = reconstruction_loss(self.encoder, self.stack)
+        # Rebinding frees the previous epoch's graph only now, after this
+        # forward pass has allocated: freed first, glibc trims the heap and
+        # every epoch re-faults every page.
+        self.loss = loss
+        loss.backward()
+        return loss.item()
+
+
 class MultiOrbitTrainer:
     """Trains a shared encoder over all orbit views of two graphs."""
 
@@ -88,30 +120,41 @@ class MultiOrbitTrainer:
         if not source_views:
             raise ValueError("training needs at least one view")
 
+        parameters = encoder.parameters()
         optimizer = Adam(
-            encoder.parameters(),
+            parameters,
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
+        replica = encoder.replica()
+        replica_parameters = replica.parameters()
 
         view_ids = list(source_views)
-        source_stack = _stack(source_views, view_ids, source_attributes)
-        target_stack = _stack(target_views, view_ids, target_attributes)
+        source_pass = _GraphPass(
+            encoder, _stack(source_views, view_ids, source_attributes)
+        )
+        target_pass = _GraphPass(
+            replica, _stack(target_views, view_ids, target_attributes)
+        )
 
         losses: List[float] = []
-        for epoch in range(self.config.epochs):
-            optimizer.zero_grad()
-            source_loss = reconstruction_loss(encoder, source_stack)
-            target_loss = reconstruction_loss(encoder, target_stack)
-            # Rebinding ``total`` frees the previous epoch's graph only now,
-            # after this forward pass has allocated: freed first, glibc trims
-            # the heap and every epoch re-faults every page.
-            total = source_loss + target_loss
-            total.backward()
-            optimizer.step()
-            losses.append(total.item())
-            if epoch % 25 == 0:
-                logger.debug("epoch %d: loss %.4f", epoch, losses[-1])
+        with single_blas_thread() as budget, (
+            ThreadPoolExecutor(max_workers=1) if budget >= 2 else nullcontext()
+        ) as worker:
+            for epoch in range(self.config.epochs):
+                optimizer.zero_grad()
+                replica.zero_grad()
+                pending = worker.submit(target_pass) if worker else None
+                loss = source_pass()
+                loss += pending.result() if pending else target_pass()
+                for parameter, twin in zip(parameters, replica_parameters):
+                    parameter.grad = parameter.grad + twin.grad
+                optimizer.step()
+                for parameter, twin in zip(parameters, replica_parameters):
+                    twin.data = parameter.data
+                losses.append(loss)
+                if epoch % 25 == 0:
+                    logger.debug("epoch %d: loss %.4f", epoch, loss)
         return losses
 
 

@@ -12,6 +12,8 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backend import shm
+from repro.core import training
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
@@ -62,6 +64,18 @@ def dense_score_matrix(
     return _apply_hubness_correction(
         similarity, source_hubness, target_hubness, out=similarity
     )
+
+
+def openblas_thread_counts() -> List[int]:
+    """The thread count of every OpenBLAS this process has loaded."""
+    return [get() for get in shm._openblas_functions("get_num_threads")]
+
+
+def set_openblas_threads(count: int) -> None:
+    """Set every loaded OpenBLAS to ``count`` threads (the
+    ``restore_openblas_threads`` fixture puts the old counts back)."""
+    for set_threads in shm._openblas_functions("set_num_threads"):
+        set_threads(count)
 
 
 def numerical_gradient(func, value, epsilon=1e-6):
@@ -324,6 +338,34 @@ def comprehension_mutual_nearest_neighbors(score_matrix):
     return [
         (int(i), int(j)) for i, j in enumerate(best_target) if best_source[j] == i
     ]
+
+
+def summed_loss_training_losses(
+    encoder, config, source_views, target_views, source_attributes, target_attributes
+) -> List[float]:
+    """Bit-for-bit oracle for ``MultiOrbitTrainer.train`` on one BLAS thread.
+
+    Both graphs' stacked losses are summed into one node, with one backward
+    pass per epoch, all on the calling thread.  Each weight gets one
+    gradient term per graph here as in the trainer, so the sums match to
+    the bit.
+    """
+    optimizer = Adam(
+        encoder.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
+    )
+    view_ids = list(source_views)
+    source_stack = training._stack(source_views, view_ids, source_attributes)
+    target_stack = training._stack(target_views, view_ids, target_attributes)
+    losses = []
+    for _ in range(config.epochs):
+        optimizer.zero_grad()
+        source_loss = training.reconstruction_loss(encoder, source_stack)
+        target_loss = training.reconstruction_loss(encoder, target_stack)
+        total = source_loss + target_loss
+        total.backward()
+        optimizer.step()
+        losses.append(total.item())
+    return losses
 
 
 def per_view_training_losses(

@@ -9,9 +9,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend import shm
 from repro.core import HTCAligner, HTCConfig
 from repro.datasets.synthetic import tiny_pair
 from repro.graph.builders import from_edge_list
+
+from _helpers import openblas_thread_counts
+
+
+@pytest.fixture
+def restore_openblas_threads():
+    """Put back this process's OpenBLAS thread counts after a test sets them."""
+    before = openblas_thread_counts()
+    yield
+    for set_threads, count in zip(shm._openblas_functions("set_num_threads"), before):
+        set_threads(count)
 
 
 @pytest.fixture

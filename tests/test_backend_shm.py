@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.backend.shm import (
     cached_attach_pair,
     share_pair,
     shm_worker_init,
+    single_blas_thread,
     worker_state,
 )
 from repro.datasets import load_dataset
@@ -40,6 +42,8 @@ from repro.runner.executor import (
     run_suite,
 )
 from repro.runner.spec import JobSpec, SuiteSpec
+
+from _helpers import openblas_thread_counts, set_openblas_threads
 
 
 def _segment_exists(name: str) -> bool:
@@ -74,20 +78,6 @@ def _killer_resolver(name, config):
 
 
 CAP_METHODS = ("env", "openblas", "threadpoolctl")
-
-
-def openblas_thread_counts():
-    """The thread count of every OpenBLAS this process has loaded."""
-    return [get() for get in shm._openblas_functions("get_num_threads")]
-
-
-@pytest.fixture
-def restore_openblas_threads():
-    """Put back this process's OpenBLAS thread counts after a test caps them."""
-    before = openblas_thread_counts()
-    yield
-    for set_threads, count in zip(shm._openblas_functions("set_num_threads"), before):
-        set_threads(count)
 
 
 def _openblas_threads_job(timeout=None):
@@ -136,6 +126,69 @@ class TestBlasGovernance:
         )
         threads = results["probe"]["threads"]
         assert threads and set(threads) == {blas_thread_cap(2)}
+
+
+class TestSingleBlasThread:
+    """Training's pin: one BLAS thread inside the block, the old counts after
+    it, and the budget that was there on entry."""
+
+    def test_pins_openblas_and_restores_it(self, restore_openblas_threads):
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        set_openblas_threads(2)
+        with single_blas_thread() as budget:
+            assert budget == 2
+            assert set(openblas_thread_counts()) == {1}
+        assert set(openblas_thread_counts()) == {2}
+
+    def test_restores_when_the_block_raises(self, restore_openblas_threads):
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        set_openblas_threads(2)
+        with pytest.raises(RuntimeError, match="boom"):
+            with single_blas_thread():
+                raise RuntimeError("boom")
+        assert set(openblas_thread_counts()) == {2}
+
+    def test_capped_worker_reads_a_budget_of_one(
+        self, monkeypatch, restore_openblas_threads
+    ):
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        for name in BLAS_ENV_VARS:  # the cap sets them; monkeypatch restores
+            monkeypatch.setenv(name, "sentinel")
+        apply_blas_thread_cap(1)
+        with single_blas_thread() as budget:
+            assert budget == 1
+
+    def test_threadpoolctl_branch(self, monkeypatch):
+        """With threadpoolctl importable, the budget is the fewest BLAS
+        threads it reports (OpenMP pools do not count) and the pin is its
+        ``threadpool_limits(limits=1, user_api="blas")`` block."""
+        calls = []
+
+        class _Limits:
+            def __init__(self, limits=None, user_api=None):
+                calls.append(("limit", limits, user_api))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                calls.append(("restore",))
+
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_info = lambda: [
+            {"user_api": "blas", "num_threads": 4},
+            {"user_api": "openmp", "num_threads": 1},
+            {"user_api": "blas", "num_threads": 2},
+        ]
+        fake.threadpool_limits = _Limits
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        with single_blas_thread() as budget:
+            assert budget == 2
+            assert calls == [("limit", 1, "blas")]
+        assert calls[-1] == ("restore",)
 
 
 class TestSharedArena:

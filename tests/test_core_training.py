@@ -6,6 +6,10 @@ consistency, the shared orbit-weighted encoder maps them to identical
 embeddings.
 """
 
+import contextlib
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -14,6 +18,8 @@ import pytest
 import scipy.sparse as sp
 
 import repro.core.training as training
+from repro.backend.shm import single_blas_thread
+from repro.core import HTCAligner
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.training import MultiOrbitTrainer, reconstruction_loss
@@ -23,7 +29,12 @@ from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.perturbation import permute_graph
 from repro.nn.layers import SharedGCNEncoder
 
-from _helpers import per_view_training_losses
+from _helpers import (
+    openblas_thread_counts,
+    per_view_training_losses,
+    set_openblas_threads,
+    summed_loss_training_losses,
+)
 
 
 def _train(pair, config):
@@ -41,10 +52,13 @@ def _train(pair, config):
 
 
 def _counting(calls, name, function):
-    """``function`` wrapped to count its calls in ``calls[name]``."""
+    """``function`` wrapped to count its calls in ``calls[name]``; the count
+    is locked, since the target pass may run on training's worker thread."""
+    lock = threading.Lock()
 
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        with lock:
+            calls[name] += 1
         return function(*args, **kwargs)
 
     return wrapper
@@ -214,6 +228,166 @@ class TestMultiOrbitTrainer:
         assert any(
             not np.array_equal(before[name], after[name]) for name in before
         )
+
+
+def _force_budget(monkeypatch, budget):
+    """Make training read a BLAS thread budget of ``budget``, keeping the pin."""
+    pin = training.single_blas_thread
+
+    @contextlib.contextmanager
+    def forced():
+        with pin():
+            yield budget
+
+    monkeypatch.setattr(training, "single_blas_thread", forced)
+
+
+def _count_thread_starts(monkeypatch):
+    """A list that gets one entry per ``threading.Thread.start`` call."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def _assert_same_alignment(first, second):
+    np.testing.assert_array_equal(first.alignment_matrix, second.alignment_matrix)
+    np.testing.assert_array_equal(first.training_losses, second.training_losses)
+    assert first.trusted_pair_counts == second.trusted_pair_counts
+
+
+#: Above the split: at d=32 OpenBLAS splits the weight-gradient GEMM's inner
+#: dimension K*n (13 views x 90 or 150 nodes) across two threads, so these
+#: pairs aligned to different bits on 1 and 2 threads before training pinned
+#: BLAS.  ``tiny_pair(40)`` is below the split.
+ABOVE_SPLIT = {"tiny-90": 90, "tiny-150": 150}
+SPLIT_CONFIG = HTCConfig(embedding_dim=32, epochs=10, orbit_cache="off")
+
+
+class TestTrainingThreads:
+    """The target pass runs on a worker thread when the BLAS budget is at
+    least 2.  Each weight's two gradient terms are computed alone and summed,
+    so the worker changes no bit, and training leaves the BLAS thread count
+    as it found it."""
+
+    @pytest.mark.parametrize("budget", [2, 1], ids=["worker", "serial"])
+    def test_bit_identical_to_one_summed_backward(self, monkeypatch, budget):
+        _force_budget(monkeypatch, budget)
+        pair = tiny_pair(n_nodes=90, random_state=0)
+        inputs = (
+            build_topology_views(pair.source, SPLIT_CONFIG),
+            build_topology_views(pair.target, SPLIT_CONFIG),
+            pair.source.attributes,
+            pair.target.attributes,
+        )
+        encoder = make_encoder(pair.source.n_attributes, SPLIT_CONFIG)
+        oracle_encoder = make_encoder(pair.source.n_attributes, SPLIT_CONFIG)
+        # Switch threads far more often than usual, so a gradient or weight
+        # read before the other thread finished writing it would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            losses = MultiOrbitTrainer(SPLIT_CONFIG).train(encoder, *inputs)
+        finally:
+            sys.setswitchinterval(interval)
+        with single_blas_thread():
+            oracle = summed_loss_training_losses(oracle_encoder, SPLIT_CONFIG, *inputs)
+        np.testing.assert_array_equal(losses, oracle)
+        for name, value in oracle_encoder.state_dict().items():
+            np.testing.assert_array_equal(encoder.state_dict()[name], value)
+
+    def test_budgets_of_two_and_one_align_to_equal_bits(self, monkeypatch):
+        pair = tiny_pair(n_nodes=150, random_state=0)
+        starts = _count_thread_starts(monkeypatch)
+        results = {}
+        for budget in (2, 1):
+            _force_budget(monkeypatch, budget)
+            starts.clear()
+            results[budget] = HTCAligner(SPLIT_CONFIG).align(pair)
+            # One worker for the training call on a budget of 2, none on 1.
+            assert len(starts) == (1 if budget == 2 else 0)
+        _assert_same_alignment(results[2], results[1])
+
+    @pytest.mark.parametrize("where", ["calling thread", "worker thread"])
+    def test_blas_thread_count_restored(
+        self, monkeypatch, restore_openblas_threads, where
+    ):
+        """Training runs BLAS on one thread and puts the count back after
+        ``align``, also when a pass raises on either thread."""
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        set_openblas_threads(2)
+        before = openblas_thread_counts()
+        seen, fail, loss = [], [], training.frobenius_loss
+        main = threading.main_thread()
+
+        def probing(*args, **kwargs):
+            seen.append(tuple(openblas_thread_counts()))
+            on_worker = threading.current_thread() is not main
+            if fail and on_worker == (where == "worker thread"):
+                raise RuntimeError("pass failed")
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "frobenius_loss", probing)
+        pair = tiny_pair(n_nodes=30, random_state=0)
+        config = HTCConfig(orbits=[0, 1], embedding_dim=4, epochs=3)
+        HTCAligner(config).align(pair)
+        assert seen and set(seen) == {(1,) * len(before)}
+        assert openblas_thread_counts() == before
+        fail.append(True)
+        with pytest.raises(RuntimeError, match="pass failed"):
+            HTCAligner(config).align(pair)
+        assert openblas_thread_counts() == before
+
+    def test_forked_child_aligns_after_a_threaded_parent(self, monkeypatch):
+        """A process forked after the parent trained with a worker thread
+        aligns to the same bits and does not hang (the runner's process
+        pools fork; a pool thread kept across calls would be missing in the
+        child)."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        _force_budget(monkeypatch, 2)
+        pair = tiny_pair(n_nodes=90, random_state=0)
+        expected = HTCAligner(SPLIT_CONFIG).align(pair).alignment_matrix
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_align_and_send, args=(sender, pair))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(120), "align in the forked child did not finish"
+            np.testing.assert_array_equal(receiver.recv(), expected)
+            child.join(timeout=30)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+
+def _align_and_send(connection, pair):
+    connection.send(HTCAligner(SPLIT_CONFIG).align(pair).alignment_matrix)
+    connection.close()
+
+
+class TestThreadCountIndependence:
+    @pytest.mark.parametrize("n_nodes", ABOVE_SPLIT.values(), ids=ABOVE_SPLIT)
+    def test_align_equal_on_one_and_two_blas_threads(
+        self, restore_openblas_threads, n_nodes
+    ):
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS loaded in this process")
+        pair = tiny_pair(n_nodes=n_nodes, random_state=0)
+        results = {}
+        for threads in (1, 2):
+            set_openblas_threads(threads)
+            results[threads] = HTCAligner(SPLIT_CONFIG).align(pair)
+        _assert_same_alignment(results[1], results[2])
 
 
 class TestTheory:
