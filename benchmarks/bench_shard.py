@@ -13,13 +13,6 @@ Three measurements back the ``repro.shard`` subsystem:
 3. **Accuracy.**  p@1 of the stitched sparse alignment against the
    single-shot dense matrix; the acceptance bar is a drop of at most
    ``P1_TOLERANCE``.
-4. **Stitch-phase memory.**  ``tracemalloc`` peak of the in-memory
-   :func:`~repro.shard.stitch.stitch_alignments` merge (all shard
-   candidates concatenated at once) against the out-of-core
-   :func:`~repro.shard.streaming.stitch_alignments_streaming` merge over
-   the same per-shard serve indexes; the acceptance bar is a streaming
-   peak below the size of the materialised global top-k index, with a
-   bit-identical result.
 
 Results land in ``BENCH_shard.json`` at the repo root plus a readable table
 under ``benchmarks/results/``.
@@ -34,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,29 +40,14 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.core import HTCAligner, HTCConfig  # noqa: E402
 from repro.datasets.synthetic import tiny_pair  # noqa: E402
-from repro.serve.index import SparseTopKIndex, build_index  # noqa: E402
-from repro.shard import (  # noqa: E402
-    align_sharded,
-    build_shard_plan,
-    stitch_alignments,
-    stitch_alignments_streaming,
-)
+from repro.serve.index import DEFAULT_INDEX_K  # noqa: E402
+from repro.shard import align_sharded  # noqa: E402
 
 JSON_PATH = REPO_ROOT / "BENCH_shard.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "bench_shard.txt"
 
 SHARD_COUNT = 4
 SHARD_OVERLAP = 1
-INDEX_K = 10
-
-# Stitch-phase (measurement 4) workload: sized so the materialised global
-# index dwarfs the streaming merge's constant working set (see
-# ``bench_stitch_phase``); 16 shards keep the overlap multiplicity low.
-STITCH_NODES_QUICK = 6000
-STITCH_NODES_FULL = 8000
-STITCH_SHARDS = 16
-STITCH_K = 48
-STITCH_ROW_WINDOW = 64
 
 #: Maximum tolerated p@1 drop of sharded vs single-shot (documented in the
 #: README "Scaling" section; the bench fails if it is exceeded).
@@ -115,111 +91,6 @@ def precision_at_1(predictions: np.ndarray, ground_truth: np.ndarray) -> float:
     return float((predictions[mask] == ground_truth[mask]).mean())
 
 
-def bench_stitch_phase(quick: bool) -> dict:
-    """Measurement 4: in-memory vs streaming stitch-phase peak memory.
-
-    Both paths merge the same per-shard scores (synthetic matrices — the
-    stitch is score-agnostic) into the same global top-k index.  The
-    matrices are allocated *before* tracing starts, so each peak covers
-    only the merge's own working set: the in-memory path concatenates
-    every shard's candidate triples at once, while the streaming path
-    reloads one spilled shard index at a time and merges window by window
-    into memmap-backed outputs.
-
-    The workload is sized independently of the alignment measurements:
-    the streaming working set is bounded by ``row_window × k × shard
-    membership`` (hub rows sit in many overlap rings), a constant in the
-    node count, so a pair large enough to dominate fixed costs is needed
-    before "peak below the materialised index size" is observable.
-    """
-    n_nodes = STITCH_NODES_QUICK if quick else STITCH_NODES_FULL
-    pair = tiny_pair(n_nodes=n_nodes, random_state=0)
-    plan = build_shard_plan(pair, STITCH_SHARDS, overlap=SHARD_OVERLAP)
-    n_source, n_target = pair.source.n_nodes, pair.target.n_nodes
-    matrices = []
-    for shard_pair in plan.pairs:
-        rng = np.random.default_rng(1000 + shard_pair.index)
-        matrices.append(
-            rng.standard_normal(
-                (shard_pair.source_nodes.size, shard_pair.target_nodes.size)
-            ).astype(np.float32)
-        )
-
-    stitched_memory, in_memory_peak_mb, memory_s = _measure(
-        "stitch (in-memory)",
-        lambda: stitch_alignments(plan, matrices, n_source, n_target, k=STITCH_K),
-    )
-    index_mb = stitched_memory.index.nbytes / 1e6
-
-    # Spill per-shard serve indexes to disk first; the streaming stitch then
-    # pulls them back one at a time through lazy callables, so at most one
-    # shard index is resident at any point of the merge.
-    spool = Path(tempfile.mkdtemp(prefix="bench-stitch-"))
-    try:
-        spilled = []
-        for shard_pair, matrix in zip(plan.pairs, matrices):
-            index = build_index(matrix, k=STITCH_K, reverse_k=STITCH_K)
-            path = spool / f"shard_{shard_pair.index:03d}.npz"
-            np.savez(path, **index.array_payload())
-            spilled.append((path, index.meta_payload()))
-        matrices.clear()
-
-        def loader(path, meta):
-            def load():
-                with np.load(path) as data:
-                    arrays = {name: data[name] for name in data.files}
-                return SparseTopKIndex.from_payload(arrays, meta)
-
-            return load
-
-        sources = [loader(path, meta) for path, meta in spilled]
-        stitched_streaming, streaming_peak_mb, streaming_s = _measure(
-            "stitch (streaming)",
-            lambda: stitch_alignments_streaming(
-                plan,
-                sources,
-                n_source,
-                n_target,
-                k=STITCH_K,
-                workdir=spool / "stream",
-                row_window=STITCH_ROW_WINDOW,
-            ),
-        )
-        mem_index = stitched_memory.index
-        stream_index = stitched_streaming.index
-        identical = (
-            np.array_equal(mem_index.indices, stream_index.indices)
-            and np.array_equal(mem_index.scores, stream_index.scores)
-            and np.array_equal(mem_index.reverse_indices, stream_index.reverse_indices)
-            and np.array_equal(mem_index.reverse_scores, stream_index.reverse_scores)
-        )
-        sources_all = np.arange(n_source)
-        p1_memory = precision_at_1(stitched_memory.match(sources_all), pair.ground_truth)
-        p1_streaming = precision_at_1(
-            stitched_streaming.match(sources_all), pair.ground_truth
-        )
-        del stitched_streaming, stream_index
-    finally:
-        shutil.rmtree(spool, ignore_errors=True)
-
-    return {
-        "n_nodes": n_nodes,
-        "n_shards": len(plan.pairs),
-        "index_k": STITCH_K,
-        "row_window": STITCH_ROW_WINDOW,
-        "index_mb": index_mb,
-        "in_memory_peak_mb": in_memory_peak_mb,
-        "streaming_peak_mb": streaming_peak_mb,
-        "memory_ratio": in_memory_peak_mb / streaming_peak_mb,
-        "streaming_below_index": streaming_peak_mb < index_mb,
-        "in_memory_s": memory_s,
-        "streaming_s": streaming_s,
-        "p_at_1_in_memory": p1_memory,
-        "p_at_1_streaming": p1_streaming,
-        "identical": identical and p1_memory == p1_streaming,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller pair")
@@ -250,7 +121,6 @@ def main(argv=None) -> int:
             config,
             shard_count=args.shards,
             shard_overlap=SHARD_OVERLAP,
-            index_k=INDEX_K,
             refine_iterations=3,
         ),
     )
@@ -263,14 +133,12 @@ def main(argv=None) -> int:
     p1_drop = single_p1 - sharded_p1
     within_tolerance = p1_drop <= P1_TOLERANCE
 
-    stitch = bench_stitch_phase(args.quick)
-
     lines = [
         "Partition-align-stitch vs single-shot alignment",
         "=" * 52,
         "",
         f"pair: {n_nodes} nodes/side, {args.shards} shards "
-        f"(overlap {SHARD_OVERLAP} hop), index k={INDEX_K}",
+        f"(overlap {SHARD_OVERLAP} hop), index k={DEFAULT_INDEX_K}",
         "",
         "[1] peak memory (tracemalloc):",
         f"    single-shot {single_peak_mb:8.1f} MB",
@@ -288,17 +156,6 @@ def main(argv=None) -> int:
         f"(drop {p1_drop:+.4f}, tolerance {P1_TOLERANCE})",
         f"    conflicts resolved: {stitched.conflicts_resolved}, "
         f"multi-shard sources: {stitched.multi_shard_sources}",
-        "",
-        "[4] stitch phase: in-memory vs streaming merge (tracemalloc,"
-        f" {stitch['n_nodes']} nodes/side, {stitch['n_shards']} shards,"
-        f" k={stitch['index_k']}, row window {stitch['row_window']}):",
-        f"    global index size {stitch['index_mb']:8.1f} MB",
-        f"    in-memory peak    {stitch['in_memory_peak_mb']:8.1f} MB",
-        f"    streaming peak    {stitch['streaming_peak_mb']:8.1f} MB  "
-        f"({stitch['memory_ratio']:.1f}x smaller, below index size: "
-        f"{stitch['streaming_below_index']})",
-        f"    identical result: {stitch['identical']} "
-        f"(p@1 {stitch['p_at_1_streaming']:.4f} both paths)",
     ]
     text = "\n".join(lines)
     print("\n" + text)
@@ -310,7 +167,7 @@ def main(argv=None) -> int:
         "n_nodes": n_nodes,
         "shard_count": args.shards,
         "shard_overlap": SHARD_OVERLAP,
-        "index_k": INDEX_K,
+        "index_k": DEFAULT_INDEX_K,
         "single_shot": {
             "peak_mb": single_peak_mb,
             "wall_s": single_s,
@@ -324,7 +181,6 @@ def main(argv=None) -> int:
             "conflicts_resolved": stitched.conflicts_resolved,
             "multi_shard_sources": stitched.multi_shard_sources,
         },
-        "stitch_phase": stitch,
         "memory_ratio": memory_ratio,
         "speedup": speedup,
         "p1_drop": p1_drop,
@@ -336,12 +192,7 @@ def main(argv=None) -> int:
     REPORT_PATH.write_text(text + "\n")
     print(f"\n[written to {JSON_PATH} and {REPORT_PATH}]")
 
-    ok = (
-        within_tolerance
-        and memory_ratio > 1.0
-        and stitch["streaming_below_index"]
-        and stitch["identical"]
-    )
+    ok = within_tolerance and memory_ratio > 1.0
     return 0 if ok else 1
 
 

@@ -150,10 +150,6 @@ CHECKS = {
         # same-mode relative check: the nightly full-size run enforces it.
         ("speedup", "rate", None),
         ("sharded.wall_s", "time", None),
-        ("stitch_phase.identical", "true", None),
-        ("stitch_phase.streaming_below_index", "true", None),
-        ("stitch_phase.memory_ratio", "floor", 2.0),
-        ("stitch_phase.streaming_s", "time", None),
     ],
 }
 

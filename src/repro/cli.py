@@ -115,8 +115,6 @@ def _config_from_args(args: argparse.Namespace) -> HTCConfig:
     # Only set when given so the HTCConfig default stays the single source.
     if args.shard_overlap is not None:
         kwargs["shard_overlap"] = args.shard_overlap
-    if getattr(args, "stitch", "memory") != "memory":
-        kwargs["extra"] = {"stitch": args.stitch}
     return HTCConfig(
         orbits=orbits,
         executor_backend=args.executor,
@@ -186,14 +184,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         help="job-execution backend for suites and sharded alignment "
         "(auto = process pool when available; execution-only, results "
         "and spec hashes are identical across backends)",
-    )
-    parser.add_argument(
-        "--stitch",
-        choices=("memory", "streaming"),
-        default="memory",
-        help="sharded-stitch strategy: memory (dense per-shard matrices, "
-        "one process) or streaming (merge the per-shard sparse indexes "
-        "chunk-by-chunk out of core; identical results)",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--runs", type=int, default=1, help="repetitions to average over")
@@ -493,8 +483,6 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
         config["shard_count"] = args.shards
     if args.shard_overlap is not None:
         config["shard_overlap"] = args.shard_overlap
-    if args.stitch != "memory":
-        config["extra"] = {"stitch": args.stitch}
     # The executor rides on the SuiteSpec, never in the job config: spec
     # hashes (and --resume caches) are identical across executor backends.
     return SuiteSpec(

@@ -10,7 +10,7 @@ plain configuration fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.backend.executor import AUTO_BACKEND, available_executor_backends
@@ -127,7 +127,6 @@ class HTCConfig:
     diffusion_orders: Tuple[int, ...] = (1, 2, 3, 4, 5)
     diffusion_alpha: float = 0.15
     random_state: RandomStateLike = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.topology_mode not in TOPOLOGY_MODES:

@@ -97,8 +97,7 @@ def resolve_method(name: str, config) -> object:
         if getattr(config, "shard_count", None):
             from repro.shard.executor import ShardedAligner
 
-            stitch = str(getattr(config, "extra", {}).get("stitch", "memory"))
-            return ShardedAligner(config, stitch=stitch)
+            return ShardedAligner(config)
         return HTCAligner(config)
     if name in _htc_variant_names():
         return make_variant(name, config)
@@ -284,6 +283,14 @@ def _load_cached_artifact(path: Path, job: JobSpec) -> Optional[Dict[str, object
     return payload
 
 
+def _serve_artifact_stored(artifact: Dict[str, object], serve_dir: Path) -> bool:
+    """Whether a job's emitted serve artifact still has its manifest on disk."""
+    emitted = artifact.get("serve_artifact")
+    if not isinstance(emitted, dict):
+        return False
+    return (serve_dir / str(emitted.get("artifact_id")) / "manifest.json").is_file()
+
+
 #: Methods whose jobs are near-instant (no training loop); the cost model
 #: weighs them far below the trained methods when no prior timing exists.
 _CHEAP_METHODS = ("Degree", "Attribute")
@@ -429,7 +436,8 @@ def run_suite(
         ``1`` runs inline under ``"auto"``; ``<= 0`` uses the CPU count.
     resume:
         Skip jobs whose artifact exists, matches the current spec hash, and
-        completed successfully.
+        completed successfully (and, with ``emit_artifacts``, whose serve
+        artifact is still in the store).
     timeout:
         Per-job wall-clock limit in seconds; overrides ``suite.timeout``
         when given.
@@ -469,9 +477,12 @@ def run_suite(
     for job in job_specs:
         artifact_path = jobs_dir / f"{job.job_id}.json"
         cached = _load_cached_artifact(artifact_path, job) if resume else None
-        if cached is not None and emit_artifacts and "serve_artifact" not in cached:
-            # The cached run predates artifact emission; re-run the job so
-            # --emit-artifacts is honoured rather than silently skipped.
+        if cached is not None and emit_artifacts and not _serve_artifact_stored(
+            cached, Path(serve_dir)
+        ):
+            # The cached run predates artifact emission, or its serve
+            # artifact was deleted since; re-run the job so --emit-artifacts
+            # is honoured rather than silently skipped.
             cached = None
         if cached is not None:
             cached = dict(cached)

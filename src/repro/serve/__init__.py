@@ -35,7 +35,6 @@ from repro.serve.artifacts import (
 )
 from repro.serve.index import (
     SparseTopKIndex,
-    StreamedIndexAssembler,
     build_index,
     build_index_from_embeddings,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "load_artifact",
     "list_artifacts",
     "SparseTopKIndex",
-    "StreamedIndexAssembler",
     "build_index",
     "build_index_from_embeddings",
     "AlignmentService",

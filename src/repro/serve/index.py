@@ -21,13 +21,17 @@ how the matrix was scanned, so
 :func:`build_index` and :func:`build_index_from_embeddings` fold the matrix
 in the row blocks of the similarity engine (:mod:`repro.similarity.chunked`),
 so the latter never materialises more of the dense matrix than one block.
+
+Because a stored row is the dense row's exact top-``k`` prefix, an index is
+also a complete input for merging: :func:`repro.shard.stitch.stitch_alignments`
+builds a sharded alignment's global index from the shard jobs' own indexes,
+in memory, without their dense matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -310,95 +314,6 @@ def _build_from_blocks(
     )
 
 
-class StreamedIndexAssembler:
-    """Assemble one index side row-window by row-window, out of core.
-
-    The streaming stitch (:mod:`repro.shard.streaming`) produces the global
-    index in row windows; this assembler receives each window's
-    ``(indices, scores)`` block and writes it straight into disk-backed
-    arrays (``np.lib.format`` memmaps under ``backing_dir``), so the full
-    ``(n_rows, width)`` side is never resident in the assembling process.
-    With ``backing_dir=None`` it degrades to ordinary in-memory arrays
-    (useful for tests and tiny indexes).
-
-    Windows must be written in ascending, gap-free row order —
-    :meth:`finalize` raises if any row was never covered, so a partial
-    assembly can't silently become a valid-looking index.
-    """
-
-    def __init__(
-        self,
-        n_rows: int,
-        width: int,
-        score_dtype=np.float64,
-        backing_dir: Optional[Union[str, Path]] = None,
-        name: str = "side",
-    ) -> None:
-        if n_rows < 0 or width < 0:
-            raise ValueError(f"invalid assembler shape ({n_rows}, {width})")
-        self.n_rows = int(n_rows)
-        self.width = int(width)
-        self.score_dtype = np.dtype(score_dtype)
-        self._next_row = 0
-        if backing_dir is None:
-            self.indices = np.full((self.n_rows, self.width), -1, dtype=np.intp)
-            self.scores = np.full(
-                (self.n_rows, self.width), -np.inf, dtype=self.score_dtype
-            )
-        else:
-            backing_dir = Path(backing_dir)
-            backing_dir.mkdir(parents=True, exist_ok=True)
-            self.indices = np.lib.format.open_memmap(
-                backing_dir / f"{name}_indices.npy",
-                mode="w+",
-                dtype=np.intp,
-                shape=(self.n_rows, self.width),
-            )
-            self.scores = np.lib.format.open_memmap(
-                backing_dir / f"{name}_scores.npy",
-                mode="w+",
-                dtype=self.score_dtype,
-                shape=(self.n_rows, self.width),
-            )
-
-    def write(
-        self, row_start: int, indices_block: np.ndarray, scores_block: np.ndarray
-    ) -> None:
-        """Write one window's assembled block at ``row_start``."""
-        if row_start != self._next_row:
-            raise ValueError(
-                f"windows must be written in order: expected row {self._next_row}, "
-                f"got {row_start}"
-            )
-        if indices_block.shape != scores_block.shape or (
-            indices_block.ndim != 2 or indices_block.shape[1] != self.width
-        ):
-            raise ValueError(
-                f"window block shapes {indices_block.shape}/{scores_block.shape} "
-                f"do not fit width {self.width}"
-            )
-        stop = row_start + indices_block.shape[0]
-        if stop > self.n_rows:
-            raise ValueError(
-                f"window [{row_start}, {stop}) overruns {self.n_rows} rows"
-            )
-        self.indices[row_start:stop] = indices_block
-        self.scores[row_start:stop] = scores_block
-        self._next_row = stop
-
-    def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flush and return the assembled ``(indices, scores)`` arrays."""
-        if self._next_row != self.n_rows:
-            raise ValueError(
-                f"assembly incomplete: rows [{self._next_row}, {self.n_rows}) "
-                "were never written"
-            )
-        for array in (self.indices, self.scores):
-            if isinstance(array, np.memmap):
-                array.flush()
-        return self.indices, self.scores
-
-
 def build_index(
     score_matrix: np.ndarray,
     k: int = DEFAULT_INDEX_K,
@@ -467,7 +382,6 @@ def build_index_from_embeddings(
 __all__ = [
     "DEFAULT_INDEX_K",
     "SparseTopKIndex",
-    "StreamedIndexAssembler",
     "build_index",
     "build_index_from_embeddings",
 ]

@@ -12,12 +12,11 @@ pairs far beyond that envelope in three stages:
    jobs executed through the existing :mod:`repro.runner` machinery
    (spec-hashed artifacts, the :mod:`repro.backend.executor` backends,
    ``resume``),
-3. :mod:`repro.shard.stitch` — merging the per-shard results into one global
-   sparse alignment with deterministic boundary-conflict resolution and an
-   optional seed-consistency refinement pass; :mod:`repro.shard.streaming`
-   performs the same merge out of core (chunked spill-to-disk over the
-   per-shard serve indexes) so the global index is never resident in one
-   process.
+3. :mod:`repro.shard.stitch` — merging the shard jobs' own sparse top-``k``
+   serve indexes, in memory, into one global sparse alignment with
+   deterministic boundary-conflict resolution and an optional
+   seed-consistency refinement pass.  No shard's dense score matrix is
+   loaded.
 
 Wire-up: ``HTCConfig(shard_count=..., shard_overlap=...)``, the CLI
 (``align --shards N``), ``run-suite`` (any HTC job whose config sets
@@ -43,10 +42,6 @@ from repro.shard.stitch import (
     refine_stitched,
     stitch_alignments,
 )
-from repro.shard.streaming import (
-    DEFAULT_ROW_WINDOW,
-    stitch_alignments_streaming,
-)
 
 __all__ = [
     "Partition",
@@ -64,6 +59,4 @@ __all__ = [
     "StitchedAlignment",
     "stitch_alignments",
     "refine_stitched",
-    "DEFAULT_ROW_WINDOW",
-    "stitch_alignments_streaming",
 ]

@@ -7,13 +7,19 @@ one-method :class:`~repro.runner.spec.SuiteSpec` over those datasets and
 runs it with :func:`~repro.runner.executor.run_suite` — inheriting the
 process pool, spec-hashed per-job JSON artifacts, per-job timeouts and
 ``resume`` semantics for free.  Per-shard alignments come back as serve
-artifacts (``emit_artifacts``), are loaded in full mode and stitched into a
-global sparse alignment.
+artifacts (``emit_artifacts``); each is loaded once, in serve mode (its
+sparse top-``k`` index only, never the dense matrix), and the indexes are
+stitched into a global sparse alignment of width
+:data:`~repro.serve.index.DEFAULT_INDEX_K`, the width every shard job
+exports.
 
 Give ``workdir`` a stable path to make the whole sharded alignment
 resumable: a re-run with ``resume=True`` regenerates the (deterministic)
 shard datasets, skips every shard job whose artifact already matches its
-spec hash, and only re-aligns what changed.
+spec hash, and only re-aligns what changed.  Each shard dataset directory
+is named by the SHA-256 of the files written for it (edges, attributes,
+anchors), so a shard whose inputs changed gets a new job spec even when the
+pair keeps its name.
 
 :class:`ShardedAligner` adapts the pipeline to the standard aligner
 protocol (``align(pair) -> AlignmentResult``) so ``run-suite``, ``align``
@@ -24,6 +30,7 @@ and ``export-artifact`` can run sharded HTC by simply setting
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import shutil
 import tempfile
 import time
@@ -39,14 +46,12 @@ from repro.obs.tracing import span
 from repro.runner.executor import STATUS_CACHED, STATUS_DONE, run_suite
 from repro.runner.spec import SuiteSpec
 from repro.serve.artifacts import load_artifact
-from repro.serve.index import DEFAULT_INDEX_K
 from repro.shard.partition import build_shard_plan
 from repro.shard.stitch import (
     StitchedAlignment,
     refine_stitched,
     stitch_alignments,
 )
-from repro.shard.streaming import stitch_alignments_streaming
 from repro.utils.logging import get_logger
 from repro.utils.naming import slugify
 
@@ -63,7 +68,7 @@ def _shard_config_overrides(config: HTCConfig) -> Dict[str, object]:
     """
     overrides: Dict[str, object] = {}
     for spec in dataclasses.fields(config):
-        if spec.name in ("shard_count", "shard_overlap", "executor_backend", "extra"):
+        if spec.name in ("shard_count", "shard_overlap", "executor_backend"):
             continue
         value = getattr(config, spec.name)
         if spec.name == "orbit_cache" and not isinstance(value, (bool, str)):
@@ -74,6 +79,37 @@ def _shard_config_overrides(config: HTCConfig) -> Dict[str, object]:
             value = list(value)
         overrides[spec.name] = value
     return overrides
+
+
+#: The files :func:`repro.datasets.io.save_pair` writes that define a shard's
+#: content (``name.txt`` is left out: it repeats the pair's name).
+_SHARD_CONTENT_FILES = (
+    "source.edges",
+    "source.attrs.npy",
+    "target.edges",
+    "target.attrs.npy",
+    "ground_truth.txt",
+)
+
+
+def _save_shard_dataset(subpair: GraphPair, pairs_dir: Path, index: int) -> Path:
+    """Write one shard sub-pair under a directory named by its content.
+
+    The name is ``shard_NNN-<sha256 prefix>`` over the files ``save_pair``
+    wrote, so a resumed run whose inputs changed gets new job specs instead
+    of reusing another pair's shard results.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=pairs_dir))
+    save_pair(subpair, staging)
+    digest = hashlib.sha256()
+    for name in _SHARD_CONTENT_FILES:
+        digest.update((staging / name).read_bytes())
+    shard_dir = pairs_dir / f"shard_{index:03d}-{digest.hexdigest()[:16]}"
+    if shard_dir.is_dir():
+        shutil.rmtree(staging)
+    else:
+        staging.rename(shard_dir)
+    return shard_dir
 
 
 def align_sharded(
@@ -87,12 +123,9 @@ def align_sharded(
     workdir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     timeout: Optional[float] = None,
-    index_k: int = DEFAULT_INDEX_K,
-    reverse_k: Optional[int] = None,
     refine_iterations: int = 3,
     refine_alpha: float = 0.2,
     executor: Optional[str] = None,
-    stitch: str = "memory",
 ) -> StitchedAlignment:
     """Partition ``pair``, align every shard pair, stitch the results.
 
@@ -115,8 +148,6 @@ def align_sharded(
         alignments restartable at per-shard granularity.
     resume, timeout:
         Forwarded to :func:`~repro.runner.executor.run_suite`.
-    index_k, reverse_k:
-        Width of the stitched sparse index.
     refine_iterations, refine_alpha:
         Seed-consistency refinement passes over the stitched candidates
         (``0`` disables; see :func:`repro.shard.stitch.refine_stitched`).
@@ -125,18 +156,7 @@ def align_sharded(
         ``"process-pool"`` / ``"process-pool-shm"`` / ``"auto"``); defaults to
         ``config.executor_backend``.  Execution-only — shard job spec
         hashes and resume artifacts are identical across backends.
-    stitch:
-        ``"memory"`` (default) stitches from the dense per-shard matrices
-        in one process; ``"streaming"`` merges the per-shard sparse serve
-        indexes chunk-by-chunk out of core
-        (:func:`repro.shard.streaming.stitch_alignments_streaming`) —
-        identical results, with the global index never resident while
-        being assembled.
     """
-    if stitch not in ("memory", "streaming"):
-        raise ValueError(
-            f'stitch must be "memory" or "streaming", got {stitch!r}'
-        )
     config = config if config is not None else HTCConfig()
     n_shards = shard_count if shard_count is not None else config.shard_count
     if n_shards is None:
@@ -157,10 +177,12 @@ def align_sharded(
     )
     try:
         pairs_dir = workdir / "pairs"
+        pairs_dir.mkdir(parents=True, exist_ok=True)
         dataset_names: List[str] = []
         for shard_pair in plan.pairs:
-            shard_dir = pairs_dir / f"shard_{shard_pair.index:03d}"
-            save_pair(shard_pair.subpair(pair), shard_dir)
+            shard_dir = _save_shard_dataset(
+                shard_pair.subpair(pair), pairs_dir, shard_pair.index
+            )
             dataset_names.append(f"dir:{shard_dir}")
 
         suite = SuiteSpec(
@@ -189,9 +211,7 @@ def align_sharded(
 
         by_dataset = {str(a["spec"]["dataset"]): a for a in report.artifacts}
         store = report.suite_dir / "serve_artifacts"
-        load_mode = "serve" if stitch == "streaming" else "full"
-        matrices = []
-        index_sources = []
+        shard_indexes = []
         shard_stats: List[Dict[str, object]] = []
         failures = []
         for shard_pair, dataset in zip(plan.pairs, dataset_names):
@@ -209,7 +229,7 @@ def align_sharded(
                 serve_info = artifact.get("serve_artifact") or {}
                 artifact_id = str(serve_info.get("artifact_id"))
                 try:
-                    loaded = load_artifact(store, artifact_id, mode=load_mode)
+                    index = load_artifact(store, artifact_id, mode="serve").index
                 except (OSError, ValueError) as error:
                     # Covers a pruned serve_artifacts directory, a cached
                     # job without the serve_artifact key, and corrupt or
@@ -222,18 +242,7 @@ def align_sharded(
                     )
                     shard_stats.append(stats)
                     continue
-                if stitch == "streaming":
-                    # Only validated here; the stitcher re-loads the index
-                    # lazily so at most one shard is resident during spill.
-                    stats["serve_artifact"] = artifact_id
-                    index_sources.append(
-                        lambda store=store, aid=artifact_id: load_artifact(
-                            store, aid, mode="serve"
-                        ).index
-                    )
-                    del loaded
-                else:
-                    matrices.append(loaded.result.alignment_matrix)
+                shard_indexes.append(index)
                 result = artifact.get("result") or {}
                 stats["metrics"] = dict(result.get("metrics", {}))
             else:
@@ -250,25 +259,12 @@ def align_sharded(
 
         started = time.perf_counter()
         with span("shard.stitch"):
-            if stitch == "streaming":
-                stitched = stitch_alignments_streaming(
-                    plan,
-                    index_sources,
-                    pair.source.n_nodes,
-                    pair.target.n_nodes,
-                    k=index_k,
-                    reverse_k=reverse_k,
-                    workdir=workdir / "stitch_stream",
-                )
-            else:
-                stitched = stitch_alignments(
-                    plan,
-                    matrices,
-                    pair.source.n_nodes,
-                    pair.target.n_nodes,
-                    k=index_k,
-                    reverse_k=reverse_k,
-                )
+            stitched = stitch_alignments(
+                plan, shard_indexes, pair.source.n_nodes, pair.target.n_nodes
+            )
+        # Refinement allocates the run's largest working set after the
+        # shard alignments; the shard indexes must not be live under it.
+        del shard_indexes
         stitch_s = time.perf_counter() - started
 
         refine_s = 0.0
@@ -316,9 +312,10 @@ class ShardedAligner:
     """Standard-protocol adapter running HTC via partition–align–stitch.
 
     ``align`` returns a densified :class:`AlignmentResult` (rankings
-    faithful up to ``index_k`` per row) so the eval protocol, ``run-suite``
-    and artifact export work unchanged; the sparse stitched alignment of the
-    last run is kept on :attr:`last_stitched_` for memory-light serving.
+    faithful up to :data:`~repro.serve.index.DEFAULT_INDEX_K` per row) so
+    the eval protocol, ``run-suite`` and artifact export work unchanged; the
+    sparse stitched alignment of the last run is kept on
+    :attr:`last_stitched_` for memory-light serving.
     """
 
     name = "HTC"
@@ -331,10 +328,8 @@ class ShardedAligner:
         jobs: int = 1,
         workdir: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        index_k: int = DEFAULT_INDEX_K,
         refine_iterations: int = 3,
         executor: Optional[str] = None,
-        stitch: str = "memory",
     ) -> None:
         config = config if config is not None else HTCConfig()
         if config.shard_count is None:
@@ -343,10 +338,8 @@ class ShardedAligner:
         self.jobs = jobs
         self.workdir = workdir
         self.resume = resume
-        self.index_k = index_k
         self.refine_iterations = refine_iterations
         self.executor = executor
-        self.stitch = stitch
         self.last_stitched_: Optional[StitchedAlignment] = None
 
     def align(self, pair: GraphPair, train_anchors=None) -> AlignmentResult:
@@ -357,10 +350,8 @@ class ShardedAligner:
             jobs=self.jobs,
             workdir=self.workdir,
             resume=self.resume,
-            index_k=self.index_k,
             refine_iterations=self.refine_iterations,
             executor=self.executor,
-            stitch=self.stitch,
         )
         self.last_stitched_ = stitched
         return stitched.to_result()

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.backend import shm
+from repro.backend.precision import as_score_matrix, score_dtype
 from repro.core import training
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list
@@ -20,9 +21,12 @@ from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.orbits.vectorized import EdgeStatistics
+from repro.serve.index import SparseTopKIndex
+from repro.shard.stitch import StitchedAlignment
 from repro.similarity import chunked
 from repro.similarity.chunked import _apply_hubness_correction
 from repro.similarity.lisi import hubness_degrees
+from repro.similarity.matching import top_k_indices
 from repro.similarity.measures import (
     BLOCK_ROWS,
     cosine_similarity,
@@ -399,3 +403,119 @@ def per_view_training_losses(
         optimizer.step()
         losses.append(total.item())
     return losses
+
+
+def _assemble_side(rows, cols, scores, shards, n_rows, n_cols, width):
+    """Fold candidate triples into ``(n_rows, width)`` top arrays.
+
+    The dense-matrix stitch's fold, kept apart from
+    ``repro.shard.stitch._assemble_side`` so the oracle shares no code with
+    the stitch under test: sort by *(row asc, score desc, col asc, shard
+    asc)*, keep the first occurrence of each ``(row, col)``, and pad with
+    ``-1``/``-inf``.  Returns ``(indices, scores, n_duplicates)``.
+    """
+    indices_out = np.full((n_rows, width), -1, dtype=np.intp)
+    scores_out = np.full((n_rows, width), -np.inf, dtype=score_dtype(scores))
+    if rows.size == 0:
+        return indices_out, scores_out, 0
+    order = np.lexsort((shards, cols, -scores, rows))
+    rows, cols = rows[order], cols[order]
+    scores, shards = scores[order], shards[order]
+    key = rows.astype(np.int64) * np.int64(n_cols) + cols.astype(np.int64)
+    _, first_pos = np.unique(key, return_index=True)
+    n_duplicates = int(key.size - first_pos.size)
+    keep = np.sort(first_pos)
+    rows, cols, scores = rows[keep], cols[keep], scores[keep]
+    starts = np.searchsorted(rows, np.arange(n_rows))
+    rank = np.arange(rows.size) - starts[rows]
+    fits = rank < width
+    indices_out[rows[fits], rank[fits]] = cols[fits]
+    scores_out[rows[fits], rank[fits]] = scores[fits]
+    return indices_out, scores_out, n_duplicates
+
+
+def _candidates_from_shards(plan, matrices, per_row_k, reverse):
+    """Each shard matrix's local top candidates, mapped to global ids.
+
+    ``reverse=False`` yields (source row, target col) candidates from matrix
+    rows; ``reverse=True`` yields (target row, source col) candidates from
+    matrix columns.  Shards with an empty matrix add nothing.
+    """
+    all_rows, all_cols, all_scores, all_shards = [], [], [], []
+    for shard_pair, matrix in zip(plan.pairs, matrices):
+        matrix = as_score_matrix(matrix)
+        if reverse:
+            matrix = matrix.T
+            row_ids, col_ids = shard_pair.target_nodes, shard_pair.source_nodes
+        else:
+            row_ids, col_ids = shard_pair.source_nodes, shard_pair.target_nodes
+        if matrix.shape != (row_ids.size, col_ids.size):
+            raise ValueError(
+                f"shard {shard_pair.index}: matrix shape {matrix.shape} does "
+                f"not match its node sets ({row_ids.size}, {col_ids.size})"
+            )
+        if matrix.size == 0:
+            continue
+        local_top = top_k_indices(matrix, min(per_row_k, matrix.shape[1]))
+        local_scores = np.take_along_axis(matrix, local_top, axis=1)
+        n_rows_local, got = local_top.shape
+        all_rows.append(np.repeat(row_ids, got))
+        all_cols.append(col_ids[local_top].ravel())
+        all_scores.append(local_scores.ravel())
+        all_shards.append(
+            np.full(n_rows_local * got, shard_pair.index, dtype=np.int64)
+        )
+    if not all_rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=np.float64), empty
+    return (
+        np.concatenate(all_rows),
+        np.concatenate(all_cols),
+        np.concatenate(all_scores),
+        np.concatenate(all_shards),
+    )
+
+
+def dense_matrix_stitch(plan, matrices, n_source, n_target, k, reverse_k=None):
+    """Oracle for ``repro.shard.stitch.stitch_alignments``.
+
+    The stitch as it ran over each shard's dense score matrix, before shards
+    were stitched from their serve indexes: per shard, the top ``k`` of every
+    row (and ``reverse_k`` of every column) by ``top_k_indices``, folded
+    by :func:`_assemble_side`.  Returns a ``StitchedAlignment``.
+    """
+    reverse_k = k if reverse_k is None else reverse_k
+    width, reverse_width = min(k, n_target), min(reverse_k, n_source)
+    rows, cols, scores, shards = _candidates_from_shards(
+        plan, matrices, width, reverse=False
+    )
+    indices, fwd_scores, n_duplicates = _assemble_side(
+        rows, cols, scores, shards, n_source, n_target, width
+    )
+    multi_shard = 0
+    if rows.size:
+        pair_key = rows.astype(np.int64) * np.int64(len(plan.pairs) + 1) + shards
+        sources_with_shards = np.unique(pair_key) // (len(plan.pairs) + 1)
+        counts = np.bincount(sources_with_shards.astype(np.int64))
+        multi_shard = int((counts > 1).sum())
+    r_rows, r_cols, r_scores, r_shards = _candidates_from_shards(
+        plan, matrices, reverse_width, reverse=True
+    )
+    reverse_indices, reverse_scores, _ = _assemble_side(
+        r_rows, r_cols, r_scores, r_shards, n_target, n_source, reverse_width
+    )
+    index = SparseTopKIndex(
+        shape=(n_source, n_target),
+        k=k,
+        indices=indices,
+        scores=fwd_scores,
+        reverse_k=reverse_k,
+        reverse_indices=reverse_indices,
+        reverse_scores=reverse_scores,
+    )
+    return StitchedAlignment(
+        index=index,
+        n_shards=len(plan.pairs),
+        conflicts_resolved=n_duplicates,
+        multi_shard_sources=multi_shard,
+    )

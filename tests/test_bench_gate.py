@@ -21,12 +21,6 @@ SHARD_PAYLOAD = {
     "speedup": 2.0,
     "single_shot": {"wall_s": 1.5, "peak_mb": 100.0, "p_at_1": 0.87},
     "sharded": {"wall_s": 3.0},
-    "stitch_phase": {
-        "identical": True,
-        "streaming_below_index": True,
-        "memory_ratio": 15.0,
-        "streaming_s": 10.0,
-    },
 }
 
 RUNNER_PAYLOAD = {
@@ -255,12 +249,12 @@ class TestGate:
     def test_schema_stale_baseline_fails_with_regen_command(
         self, tmp_path, capsys
     ):
-        # A baseline written before the stitch_phase measurement existed:
+        # A baseline written before the single_shot measurement existed:
         # the benchmark schema moved on without regenerating it.
         stale = {
             key: value
             for key, value in SHARD_PAYLOAD.items()
-            if key != "stitch_phase"
+            if key != "single_shot"
         }
         _write(tmp_path / "baselines", "BENCH_shard.json", stale)
         _write(tmp_path / "fresh", "BENCH_shard.json", SHARD_PAYLOAD)
@@ -284,7 +278,7 @@ class TestGate:
         stale = {
             key: value
             for key, value in SHARD_PAYLOAD.items()
-            if key != "stitch_phase"
+            if key != "single_shot"
         }
         _write(tmp_path / "baselines", "BENCH_shard.json", SHARD_PAYLOAD)
         _write(tmp_path / "fresh", "BENCH_shard.json", stale)

@@ -234,6 +234,12 @@ class TestServeCommands:
             ["catalog-sync"],
             # The score-matrix block height is the engine's, not the user's.
             ["run-suite", "--chunk-size", "64"],
+            # One stitch: shards are stitched from their serve indexes.
+            ["align", "--dataset", "tiny", "--stitch", "streaming"],
+            ["compare", "--stitch", "memory"],
+            ["robustness", "--stitch", "streaming"],
+            ["run-suite", "--stitch", "streaming"],
+            ["export-artifact", "--dataset", "tiny", "--stitch", "memory"],
         ],
     )
     def test_removed_options_are_rejected(self, argv, capsys):

@@ -73,6 +73,9 @@ class TestHTCConfig:
             # Score matrices are built in blocks whose height the similarity
             # engine sets; there is no dense path left to opt out of.
             ("score_chunk_size", 256),
+            # It only carried the sharded stitch choice, and there is one
+            # stitch left.
+            ("extra", {"stitch": "streaming"}),
         ],
     )
     def test_removed_fields_rejected(self, field, value):

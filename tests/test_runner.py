@@ -503,6 +503,26 @@ class TestEmitArtifacts:
         (artifact,) = report.artifacts
         assert artifact["status"] == "cached"
 
+    @pytest.mark.parametrize("deleted", ["store", "artifact"])
+    def test_resume_reruns_cached_jobs_whose_artifact_is_gone(
+        self, tmp_path, deleted
+    ):
+        """A cached job is only cached while its serve artifact is stored."""
+        import shutil
+
+        from repro.serve import load_artifact
+
+        suite = _tiny_suite(name="pruned", methods=("Degree",))
+        (first,) = run_suite(suite, tmp_path, emit_artifacts=True).artifacts
+        store = tmp_path / "pruned" / "serve_artifacts"
+        artifact_id = first["serve_artifact"]["artifact_id"]
+        shutil.rmtree(store if deleted == "store" else store / artifact_id)
+        report = run_suite(suite, tmp_path, resume=True, emit_artifacts=True)
+        (artifact,) = report.artifacts
+        assert artifact["status"] == "done"  # re-ran, not cached
+        emitted = artifact["serve_artifact"]["artifact_id"]
+        assert load_artifact(store, emitted).artifact_id == emitted
+
 
 class TestAggregation:
     def test_format_suite_table_includes_failures(self, tmp_path):
@@ -592,25 +612,6 @@ class TestCLIRunSuite:
         assert code == 0
         manifest = load_manifest(tmp_path / "out" / "fromjson")
         assert len(manifest["jobs"]) == 2
-
-    def test_run_suite_carries_streaming_stitch(self):
-        from repro.cli import _suite_from_args, build_parser
-        from repro.core import HTCConfig
-        from repro.shard.executor import ShardedAligner
-
-        parser = build_parser()
-        default = _suite_from_args(parser.parse_args(["run-suite"]))
-        # Only a non-default stitch enters the config, so existing spec
-        # hashes do not move.
-        assert "extra" not in default.config
-        args = parser.parse_args(
-            ["run-suite", "--shards", "2", "--stitch", "streaming"]
-        )
-        suite = _suite_from_args(args)
-        assert suite.config["extra"] == {"stitch": "streaming"}
-        method = resolve_method("HTC", HTCConfig(**suite.config))
-        assert isinstance(method, ShardedAligner)
-        assert method.stitch == "streaming"
 
     def test_run_suite_propagates_failure_exit_code(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,17 +1,28 @@
 """End-to-end tests for sharded alignment through the runner machinery."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
+from _helpers import dense_matrix_stitch
 
 import repro
+import repro.shard.executor as shard_executor
 from repro.core import HTCConfig
+from repro.datasets.pair import GraphPair
 from repro.datasets.synthetic import tiny_pair
+from repro.graph.attributed_graph import AttributedGraph
 from repro.eval.protocol import run_method
 from repro.runner import SuiteSpec, resolve_method, run_suite
-from repro.serve import AlignmentService, save_index_artifact
-from repro.shard import ShardedAligner, align_sharded
+from repro.serve import (
+    AlignmentService,
+    list_artifacts,
+    load_artifact,
+    save_index_artifact,
+)
+from repro.serve.index import DEFAULT_INDEX_K
+from repro.shard import ShardedAligner, align_sharded, build_shard_plan
 
 FAST = dict(epochs=3, embedding_dim=8, orbit_cache="off", random_state=0)
 
@@ -82,6 +93,104 @@ class TestAlignSharded:
         assert np.array_equal(first.index.indices, second.index.indices)
         assert np.array_equal(first.index.scores, second.index.scores)
 
+    def test_resume_with_another_pair_realigns_its_shards(self, fast_config, tmp_path):
+        """Shard datasets are named by content, so a reused workdir holding
+        another pair of the same name reuses none of its shard results."""
+        run = dict(shard_count=2, refine_iterations=0)
+        first = tiny_pair(n_nodes=60, random_state=0)
+        second = tiny_pair(n_nodes=60, random_state=1)
+        assert first.name == second.name
+        align_sharded(first, fast_config, workdir=tmp_path, resume=True, **run)
+        resumed = align_sharded(
+            second, fast_config, workdir=tmp_path, resume=True, **run
+        )
+        assert [s["status"] for s in resumed.shard_stats] == ["done", "done"]
+        fresh = align_sharded(second, fast_config, **run)
+        assert np.array_equal(resumed.index.indices, fresh.index.indices)
+        assert np.array_equal(resumed.index.scores, fresh.index.scores)
+
+    def test_resume_after_serve_artifacts_were_deleted(
+        self, pair, fast_config, tmp_path
+    ):
+        run = dict(shard_count=2, refine_iterations=0, workdir=tmp_path)
+        first = align_sharded(pair, fast_config, resume=True, **run)
+        (store,) = tmp_path.glob("runs/*/serve_artifacts")
+        shutil.rmtree(store)
+        again = align_sharded(pair, fast_config, resume=True, **run)
+        assert [s["status"] for s in again.shard_stats] == ["done", "done"]
+        assert np.array_equal(first.index.indices, again.index.indices)
+        assert np.array_equal(first.index.scores, again.index.scores)
+
+    def test_stitch_equals_dense_stitch_of_the_shard_matrices(
+        self, fast_config, tmp_path
+    ):
+        """The stitch of the shards' serve indexes equals the dense-matrix
+        stitch over the same shard jobs' full alignment matrices."""
+        pair = tiny_pair(n_nodes=60, random_state=0)
+        for n_shards in (2, 3):
+            workdir = tmp_path / f"shards{n_shards}"
+            stitched = align_sharded(
+                pair,
+                fast_config,
+                shard_count=n_shards,
+                refine_iterations=0,
+                workdir=workdir,
+            )
+            (store,) = workdir.glob("runs/*/serve_artifacts")
+            # Shard dataset directories sort by shard index (shard_NNN-...).
+            manifests = sorted(
+                list_artifacts(store), key=lambda m: m["metadata"]["dataset"]
+            )
+            matrices = [
+                load_artifact(store, m["artifact_id"]).result.alignment_matrix
+                for m in manifests
+            ]
+            plan = build_shard_plan(pair, n_shards, overlap=1, seed=0)
+            expected = dense_matrix_stitch(
+                plan,
+                matrices,
+                pair.source.n_nodes,
+                pair.target.n_nodes,
+                DEFAULT_INDEX_K,
+            )
+            for name in ("indices", "scores", "reverse_indices", "reverse_scores"):
+                got = getattr(stitched.index, name)
+                want = getattr(expected.index, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert stitched.conflicts_resolved == expected.conflicts_resolved
+            assert stitched.multi_shard_sources == expected.multi_shard_sources
+
+    def test_loads_each_shard_artifact_once_in_serve_mode(
+        self, pair, fast_config, monkeypatch
+    ):
+        """The stitch reads the shard jobs' top-k indexes, never their dense
+        matrices: one serve-mode load per shard artifact."""
+        calls = []
+
+        def recording_load(root, artifact_id, **kwargs):
+            calls.append((artifact_id, kwargs.get("mode", "full")))
+            return load_artifact(root, artifact_id, **kwargs)
+
+        monkeypatch.setattr(shard_executor, "load_artifact", recording_load)
+        align_sharded(pair, fast_config, shard_count=3, refine_iterations=0)
+        assert [mode for _, mode in calls] == ["serve"] * 3
+        assert len({artifact_id for artifact_id, _ in calls}) == 3
+
+    def test_process_pool_equals_serial(self, pair, fast_config):
+        """Shard jobs run in worker processes stitch to the same index as
+        jobs run inline (the serve artifacts cross the process boundary)."""
+        run = dict(shard_count=2, refine_iterations=1)
+        serial = align_sharded(pair, fast_config, executor="serial", **run)
+        pooled = align_sharded(
+            pair, fast_config, jobs=2, executor="process-pool", **run
+        )
+        assert [s["status"] for s in pooled.shard_stats] == ["done", "done"]
+        for name in ("indices", "scores", "reverse_indices", "reverse_scores"):
+            got = getattr(pooled.index, name)
+            want = getattr(serial.index, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert pooled.conflicts_resolved == serial.conflicts_resolved
+
     def test_accuracy_not_far_from_single_shot(self, pair, fast_config, stitched):
         from repro.core import HTCAligner
 
@@ -94,6 +203,41 @@ class TestAlignSharded:
             .mean()
         )
         assert p1_sharded >= p1_single - 0.25
+
+
+def _with_changed(pair, part):
+    """``pair`` with one of the parts a shard dataset is hashed over changed."""
+    source, truth = pair.source, pair.ground_truth.copy()
+    if part == "edges":
+        adjacency = source.adjacency.tolil()
+        u, v = source.edge_list()[0]
+        adjacency[u, v] = adjacency[v, u] = 0
+        source = AttributedGraph(adjacency, source.attributes, name=source.name)
+    elif part == "attributes":
+        source = source.with_attributes(source.attributes + 1.0)
+    else:
+        first, second = np.flatnonzero(truth >= 0)[:2]
+        truth[[first, second]] = truth[[second, first]]
+    return GraphPair(source, pair.target, truth, name=pair.name)
+
+
+class TestShardDatasets:
+    def test_same_content_reuses_its_directory(self, pair, tmp_path):
+        first = shard_executor._save_shard_dataset(pair, tmp_path, 0)
+        second = shard_executor._save_shard_dataset(pair, tmp_path, 0)
+        assert second == first
+        assert first.name.startswith("shard_000-")
+        # The second save's staging copy is removed, not left beside it.
+        assert [path.name for path in tmp_path.iterdir()] == [first.name]
+
+    @pytest.mark.parametrize("part", ["edges", "attributes", "anchors"])
+    def test_changed_content_changes_the_directory(self, pair, tmp_path, part):
+        changed = _with_changed(pair, part)
+        assert changed.name == pair.name
+        original = shard_executor._save_shard_dataset(pair, tmp_path, 0)
+        other = shard_executor._save_shard_dataset(changed, tmp_path, 0)
+        assert other != original
+        assert other.name.startswith("shard_000-")
 
 
 class TestShardedAligner:
