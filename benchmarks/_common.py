@@ -29,9 +29,9 @@ N_RUNS = 1
 
 #: Shared HTC configuration for all benchmarks (paper §V-A scaled down:
 #: 2 GCN layers, Adam lr=0.01, beta=1.1, all 13 orbits).  Orbit counting uses
-#: the vectorized backend with the shared in-memory cache, so benchmarks that
-#: re-align the same pair (Fig. 7/8 runtime, robustness and hyper-parameter
-#: sweeps) pay the counting stage once per distinct graph.
+#: the shared in-memory cache, so benchmarks that re-align the same pair
+#: (Fig. 7/8 runtime, robustness and hyper-parameter sweeps) pay the
+#: counting stage once per distinct graph.
 HTC_CONFIG = HTCConfig(
     embedding_dim=32,
     n_layers=2,
@@ -39,7 +39,6 @@ HTC_CONFIG = HTCConfig(
     learning_rate=0.01,
     n_neighbors=10,
     reinforcement_rate=1.1,
-    orbit_backend="auto",
     orbit_cache="memory",
     random_state=0,
 )

@@ -1,8 +1,10 @@
-"""Micro-benchmark: orbit-counting backends across graph sizes.
+"""Micro-benchmark: the orbit counters across graph sizes.
 
-Times the ``python`` (reference) and ``numpy`` (vectorized) backends of the
-orbit engine — edge orbits, node orbits, and a warm-cache pass — on ER and
-power-law synthetic graphs of increasing size, verifies the backends stay
+Times the pure-Python reference counters (:mod:`repro.orbits.edge_orbits`,
+:mod:`repro.orbits.node_orbits`; recorded as ``python``) and the vectorized
+counters the engine runs (:mod:`repro.orbits.vectorized`; recorded as
+``numpy``) — edge orbits, node orbits, and a warm engine-cache pass — on ER
+and power-law synthetic graphs of increasing size, verifies the two stay
 bit-identical, and records the results in ``BENCH_orbits.json`` at the repo
 root (plus a readable table under ``benchmarks/results/``).  This file is the
 perf trajectory for the counting stage: future PRs should not regress the
@@ -29,7 +31,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph  # noqa: E402
-from repro.orbits import engine  # noqa: E402
+from repro.orbits import edge_orbits, engine, node_orbits, vectorized  # noqa: E402
 from repro.orbits.cache import OrbitCache  # noqa: E402
 
 #: (name, factory) per benchmark graph.
@@ -40,6 +42,12 @@ GRAPH_SPECS = (
     ("powerlaw_2k_edges", lambda: powerlaw_cluster_graph(700, 3, 0.5, random_state=2)),
 )
 QUICK_SPECS = GRAPH_SPECS[:2]
+
+#: (edge counter, node counter) per name recorded in ``BENCH_orbits.json``.
+COUNTERS = {
+    "python": (edge_orbits.count_edge_orbits, node_orbits.count_node_orbits),
+    "numpy": (vectorized.count_edge_orbits_numpy, vectorized.count_node_orbits_numpy),
+}
 
 JSON_PATH = REPO_ROOT / "BENCH_orbits.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "bench_orbit_counting.txt"
@@ -56,21 +64,18 @@ def _time(function, repeats: int) -> float:
 
 
 def bench_graph(name: str, factory, repeats: int) -> dict:
-    """Benchmark both backends (and the cache) on one graph."""
+    """Benchmark both counters (and the engine's cache) on one graph."""
     graph = factory()
     record = {"graph": name, "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
 
     timings = {}
-    for backend in ("python", "numpy"):
-        timings[backend] = {
-            "edge_s": _time(lambda: engine.count_edge_orbits(graph, backend=backend),
-                            repeats if backend == "numpy" else 1),
-            "node_s": _time(lambda: engine.count_node_orbits(graph, backend=backend),
-                            repeats if backend == "numpy" else 1),
+    for label, (count_edges, count_nodes) in COUNTERS.items():
+        runs = repeats if label == "numpy" else 1
+        timings[label] = {
+            "edge_s": _time(lambda: count_edges(graph), runs),
+            "node_s": _time(lambda: count_nodes(graph), runs),
         }
-        timings[backend]["total_s"] = (
-            timings[backend]["edge_s"] + timings[backend]["node_s"]
-        )
+        timings[label]["total_s"] = timings[label]["edge_s"] + timings[label]["node_s"]
     record["backends"] = timings
     record["speedup_edge"] = timings["python"]["edge_s"] / timings["numpy"]["edge_s"]
     record["speedup_node"] = timings["python"]["node_s"] / timings["numpy"]["node_s"]
@@ -84,15 +89,15 @@ def bench_graph(name: str, factory, repeats: int) -> dict:
     )
     assert cache.stats()["hits"] >= 1
 
-    reference = engine.count_edge_orbits(graph, backend="python")
-    fast = engine.count_edge_orbits(graph, backend="numpy")
+    (reference_edges, reference_nodes), (fast_edges, fast_nodes) = (
+        COUNTERS["python"],
+        COUNTERS["numpy"],
+    )
+    reference, fast = reference_edges(graph), fast_edges(graph)
     record["identical"] = bool(
         reference.edges == fast.edges
         and np.array_equal(reference.counts, fast.counts)
-        and np.array_equal(
-            engine.count_node_orbits(graph, backend="python"),
-            engine.count_node_orbits(graph, backend="numpy"),
-        )
+        and np.array_equal(reference_nodes(graph), fast_nodes(graph))
     )
 
     return record
@@ -104,9 +109,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
     args = parser.parse_args(argv)
 
-    if "numpy" not in engine.available_backends():
+    if not hasattr(np, "bitwise_count"):
         print(
-            "vectorized backend unavailable (needs numpy >= 2.0 for "
+            "vectorized counters unavailable (needs numpy >= 2.0 for "
             "np.bitwise_count); nothing to compare",
             file=sys.stderr,
         )
@@ -115,7 +120,7 @@ def main(argv=None) -> int:
     specs = QUICK_SPECS if args.quick else GRAPH_SPECS
     records = []
     lines = [
-        "Orbit-counting backends (best-of-%d, seconds)" % args.repeats,
+        "Orbit counters (best-of-%d, seconds)" % args.repeats,
         f"{'graph':<20}{'nodes':>7}{'edges':>7}{'python':>10}{'numpy':>10}"
         f"{'speedup':>9}{'identical':>11}",
     ]
@@ -145,7 +150,7 @@ def main(argv=None) -> int:
 
     failures = [r["graph"] for r in records if not r["identical"]]
     if failures:
-        print(f"BACKEND MISMATCH on: {failures}", file=sys.stderr)
+        print(f"COUNTER MISMATCH on: {failures}", file=sys.stderr)
         return 1
     return 0
 

@@ -68,7 +68,6 @@ def make_config() -> HTCConfig:
         orbits=range(4),
         n_neighbors=10,
         max_refinement_iterations=2,
-        orbit_backend="auto",
         orbit_cache="off",  # no cross-run reuse: each path pays its own way
         random_state=0,
     )

@@ -35,7 +35,9 @@ from repro import __version__ as ENGINE_VERSION
 #: 4.0: ``/artifacts`` lists the manifests on disk, so its ``source`` is
 #: ``"store"`` (was ``"catalog"``), and ``/artifacts/<id>`` of a removed
 #: artifact directory is a 404 unless the artifact is hosted.
-API_SCHEMA_VERSION = "4.0"
+#: 5.0: query responses, ``/stats`` and ``/artifacts/<id>`` lost the
+#: ``orbit_backend`` provenance key (there is one orbit counter).
+API_SCHEMA_VERSION = "5.0"
 
 #: Query operations, mirroring :class:`~repro.serve.service.AlignmentService`.
 QUERY_OPS = ("match", "top_k", "reverse_match", "reverse_top_k")
@@ -120,9 +122,6 @@ class QueryResponse:
     op: str
     k: Optional[int]
     score_dtype: str
-    #: Orbit-counting backend that produced the artifact's orbits
-    #: (``"unknown"`` when the artifact predates the provenance tag).
-    orbit_backend: str
     n_nodes: int
     #: ``np.ndarray`` internally; :func:`response_payload` serialises.
     results: Any
@@ -139,7 +138,6 @@ def make_query_response(
     request: QueryRequest,
     results: np.ndarray,
     score_dtype: str,
-    orbit_backend: str = "unknown",
 ) -> QueryResponse:
     """Build the response for a served request (results stay an ndarray)."""
     return QueryResponse(
@@ -149,7 +147,6 @@ def make_query_response(
         op=request.op,
         k=request.k if request.op in TOP_K_OPS else None,
         score_dtype=score_dtype,
-        orbit_backend=orbit_backend,
         n_nodes=(
             int(results.shape[0])
             if isinstance(results, np.ndarray)
@@ -276,7 +273,6 @@ def response_payload(response: QueryResponse) -> Dict[str, object]:
         "op": response.op,
         "k": response.k,
         "score_dtype": response.score_dtype,
-        "orbit_backend": response.orbit_backend,
         "n_nodes": response.n_nodes,
         "results": results,
     }

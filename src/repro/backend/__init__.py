@@ -5,9 +5,9 @@ pipeline and the similarity hot paths:
 
 * :mod:`repro.backend.executor` — the job-execution strategies
   (``serial`` / ``process-pool`` / ``process-pool-shm``) behind the
-  :class:`ExecutorBackend` contract, and the ``"auto"`` selector
-  (:data:`AUTO_BACKEND`) shared with the orbit engine; the suite runner and
-  the shard pipeline submit their jobs through it,
+  :class:`ExecutorBackend` contract, and their ``"auto"`` selector
+  (:data:`AUTO_BACKEND`); the suite runner and the shard pipeline submit
+  their jobs through it,
 * :mod:`repro.backend.shm` — the zero-copy shared-memory substrate under
   ``process-pool-shm``: :class:`~repro.backend.shm.SharedArena` segments
   with refcounted handles and guaranteed unlink, graph-pair staging /

@@ -62,8 +62,7 @@ from repro.backend.shm import (
     shm_worker_init,
 )
 
-#: Selector resolving to the default implementation, shared by the executor
-#: and orbit-counting selectors.
+#: Selector resolving to the default executor backend.
 AUTO_BACKEND = "auto"
 
 #: Executor backend names (the acceptance vocabulary).

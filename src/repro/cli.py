@@ -68,7 +68,6 @@ from repro.datasets.synthetic import bn, econ
 from repro.eval.protocol import run_comparison, run_method
 from repro.eval.reporting import format_importance_ranking, format_series, format_table
 from repro.eval.robustness import run_robustness
-from repro.orbits.engine import available_backends as available_orbit_backends
 from repro.api.models import (
     TOP_K_OPS,
     artifact_list_payload,
@@ -123,7 +122,6 @@ def _config_from_args(args: argparse.Namespace) -> HTCConfig:
         n_neighbors=args.neighbors,
         reinforcement_rate=args.beta,
         compute_dtype=args.dtype,
-        orbit_backend=args.orbit_backend,
         orbit_cache=args.orbit_cache,
         shard_count=args.shards,
         random_state=args.seed,
@@ -148,12 +146,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         "(exact, bit-identical default) or float32 (about half the "
         "score-matrix memory and faster GEMMs, float64 accumulation "
         "for reductions; documented tolerances instead of bit-identity)",
-    )
-    parser.add_argument(
-        "--orbit-backend",
-        choices=("auto",) + available_orbit_backends(),
-        default="auto",
-        help="orbit-counting backend (auto = numpy on NumPy >= 2.0, else python)",
     )
     parser.add_argument(
         "--orbit-cache",
@@ -470,7 +462,6 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
         "epochs": args.epochs,
         "n_neighbors": args.neighbors,
         "reinforcement_rate": args.beta,
-        "orbit_backend": args.orbit_backend,
         "orbit_cache": args.orbit_cache,
     }
     if args.orbits is not None:

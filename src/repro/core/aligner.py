@@ -47,11 +47,7 @@ def _augment_with_gdv(graph: AttributedGraph, config: HTCConfig) -> np.ndarray:
     the ablation bench shows the augmentation does not improve on HTC's
     orbit-weighted aggregation (see EXPERIMENTS.md).
     """
-    gdv = graphlet_degree_vectors(
-        graph,
-        backend=config.orbit_backend,
-        cache=resolve_cache(config.orbit_cache),
-    )
+    gdv = graphlet_degree_vectors(graph, cache=resolve_cache(config.orbit_cache))
     norms = np.linalg.norm(gdv, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return np.hstack([graph.attributes, gdv / norms])

@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Tuple, Union
 from repro.backend.executor import AUTO_BACKEND, available_executor_backends
 from repro.backend.precision import PrecisionPolicy, resolve_policy
 from repro.orbits.cache import resolve_cache
-from repro.orbits.engine import available_backends
 from repro.orbits.graphlets import EDGE_ORBIT_COUNT
 from repro.utils.random import RandomStateLike
 
@@ -69,11 +68,6 @@ class HTCConfig:
         kernels) or ``"float32"`` (half the score-matrix memory, faster
         GEMMs, float64 accumulation for reductions; documented tolerances
         instead of bit-identity).  See :mod:`repro.backend.precision`.
-    orbit_backend:
-        Orbit-counting backend (:mod:`repro.orbits.engine`): ``"auto"``
-        (default; ``"numpy"`` on NumPy >= 2.0, else ``"python"``),
-        ``"numpy"`` (vectorized sparse-product counters), or ``"python"``
-        (the pure-Python reference).  Both backends are bit-identical.
     orbit_cache:
         Orbit-count memoisation spec: ``"memory"`` (default; process-wide
         in-memory cache keyed by graph content hash), ``"off"``, a directory
@@ -119,7 +113,6 @@ class HTCConfig:
     use_lisi: bool = True
     augment_with_gdv: bool = False
     compute_dtype: str = "float64"
-    orbit_backend: str = AUTO_BACKEND
     orbit_cache: Union[bool, str, object] = "memory"
     shard_count: Optional[int] = None
     shard_overlap: int = 1
@@ -169,12 +162,6 @@ class HTCConfig:
         if self.shard_overlap < 0:
             raise ValueError(
                 f"shard_overlap must be >= 0, got {self.shard_overlap}"
-            )
-        valid_backends = (AUTO_BACKEND,) + available_backends()
-        if self.orbit_backend not in valid_backends:
-            raise ValueError(
-                f"orbit_backend must be one of {valid_backends}, "
-                f"got {self.orbit_backend!r}"
             )
         valid_executors = (AUTO_BACKEND,) + available_executor_backends()
         if self.executor_backend not in valid_executors:

@@ -65,17 +65,13 @@ def count_orbits_if_needed(
 ) -> Optional[EdgeOrbitCounts]:
     """Run edge-orbit counting only when the configuration requires it.
 
-    The backend and per-graph memoisation are taken from the config's
-    ``orbit_backend`` / ``orbit_cache`` fields, so repeated alignments of the
-    same graph (robustness and hyper-parameter sweeps) skip the stage.
+    Per-graph memoisation is taken from the config's ``orbit_cache`` field,
+    so repeated alignments of the same graph (robustness and
+    hyper-parameter sweeps) skip the stage.
     """
     if config.topology_mode != "orbit":
         return None
-    return count_edge_orbits(
-        graph,
-        backend=config.orbit_backend,
-        cache=resolve_cache(config.orbit_cache),
-    )
+    return count_edge_orbits(graph, cache=resolve_cache(config.orbit_cache))
 
 
 def make_encoder(in_features: int, config: HTCConfig) -> SharedGCNEncoder:

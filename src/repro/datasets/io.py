@@ -21,6 +21,7 @@ instead of failing deep inside the graph builders.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -46,6 +47,33 @@ def save_pair(pair: GraphPair, directory: Union[str, Path]) -> Path:
     (directory / "ground_truth.txt").write_text("\n".join(anchor_lines) + "\n")
     (directory / "name.txt").write_text(pair.name + "\n")
     return directory
+
+
+#: The files :func:`save_pair` writes that define a pair's content
+#: (``name.txt`` is left out: it only labels the pair).
+_CONTENT_FILES = (
+    "source.edges",
+    "source.attrs.npy",
+    "target.edges",
+    "target.attrs.npy",
+    "ground_truth.txt",
+)
+
+
+def pair_digest(directory: Union[str, Path]) -> str:
+    """SHA-256 (hex) of the files that define a stored pair's content.
+
+    The bytes of each content file present are hashed in a fixed order
+    (:func:`load_pair` treats a missing attribute or ground-truth file as
+    absent), so writing another pair into a directory changes its digest.
+    """
+    directory = Path(directory)
+    digest = hashlib.sha256()
+    for name in _CONTENT_FILES:
+        path = directory / name
+        if path.is_file():
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def _parse_int_pair(line: str, path: Path, lineno: int) -> Tuple[int, int]:
@@ -156,4 +184,4 @@ def load_pair(directory: Union[str, Path]) -> GraphPair:
     return GraphPair(source=source, target=target, ground_truth=ground_truth, name=name)
 
 
-__all__ = ["save_pair", "load_pair"]
+__all__ = ["save_pair", "load_pair", "pair_digest"]

@@ -6,20 +6,21 @@ This package provides:
 
 * :mod:`repro.orbits.graphlets` — the graphlet catalogue: templates, names,
   node-orbit and edge-orbit labellings,
-* :mod:`repro.orbits.engine` — the counting engine (``python``/``numpy``
-  backend selection + content-hash caching); the package-level
-  ``count_edge_orbits`` and ``count_node_orbits`` are its entry points,
-* :mod:`repro.orbits.edge_orbits` — the pure-Python combinatorial edge-orbit
-  counter (the role Orca plays in the paper), kept as the exact reference
-  oracle behind the ``"python"`` backend,
+* :mod:`repro.orbits.engine` — the counting engine (one exact counter +
+  content-hash caching); the package-level ``count_edge_orbits`` and
+  ``count_node_orbits`` are its entry points,
 * :mod:`repro.orbits.vectorized` — the sparse-product/closed-form numpy
-  counters behind the ``"numpy"`` backend,
+  counters the engine runs (the role Orca plays in the paper); they need
+  NumPy >= 2.0,
+* :mod:`repro.orbits.edge_orbits` — the pure-Python combinatorial edge-orbit
+  counter, kept as the exact reference oracle and as the engine's counter
+  on NumPy < 2.0,
 * :mod:`repro.orbits.cache` — content-hash-keyed orbit caching (memory and
   on-disk),
 * :mod:`repro.orbits.brute_force` — an independent reference counter based on
   induced-subgraph enumeration and template isomorphism, used in tests,
 * :mod:`repro.orbits.node_orbits` — pure-Python node graphlet-degree-vector
-  counting (the ``"python"`` node backend),
+  counting (the node-orbit reference, and the engine's on NumPy < 2.0),
 * :mod:`repro.orbits.orbit_matrix` — Graphlet Orbit Matrix (GOM) construction
   (Eq. 1), weighted or binary.
 """
@@ -27,11 +28,9 @@ This package provides:
 from repro.orbits.cache import OrbitCache, graph_content_hash, resolve_cache
 from repro.orbits.edge_orbits import EdgeOrbitCounts
 from repro.orbits.engine import (
-    available_backends,
     count_edge_orbits,
     count_node_orbits,
     graphlet_degree_vectors,
-    resolve_backend,
 )
 from repro.orbits.graphlets import (
     EDGE_ORBIT_COUNT,
@@ -55,7 +54,5 @@ __all__ = [
     "OrbitCache",
     "graph_content_hash",
     "resolve_cache",
-    "available_backends",
-    "resolve_backend",
     "build_orbit_matrices",
 ]

@@ -19,6 +19,9 @@ The per-quad classification is resolved through a 32-entry lookup table built
 once from structural rules (degrees and triangle membership inside the quad),
 so the per-edge work is ``O(|S|^2 + Σ_{w∈S} deg(w))`` — the same ``O(e·D²)``
 class the paper reports for Orca.
+
+This is the reference edge counter: the tests use it as the oracle, and
+:mod:`repro.orbits.engine` runs it on NumPy < 2.0.
 """
 
 from __future__ import annotations

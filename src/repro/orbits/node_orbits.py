@@ -8,6 +8,10 @@ features.  2- and 3-node orbits come from closed-form neighbourhood counts;
 4-node orbits come from an exact ESU enumeration of connected induced
 subgraphs, classified by degree sequence.
 
+This is the reference node counter: the tests use it as the oracle, and
+:mod:`repro.orbits.engine` runs it on NumPy < 2.0.  Log-scaled GDV features
+come from :func:`repro.orbits.engine.graphlet_degree_vectors`.
+
 Orbit numbering (see :mod:`repro.orbits.graphlets`): 0 edge; 1 chain end,
 2 chain middle; 3 triangle; 4 path end, 5 path middle; 6 star leaf,
 7 star centre; 8 cycle; 9 paw pendant, 10 paw far-triangle, 11 paw
@@ -100,16 +104,4 @@ def _count_quad(quad, adjacency_sets, counts: np.ndarray) -> None:
             counts[node, 14] += 1
 
 
-def graphlet_degree_vectors(graph: AttributedGraph, log_scale: bool = True) -> np.ndarray:
-    """Node features from GDVs, optionally log-scaled (``log(1 + count)``).
-
-    Log scaling keeps heavy-tailed orbit counts comparable across nodes and is
-    what graphlet-feature alignment baselines typically consume.
-    """
-    gdv = count_node_orbits(graph).astype(np.float64)
-    if log_scale:
-        gdv = np.log1p(gdv)
-    return gdv
-
-
-__all__ = ["count_node_orbits", "graphlet_degree_vectors"]
+__all__ = ["count_node_orbits"]

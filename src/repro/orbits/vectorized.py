@@ -1,4 +1,4 @@
-"""Vectorized (numpy/scipy) orbit counting — the ``"numpy"`` engine backend.
+"""Vectorized (numpy/scipy) orbit counting — the engine's counter on NumPy >= 2.0.
 
 The pure-Python counters in :mod:`repro.orbits.edge_orbits` and
 :mod:`repro.orbits.node_orbits` classify every 4-node quad with nested Python
@@ -78,7 +78,7 @@ the edges are kept.  ``K`` holds the bit-packed adjacency (``n²/8`` bytes)
 plus, per chunk of edges, ``Σt·n/8`` bytes of incidence rows under the same
 budget, where ``Σt`` is the chunk's number of common-neighbour incidences.
 All arithmetic is int64 and exact, so counts are bit-identical to the
-reference backend.
+reference counters.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ records the job statuses, the executor that produced the run and the wall
 clock.  With ``resume=True``, jobs whose artifact already exists, carries
 the current spec hash and finished successfully are skipped — so an
 interrupted sweep restarts from where it stopped, and editing any job knob
-re-runs exactly the affected jobs.  The executor choice never enters the
+re-runs exactly the affected jobs.  A ``dir:`` dataset's jobs also record
+the :func:`~repro.datasets.io.pair_digest` of its files, and a cached
+artifact whose digest is missing or differs is stale, so rewriting the
+directory re-runs its jobs.  The executor choice never enters the
 job specs, so spec hashes (and therefore ``--resume`` and artifact
 identity) are invariant across backends.
 
@@ -53,6 +56,7 @@ from repro.backend.shm import (
     share_pair,
     worker_state,
 )
+from repro.datasets.io import pair_digest
 from repro.runner.spec import JobSpec, SuiteSpec
 from repro.utils.logging import get_logger
 
@@ -106,6 +110,12 @@ def resolve_method(name: str, config) -> object:
 
 def _alarm_handler(signum, frame):  # pragma: no cover - trivial
     raise JobTimeout()
+
+
+def _dataset_digest(dataset: str) -> Optional[str]:
+    """:func:`pair_digest` of a ``dir:`` dataset (generated ones: ``None``)."""
+    prefix, _, path = dataset.partition(":")
+    return pair_digest(path) if prefix == "dir" and path else None
 
 
 def execute_job(
@@ -170,6 +180,9 @@ def execute_job(
     started = time.perf_counter()
     try:
         with span("runner.job", obs_registry):
+            digest = _dataset_digest(job.dataset)
+            if digest is not None:
+                artifact["dataset_digest"] = digest
             config_overrides = dict(job.config)
             config_overrides.setdefault("random_state", job.seed)
             config = HTCConfig(**config_overrides)
@@ -280,6 +293,9 @@ def _load_cached_artifact(path: Path, job: JobSpec) -> Optional[Dict[str, object
         return None
     if payload.get("status") != STATUS_DONE:
         return None
+    digest = _dataset_digest(job.dataset)
+    if digest is not None and payload.get("dataset_digest") != digest:
+        return None  # the dir: dataset was rewritten (or the digest predates it)
     return payload
 
 

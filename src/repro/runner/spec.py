@@ -24,12 +24,14 @@ editing any knob of a job invalidates exactly that job's artifact.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.config import HTCConfig
 from repro.utils.naming import slugify
 
 
@@ -134,7 +136,10 @@ class SuiteSpec:
         Shared :class:`~repro.core.config.HTCConfig` overrides.
     grid:
         Parameter grid, e.g. ``{"n_neighbors": [5, 10]}``; jobs are expanded
-        for every combination, layered over ``config``.
+        for every combination, layered over ``config``.  Every ``config``
+        and ``grid`` key must be an ``HTCConfig`` field: an unknown key
+        raises ``ValueError`` when the suite is built, before any job runs
+        (the values are checked per job, when its ``HTCConfig`` is built).
     n_runs, train_ratio, seed:
         Forwarded to :func:`repro.eval.protocol.run_method`.
     timeout:
@@ -170,6 +175,18 @@ class SuiteSpec:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+        fields = {spec.name for spec in dataclasses.fields(HTCConfig)}
+        unknown = [
+            f"{where} key {key!r}"
+            for where, keys in (("config", self.config), ("grid", self.grid))
+            for key in sorted(keys)
+            if key not in fields
+        ]
+        if unknown:
+            raise ValueError(
+                f"suite {self.name!r} sets keys that are not HTCConfig "
+                f"fields: {', '.join(unknown)}"
+            )
 
     # ------------------------------------------------------------------
     # expansion

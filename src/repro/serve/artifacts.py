@@ -47,7 +47,6 @@ import numpy as np
 from repro.backend.precision import as_score_matrix
 from repro.core.config import HTCConfig
 from repro.core.result import AlignmentResult
-from repro.orbits.engine import DEFAULT_BACKEND
 from repro.runner.spec import canonical_json, spec_hash
 from repro.serve.index import DEFAULT_INDEX_K, SparseTopKIndex, build_index
 from repro.utils.naming import slugify
@@ -214,28 +213,6 @@ def _write_artifact(
     )
 
 
-def _annotate_orbit_backend(
-    metadata: Optional[Dict[str, object]], config
-) -> Dict[str, object]:
-    """Stamp orbit-backend provenance into the metadata annotations.
-
-    The resolved name of the config's orbit backend (``"auto"`` resolved to
-    the concrete default) is recorded so queries can report which counter
-    produced the artifact's orbits.  Only applies when a config is supplied
-    — config-less exports (bare score matrices, test fixtures) keep their
-    metadata untouched.  An explicit ``orbit_backend`` key always wins.
-    Metadata is outside the content hash, so artifact ids are unaffected.
-    """
-    annotations = dict(metadata or {})
-    if config is None or "orbit_backend" in annotations:
-        return annotations
-    selector = str(getattr(config, "orbit_backend", "auto") or "auto")
-    if selector == "auto":
-        selector = DEFAULT_BACKEND
-    annotations["orbit_backend"] = selector
-    return annotations
-
-
 def save_artifact(
     result: AlignmentResult,
     config: Optional[HTCConfig] = None,
@@ -301,7 +278,7 @@ def save_artifact(
         "scalars": scalars,
         "arrays": array_meta,
         "index": index.meta_payload(),
-        "metadata": _annotate_orbit_backend(metadata, config),
+        "metadata": dict(metadata or {}),
     }
     return _write_artifact(root, manifest, arrays, index, overwrite)
 
@@ -353,7 +330,7 @@ def save_index_artifact(
         "scalars": {},
         "arrays": array_meta,
         "index": index.meta_payload(),
-        "metadata": _annotate_orbit_backend(metadata, config),
+        "metadata": dict(metadata or {}),
     }
     return _write_artifact(root, manifest, arrays, index, overwrite)
 

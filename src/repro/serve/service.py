@@ -102,10 +102,6 @@ class AlignmentService:
         #: str(index.score_dtype) per artifact — numpy dtype stringification
         #: is measurable on the per-call hot path, so it happens once here.
         self._score_dtypes: Dict[str, str] = {}
-        #: Orbit-backend provenance per artifact, read from the manifest
-        #: metadata at hosting time ("unknown" for bare indexes and
-        #: artifacts exported before the tag existed).
-        self._orbit_backends: Dict[str, str] = {}
         self._lock = threading.RLock()
         #: Per-service metrics.  Every metric carries its own lock, so the
         #: service-wide ``_lock`` (which guards index access) is never
@@ -144,9 +140,6 @@ class AlignmentService:
             self._score_dtypes[artifact.artifact_id] = str(
                 artifact.index.score_dtype
             )
-            self._orbit_backends[artifact.artifact_id] = str(
-                artifact.metadata.get("orbit_backend", "unknown")
-            )
         return artifact.artifact_id
 
     def add_index(self, artifact_id: str, index: SparseTopKIndex) -> str:
@@ -155,7 +148,6 @@ class AlignmentService:
             self._artifacts.pop(artifact_id, None)
             self._indexes[artifact_id] = index
             self._score_dtypes[artifact_id] = str(index.score_dtype)
-            self._orbit_backends[artifact_id] = "unknown"
         return artifact_id
 
     def unload(self, artifact_id: str) -> None:
@@ -164,7 +156,6 @@ class AlignmentService:
             self._indexes.pop(artifact_id, None)
             self._artifacts.pop(artifact_id, None)
             self._score_dtypes.pop(artifact_id, None)
-            self._orbit_backends.pop(artifact_id, None)
 
     def artifact_ids(self) -> List[str]:
         """Ids currently hosted, sorted."""
@@ -187,7 +178,6 @@ class AlignmentService:
             "index_bytes": index.nbytes,
             "dense_bytes": index.dense_nbytes,
             "compression_ratio": round(index.compression_ratio, 2),
-            "orbit_backend": self._orbit_backends.get(artifact_id, "unknown"),
         }
         if artifact is not None:
             info["metadata"] = dict(artifact.metadata)
@@ -239,8 +229,7 @@ class AlignmentService:
         # _query just resolved the index; a plain dict read (GIL-atomic) is
         # enough for the dtype tag even if a concurrent unload races us.
         score_dtype = self._score_dtypes.get(request.artifact_id, "unknown")
-        orbit_backend = self._orbit_backends.get(request.artifact_id, "unknown")
-        return make_query_response(request, answers, score_dtype, orbit_backend)
+        return make_query_response(request, answers, score_dtype)
 
     def match(self, artifact_id: str, source_nodes) -> np.ndarray:
         """Best target per source node (batched argmax)."""
@@ -320,10 +309,6 @@ class AlignmentService:
         """
         with self._lock:
             hosted = sorted(self._indexes)
-            orbit_backends = {
-                artifact_id: self._orbit_backends.get(artifact_id, "unknown")
-                for artifact_id in hosted
-            }
         with self._stats_lock:
             op_handles = dict(self._op_metrics)
         queries = 0
@@ -345,7 +330,6 @@ class AlignmentService:
             "schema_version": API_SCHEMA_VERSION,
             "engine_version": ENGINE_VERSION,
             "artifacts": hosted,
-            "orbit_backend": orbit_backends,
             "queries": queries,
             "batches": batches,
             "total_latency_s": total_latency,

@@ -17,9 +17,9 @@ Give ``workdir`` a stable path to make the whole sharded alignment
 resumable: a re-run with ``resume=True`` regenerates the (deterministic)
 shard datasets, skips every shard job whose artifact already matches its
 spec hash, and only re-aligns what changed.  Each shard dataset directory
-is named by the SHA-256 of the files written for it (edges, attributes,
-anchors), so a shard whose inputs changed gets a new job spec even when the
-pair keeps its name.
+is named by the :func:`~repro.datasets.io.pair_digest` of the files written
+for it (edges, attributes, anchors), so a shard whose inputs changed gets a
+new job spec even when the pair keeps its name.
 
 :class:`ShardedAligner` adapts the pipeline to the standard aligner
 protocol (``align(pair) -> AlignmentResult``) so ``run-suite``, ``align``
@@ -29,8 +29,6 @@ and ``export-artifact`` can run sharded HTC by simply setting
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import shutil
 import tempfile
 import time
@@ -39,13 +37,13 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.config import HTCConfig
 from repro.core.result import AlignmentResult
-from repro.datasets.io import save_pair
+from repro.datasets.io import pair_digest, save_pair
 from repro.datasets.pair import GraphPair
 from repro.obs.metrics import default_registry
 from repro.obs.tracing import span
 from repro.runner.executor import STATUS_CACHED, STATUS_DONE, run_suite
 from repro.runner.spec import SuiteSpec
-from repro.serve.artifacts import load_artifact
+from repro.serve.artifacts import load_artifact, serialize_config
 from repro.shard.partition import build_shard_plan
 from repro.shard.stitch import (
     StitchedAlignment,
@@ -59,52 +57,29 @@ logger = get_logger(__name__)
 
 
 def _shard_config_overrides(config: HTCConfig) -> Dict[str, object]:
-    """The per-shard job config: the full config minus the shard knobs.
+    """The per-shard job config: the serialized config minus the shard knobs.
 
     Stripping ``shard_count`` is what stops the per-shard jobs from
     recursing into another sharded run.  ``executor_backend`` is stripped
     too: it changes how jobs run, never what they compute, so it must not
     enter the job specs (spec hashes stay identical across executors).
     """
-    overrides: Dict[str, object] = {}
-    for spec in dataclasses.fields(config):
-        if spec.name in ("shard_count", "shard_overlap", "executor_backend"):
-            continue
-        value = getattr(config, spec.name)
-        if spec.name == "orbit_cache" and not isinstance(value, (bool, str)):
-            value = "memory"
-        if spec.name == "random_state" and not isinstance(value, (int, type(None))):
-            value = 0
-        if isinstance(value, tuple):
-            value = list(value)
-        overrides[spec.name] = value
+    overrides = serialize_config(config)
+    for name in ("shard_count", "shard_overlap", "executor_backend"):
+        del overrides[name]
     return overrides
-
-
-#: The files :func:`repro.datasets.io.save_pair` writes that define a shard's
-#: content (``name.txt`` is left out: it repeats the pair's name).
-_SHARD_CONTENT_FILES = (
-    "source.edges",
-    "source.attrs.npy",
-    "target.edges",
-    "target.attrs.npy",
-    "ground_truth.txt",
-)
 
 
 def _save_shard_dataset(subpair: GraphPair, pairs_dir: Path, index: int) -> Path:
     """Write one shard sub-pair under a directory named by its content.
 
-    The name is ``shard_NNN-<sha256 prefix>`` over the files ``save_pair``
-    wrote, so a resumed run whose inputs changed gets new job specs instead
-    of reusing another pair's shard results.
+    The name is ``shard_NNN-<pair_digest prefix>`` over the files
+    ``save_pair`` wrote, so a resumed run whose inputs changed gets new job
+    specs instead of reusing another pair's shard results.
     """
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=pairs_dir))
     save_pair(subpair, staging)
-    digest = hashlib.sha256()
-    for name in _SHARD_CONTENT_FILES:
-        digest.update((staging / name).read_bytes())
-    shard_dir = pairs_dir / f"shard_{index:03d}-{digest.hexdigest()[:16]}"
+    shard_dir = pairs_dir / f"shard_{index:03d}-{pair_digest(staging)[:16]}"
     if shard_dir.is_dir():
         shutil.rmtree(staging)
     else:

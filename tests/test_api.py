@@ -326,18 +326,17 @@ class TestDispatch:
         status, payload = dispatch(ApiState(root=root), "POST", "/bogus", body={})
         assert status == 404
 
-    def test_stats_key_set_of_schema_4_0(self, store):
+    def test_stats_key_set_of_schema_5_0(self, store):
         root, artifact_id, _ = store
         state = ApiState(root=root)
         dispatch(state, "POST", "/match", body={"artifact_id": artifact_id, "nodes": [0]})
         status, payload = dispatch(state, "GET", "/stats")
         assert status == 200
-        assert API_SCHEMA_VERSION == payload["schema_version"] == "4.0"
+        assert API_SCHEMA_VERSION == payload["schema_version"] == "5.0"
         assert set(payload) == {
             "schema_version",
             "engine_version",
             "artifacts",
-            "orbit_backend",
             "queries",
             "batches",
             "total_latency_s",
@@ -348,6 +347,43 @@ class TestDispatch:
         }
         assert set(payload["latency"]) == {"match"}
         assert set(payload["latency"]["match"]) == {"batch"}
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/match", {"nodes": [0, 1]}),
+            ("/top_k", {"nodes": [0, 1], "k": 3}),
+            ("/reverse", {"nodes": [0, 1]}),
+            ("/query", {"op": "match", "nodes": [0, 1]}),
+        ],
+    )
+    def test_query_reply_key_set_of_schema_5_0(self, store, path, body):
+        root, artifact_id, _ = store
+        status, payload = dispatch(
+            ApiState(root=root), "POST", path, body={"artifact_id": artifact_id, **body}
+        )
+        assert status == 200
+        assert set(payload) == {
+            "schema_version",
+            "engine_version",
+            "artifact_id",
+            "op",
+            "k",
+            "score_dtype",
+            "n_nodes",
+            "results",
+        }
+        assert payload["schema_version"] == "5.0"
+
+    def test_artifact_get_has_no_orbit_backend(self, store):
+        root, artifact_id, _ = store
+        state = ApiState(root=root)
+        body = {"artifact_id": artifact_id, "nodes": [0]}
+        dispatch(state, "POST", "/match", body=body)
+        status, payload = dispatch(state, "GET", f"/artifacts/{artifact_id}")
+        assert status == 200 and payload["hosted"]
+        assert "orbit_backend" not in payload
+        assert "orbit_backend" not in payload["metadata"]
 
     def test_stateless_service_without_root(self):
         state = ApiState()  # no store at all

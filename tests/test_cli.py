@@ -227,7 +227,6 @@ class TestServeCommands:
             # The compute-backend flag and the removed backend names.
             ["align", "--dataset", "tiny", "--backend", "numpy"],
             ["run-suite", "--backend", "numpy"],
-            ["align", "--dataset", "tiny", "--orbit-backend", "numba"],
             ["run-suite", "--executor", "thread-pool"],
             ["export-artifact", "--dataset", "tiny", "--executor", "thread-pool"],
             # The SQLite catalog's backfill command.
@@ -240,6 +239,12 @@ class TestServeCommands:
             ["robustness", "--stitch", "streaming"],
             ["run-suite", "--stitch", "streaming"],
             ["export-artifact", "--dataset", "tiny", "--stitch", "memory"],
+            # One orbit counter: nothing left to select.
+            ["align", "--dataset", "tiny", "--orbit-backend", "numba"],
+            ["compare", "--orbit-backend", "numpy"],
+            ["robustness", "--orbit-backend", "python"],
+            ["run-suite", "--orbit-backend", "auto"],
+            ["export-artifact", "--dataset", "tiny", "--orbit-backend", "numpy"],
         ],
     )
     def test_removed_options_are_rejected(self, argv, capsys):

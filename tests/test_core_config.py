@@ -1,7 +1,5 @@
 """Tests for HTCConfig validation and derived properties."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -76,39 +74,14 @@ class TestHTCConfig:
             # It only carried the sharded stitch choice, and there is one
             # stitch left.
             ("extra", {"stitch": "streaming"}),
+            # There is one orbit counter: the vectorized one on NumPy >= 2.0,
+            # the pure-Python reference below that.
+            ("orbit_backend", "numpy"),
         ],
     )
     def test_removed_fields_rejected(self, field, value):
         with pytest.raises(TypeError, match=field):
             HTCConfig(**{field: value})
-
-
-class TestOrbitBackendDeprecation:
-    """The ``orbit_backend`` warning is withdrawn: the field is the one
-    orbit-backend selector, so it never warns and still validates."""
-
-    def test_explicit_backend_resolves_without_warning(self):
-        from repro.orbits.engine import resolve_backend
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = HTCConfig(orbit_backend="numpy")
-        assert config.orbit_backend == "numpy"
-        assert resolve_backend(config.orbit_backend) == "numpy"
-
-    def test_auto_default_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert HTCConfig().orbit_backend == "auto"
-
-    def test_invalid_backend_still_rejected(self):
-        with pytest.raises(ValueError, match="orbit_backend"):
-            HTCConfig(orbit_backend="abacus")
-
-    def test_removed_numba_backend_lists_the_choices(self):
-        with pytest.raises(ValueError, match="orbit_backend") as excinfo:
-            HTCConfig(orbit_backend="numba")
-        assert "('auto', 'numpy', 'python')" in str(excinfo.value)
 
 
 class TestExecutorBackendField:

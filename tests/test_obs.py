@@ -607,15 +607,12 @@ class TestSelectionRecordsNothing:
     def test_backend_selection_and_kernels_leave_metrics_untouched(self):
         """Choosing a backend or scoring a block is not a metrics event."""
         from repro.backend import get_executor_backend, resolve_executor_backend
-        from repro.orbits import engine
         from repro.similarity import cosine_similarity, pearson_similarity
 
         before = default_registry().snapshot()
         for name in ("auto", "serial", "process-pool", "process-pool-shm"):
             resolve_executor_backend(name)
             get_executor_backend(name)
-        for name in ("auto",) + engine.available_backends():
-            engine.resolve_backend(name)
         rng = np.random.default_rng(0)
         source, target = rng.standard_normal((70, 8)), rng.standard_normal((50, 8))
         pearson_similarity(source, target)

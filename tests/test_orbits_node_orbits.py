@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.graph.builders import from_networkx
 from repro.orbits.brute_force import brute_force_node_orbits
 from repro.orbits.graphlets import NODE_ORBIT_COUNT
-from repro.orbits.node_orbits import count_node_orbits, graphlet_degree_vectors
+from repro.orbits.engine import graphlet_degree_vectors
+from repro.orbits.node_orbits import count_node_orbits
 
 
 class TestCanonicalGraphlets:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from _helpers import BLOCK_BUDGETS, set_block_budget
 
+from repro.datasets.io import pair_digest
 from repro.eval.protocol import MethodResult
 from repro.runner import (
     JobSpec,
@@ -248,6 +249,55 @@ class TestRunSuite:
         second = run_suite(suite, tmp_path, jobs=1, resume=True)
         assert second.counts == {"failed": 1}
 
+    def test_resume_reruns_a_rewritten_dir_dataset(self, tmp_path):
+        from repro.datasets import save_pair
+        from repro.datasets.synthetic import tiny_pair
+
+        data = tmp_path / "pair"
+        save_pair(tiny_pair(60, random_state=0), data)
+        suite = SuiteSpec(name="dir", datasets=[f"dir:{data}"], methods=["Degree"])
+        first = run_suite(suite, tmp_path / "out", jobs=1)
+        save_pair(tiny_pair(60, random_state=1), data)
+        resumed = run_suite(suite, tmp_path / "out", jobs=1, resume=True)
+        fresh = run_suite(suite, tmp_path / "fresh", jobs=1)
+
+        def p_at_1(report):
+            (artifact,) = report.artifacts
+            return artifact["result"]["metrics"]["p@1"]
+
+        assert resumed.counts == {"done": 1}
+        assert p_at_1(resumed) == p_at_1(fresh) != p_at_1(first)
+        # The digest rides in the artifact; spec hashes and job ids stay.
+        assert [a["job_id"] for a in resumed.artifacts] == [
+            a["job_id"] for a in first.artifacts
+        ]
+        assert resumed.artifacts[0]["spec_hash"] == first.artifacts[0]["spec_hash"]
+        assert resumed.artifacts[0]["dataset_digest"] == pair_digest(data)
+        again = run_suite(suite, tmp_path / "out", jobs=1, resume=True)
+        assert again.counts == {"cached": 1}
+
+    def test_resume_reruns_a_dir_artifact_without_a_digest(self, tmp_path):
+        from repro.datasets import save_pair
+        from repro.datasets.synthetic import tiny_pair
+
+        save_pair(tiny_pair(40, random_state=0), tmp_path / "pair")
+        suite = SuiteSpec(
+            name="nodigest", datasets=[f"dir:{tmp_path / 'pair'}"], methods=["Degree"]
+        )
+        report = run_suite(suite, tmp_path / "out", jobs=1)
+        (artifact_path,) = (tmp_path / "out" / "nodigest" / "jobs").glob("*.json")
+        payload = json.loads(artifact_path.read_text())
+        del payload["dataset_digest"]  # as an older writer left it
+        artifact_path.write_text(json.dumps(payload))
+        assert run_suite(suite, tmp_path / "out", jobs=1, resume=True).counts == {
+            "done": 1
+        }
+        assert report.counts == {"done": 1}
+
+    def test_generated_datasets_record_no_digest(self, tmp_path):
+        report = run_suite(_tiny_suite(name="nodir"), tmp_path, jobs=1)
+        assert all("dataset_digest" not in a for a in report.artifacts)
+
     def test_timeout_artifact_status(self, tmp_path):
         suite = SuiteSpec(
             name="slow",
@@ -352,17 +402,61 @@ class TestExecutorBackends:
         assert "('process-pool', 'process-pool-shm', 'serial')" in str(excinfo.value)
         assert not list((tmp_path / "out").rglob("*.json"))
 
-    def test_removed_orbit_backend_in_suite_file_fails_its_jobs(self, tmp_path):
+    def test_removed_orbit_backend_in_suite_file_fails_before_any_job(
+        self, tmp_path
+    ):
         spec = tmp_path / "suite.json"
         payload = _tiny_suite(name="orbit-removed", methods=("HTC",)).to_dict()
-        payload["config"]["orbit_backend"] = "numba"
+        payload["config"]["orbit_backend"] = "auto"
         spec.write_text(json.dumps(payload))
-        report = run_suite(SuiteSpec.from_json_file(spec), tmp_path / "out", jobs=1)
-        assert report.counts == {"failed": 1}
-        (artifact,) = report.artifacts
-        assert "orbit_backend must be one of ('auto', 'numpy', 'python')" in (
-            artifact["error"]
-        )
+        with pytest.raises(ValueError, match="config key 'orbit_backend'"):
+            SuiteSpec.from_json_file(spec)
+        # The CLI builds the same spec before it writes anything.
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="config key 'orbit_backend'"):
+            main(["run-suite", "--suite", str(spec), "--output", str(tmp_path / "out")])
+        assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            # Fields HTCConfig no longer has: the compute backend, the
+            # encoder-sharing flag, the stitch carrier and the orbit counter.
+            ("config", "backend", "numpy"),
+            ("config", "shared_encoder", True),
+            ("config", "extra", {"stitch": "streaming"}),
+            ("grid", "orbit_backend", ["numpy", "python"]),
+        ],
+    )
+    def test_unknown_config_keys_fail_when_the_suite_is_built(
+        self, where, key, value
+    ):
+        payload = _tiny_suite(name="unknown-key").to_dict()
+        payload[where][key] = value
+        with pytest.raises(ValueError, match=f"{where} key '{key}'"):
+            SuiteSpec.from_dict(payload)
+
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            _tiny_suite(
+                config={"epochs": 3, "orbit_backend": "auto", "backend": "numpy"},
+                grid={"n_neighbors": [5], "extra": [{}]},
+            )
+        message = str(excinfo.value)
+        for name in (
+            "config key 'backend'",
+            "config key 'orbit_backend'",
+            "grid key 'extra'",
+        ):
+            assert name in message
+        assert "epochs" not in message and "n_neighbors" not in message
+
+    def test_config_values_are_still_checked_per_job(self, tmp_path):
+        suite = _tiny_suite(name="bad-value", config={"epochs": 0})
+        report = run_suite(suite, tmp_path, jobs=1)
+        assert report.counts == {"failed": 2}
+        assert all("epochs must be >= 1" in a["error"] for a in report.artifacts)
 
 
 class TestWorkerCrashRecovery:

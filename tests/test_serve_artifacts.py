@@ -10,7 +10,6 @@ from _helpers import set_block_budget
 from repro.core import HTCAligner, HTCConfig
 from repro.core.result import AlignmentResult
 from repro.datasets.synthetic import tiny_pair
-from repro.orbits.engine import DEFAULT_BACKEND
 from repro.serve.artifacts import (
     ARRAYS_FILE,
     MANIFEST_FILE,
@@ -371,15 +370,41 @@ class TestConfigSerialization:
         rebuilt = deserialize_config(payload)
         assert not hasattr(rebuilt, "future_knob")
 
-    @pytest.mark.parametrize(
-        "selector, recorded",
-        [("auto", DEFAULT_BACKEND), ("python", "python"), ("numpy", "numpy")],
-    )
-    def test_orbit_backend_provenance(self, selector, recorded, tmp_path):
-        config = HTCConfig(orbit_backend=selector)
-        info = save_artifact(make_result(), config, root=tmp_path)
+    def test_metadata_is_stored_as_given(self, tmp_path):
+        # No orbit-counter provenance is stamped in: there is one counter.
+        config = HTCConfig(epochs=7)
+        assert "orbit_backend" not in serialize_config(config)
+        for saver, payload in (
+            (save_artifact, make_result()),
+            (save_index_artifact, build_index(make_result().alignment_matrix, k=3)),
+        ):
+            info = saver(payload, config, root=tmp_path, metadata={"dataset": "tiny"})
+            assert load_artifact(tmp_path, info.artifact_id, mode="serve").metadata == {
+                "dataset": "tiny"
+            }
+
+    def test_artifact_with_orbit_backend_provenance_loads_and_answers(self, tmp_path):
+        # Artifacts exported while the orbit counter was selectable carry
+        # ``orbit_backend`` in their config and their metadata.
+        config = HTCConfig(epochs=7, embedding_dim=16)
+        result = make_result()
+        info = save_artifact(result, config, root=tmp_path, name="old")
+        manifest = json.loads((info.path / MANIFEST_FILE).read_text())
+        manifest["config"]["orbit_backend"] = "auto"
+        manifest["metadata"]["orbit_backend"] = "numpy"
+        (info.path / MANIFEST_FILE).write_text(json.dumps(manifest))
         loaded = load_artifact(tmp_path, info.artifact_id)
-        assert loaded.metadata["orbit_backend"] == recorded
+        assert loaded.config == config
+        assert loaded.metadata == {"orbit_backend": "numpy"}
+        service = AlignmentService()
+        service.load(tmp_path, info.artifact_id)
+        rows = np.arange(result.alignment_matrix.shape[0])
+        np.testing.assert_array_equal(
+            service.match(info.artifact_id, rows),
+            result.alignment_matrix.argmax(axis=1),
+        )
+        assert "orbit_backend" not in service.describe(info.artifact_id)
+        assert "orbit_backend" not in service.stats()
 
     def test_stored_config_with_removed_backend_field_still_loads(self, tmp_path):
         # Artifacts exported while HTCConfig still had a compute ``backend``

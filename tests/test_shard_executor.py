@@ -1,5 +1,6 @@
 """End-to-end tests for sharded alignment through the runner machinery."""
 
+import hashlib
 import json
 import shutil
 
@@ -10,17 +11,20 @@ from _helpers import dense_matrix_stitch
 import repro
 import repro.shard.executor as shard_executor
 from repro.core import HTCConfig
+from repro.datasets.io import pair_digest
 from repro.datasets.pair import GraphPair
 from repro.datasets.synthetic import tiny_pair
 from repro.graph.attributed_graph import AttributedGraph
 from repro.eval.protocol import run_method
 from repro.runner import SuiteSpec, resolve_method, run_suite
+from repro.orbits.cache import resolve_cache
 from repro.serve import (
     AlignmentService,
     list_artifacts,
     load_artifact,
     save_index_artifact,
 )
+from repro.serve.artifacts import serialize_config
 from repro.serve.index import DEFAULT_INDEX_K
 from repro.shard import ShardedAligner, align_sharded, build_shard_plan
 
@@ -238,6 +242,52 @@ class TestShardDatasets:
         other = shard_executor._save_shard_dataset(changed, tmp_path, 0)
         assert other != original
         assert other.name.startswith("shard_000-")
+
+    def test_directory_is_named_by_pair_digest(self, pair, tmp_path):
+        shard_dir = shard_executor._save_shard_dataset(pair, tmp_path, 3)
+        assert shard_dir.name == f"shard_003-{pair_digest(shard_dir)[:16]}"
+        # The digest is the one shard directories were always named by, so
+        # an existing shard workdir keeps its names and job ids.
+        concatenated = b"".join(
+            (shard_dir / name).read_bytes()
+            for name in (
+                "source.edges",
+                "source.attrs.npy",
+                "target.edges",
+                "target.attrs.npy",
+                "ground_truth.txt",
+            )
+        )
+        assert pair_digest(shard_dir) == hashlib.sha256(concatenated).hexdigest()
+
+
+class TestShardJobConfig:
+    def test_job_config_is_the_serialized_config_minus_shard_knobs(
+        self, pair, tmp_path
+    ):
+        # A live cache, a Generator seed and tuples: the values the
+        # serializer rewrites.
+        config = HTCConfig(
+            epochs=3,
+            embedding_dim=8,
+            orbits=(0, 2, 5),
+            shard_count=2,
+            shard_overlap=0,
+            executor_backend="serial",
+            orbit_cache=resolve_cache("memory"),
+            random_state=np.random.default_rng(3),
+        )
+        align_sharded(pair, config, workdir=tmp_path, refine_iterations=0)
+        expected = serialize_config(config)
+        for name in ("shard_count", "shard_overlap", "executor_backend"):
+            del expected[name]
+        assert expected["orbit_cache"] == "memory" and expected["random_state"] == 0
+        (manifest_path,) = tmp_path.glob("runs/*/manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["suite"]["config"] == expected
+        for row in manifest["jobs"]:
+            job = json.loads((manifest_path.parent / row["artifact"]).read_text())
+            assert job["spec"]["config"] == expected
 
 
 class TestShardedAligner:
