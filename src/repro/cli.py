@@ -489,7 +489,12 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
 
 
 def _cmd_run_suite(args: argparse.Namespace) -> int:
-    suite = _suite_from_args(args)
+    try:
+        suite = _suite_from_args(args)
+    except (OSError, ValueError) as error:
+        # A bad spec is a usage error: one line and argparse's exit code.
+        print(f"repro run-suite: error: {error}", file=sys.stderr)
+        return 2
     report = run_suite(
         suite,
         args.output,

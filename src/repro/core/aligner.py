@@ -8,11 +8,14 @@ decomposition (the Fig. 8 breakdown):
 3. *multi-orbit-aware training* — Algorithm 1 on the shared encoder,
 4. *trusted-pair fine-tuning* — Algorithm 2 per orbit,
 5. *weighted integration* — posterior importance assignment (Eq. 15).
+
+Each stage is a :func:`repro.obs.span` with ``into=`` the result's
+``stage_times``, so a traced run also records it as a span.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -28,10 +31,10 @@ from repro.core.result import AlignmentResult
 from repro.core.training import MultiOrbitTrainer
 from repro.datasets.pair import GraphPair
 from repro.graph.attributed_graph import AttributedGraph
+from repro.obs.tracing import span
 from repro.orbits.cache import resolve_cache
 from repro.orbits.engine import graphlet_degree_vectors
 from repro.utils.logging import get_logger
-from repro.utils.timing import StageTimer
 
 logger = get_logger(__name__)
 
@@ -110,24 +113,24 @@ class HTCAligner:
                 f"{source.n_attributes} and {target.n_attributes} dimensions"
             )
         config = self.config
-        timer = StageTimer()
+        stage_times: Dict[str, float] = {}
 
-        with timer.stage(STAGE_ORBIT_COUNTING):
+        with span(STAGE_ORBIT_COUNTING, into=stage_times):
             source_counts = count_orbits_if_needed(source, config)
             target_counts = count_orbits_if_needed(target, config)
 
         source_attributes = source.attributes
         target_attributes = target.attributes
         if config.augment_with_gdv:
-            with timer.stage(STAGE_OTHER):
+            with span(STAGE_OTHER, into=stage_times):
                 source_attributes = _augment_with_gdv(source, config)
                 target_attributes = _augment_with_gdv(target, config)
 
-        with timer.stage(STAGE_LAPLACIAN):
+        with span(STAGE_LAPLACIAN, into=stage_times):
             source_views = build_topology_views(source, config, source_counts)
             target_views = build_topology_views(target, config, target_counts)
 
-        with timer.stage(STAGE_TRAINING):
+        with span(STAGE_TRAINING, into=stage_times):
             encoder = make_encoder(source_attributes.shape[1], config)
             trainer = MultiOrbitTrainer(config)
             losses = trainer.train(
@@ -139,7 +142,7 @@ class HTCAligner:
             )
         self.encoder_ = encoder
 
-        with timer.stage(STAGE_FINE_TUNING):
+        with span(STAGE_FINE_TUNING, into=stage_times):
             refiner = TrustedPairRefiner(config)
             refined = refiner.refine_all(
                 encoder,
@@ -149,7 +152,7 @@ class HTCAligner:
                 target_attributes,
             )
 
-        with timer.stage(STAGE_INTEGRATION):
+        with span(STAGE_INTEGRATION, into=stage_times):
             orbit_matrices = {k: out.alignment_matrix for k, out in refined.items()}
             trusted_counts = {k: out.trusted_pairs for k, out in refined.items()}
             alignment_matrix, importance = integrate_alignment_matrices(
@@ -162,7 +165,7 @@ class HTCAligner:
             trusted_pair_counts=trusted_counts,
             source_embeddings={k: out.source_embedding for k, out in refined.items()},
             target_embeddings={k: out.target_embedding for k, out in refined.items()},
-            stage_times=timer.as_dict(),
+            stage_times=stage_times,
             training_losses=losses,
         )
         self.last_result_ = result

@@ -7,6 +7,7 @@ methods never see ground truth.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -15,7 +16,6 @@ import numpy as np
 from repro.datasets.pair import GraphPair
 from repro.eval.metrics import evaluate_alignment
 from repro.utils.random import RandomStateLike, check_random_state
-from repro.utils.timing import Timer
 
 
 @dataclass
@@ -103,8 +103,9 @@ def run_method(
         if getattr(aligner, "requires_supervision", False):
             train_anchors, _ = pair.split_anchors(train_ratio, random_state=rng)
 
-        with Timer() as timer:
-            raw_result = aligner.align(pair, train_anchors=train_anchors)
+        started = time.perf_counter()
+        raw_result = aligner.align(pair, train_anchors=train_anchors)
+        total_time += time.perf_counter() - started
         if on_result is not None:
             on_result(raw_result)
         matrix = _extract_matrix(raw_result)
@@ -114,7 +115,6 @@ def run_method(
         )
         for key, value in run_metrics.items():
             metric_sums[key] = metric_sums.get(key, 0.0) + value
-        total_time += timer.elapsed
 
         if hasattr(raw_result, "stage_times"):
             for stage, seconds in raw_result.stage_times.items():

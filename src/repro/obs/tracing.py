@@ -1,21 +1,31 @@
-"""Lightweight wall-time span tracing with nested attribution.
+"""Wall-time spans: the one stage timer, with opt-in nested tracing.
 
-Spans attribute wall time to named phases of a pipeline::
+A span times one named phase of a pipeline::
 
-    with span("shard.align"):
+    stage_times = {}
+    with span("stitch", into=stage_times):
         with span("stitch.merge"):
             ...
 
-Each exited span records its duration into a ``span_seconds`` histogram
-labelled with its *path* — nested spans join their names with ``/``
-(``shard.align/stitch.merge`` above) so attribution survives aggregation —
-and bumps a ``span_total`` counter.  Nesting is tracked per thread.
+Given ``into``, a span always adds its body's seconds to ``into[name]``,
+accumulating over re-entries and also when the body raises; this is how
+``AlignmentResult.stage_times`` (the paper's Fig. 8 breakdown) and
+``StitchedAlignment.stage_times`` are measured.
 
-Tracing is **opt-in** and the off path is a no-op: ``span()`` returns a
-shared singleton context manager that touches no locks, takes no
-timestamps and allocates nothing.  Enable it programmatically with
-:func:`enable_tracing` or by exporting ``REPRO_TRACE=1`` before the
-process starts (any value other than ``""``/``"0"`` enables).
+While tracing is on, every exited span also records its duration into a
+``span_seconds`` histogram labelled with its *path* — nested spans join
+their names with ``/`` (``stitch/stitch.merge`` above) so attribution
+survives aggregation — and bumps a ``span_total`` counter.  A span records
+into the registry it is given, else into its enclosing span's, else into
+the process-global default registry; so everything nested in the runner's
+per-job span lands in that job's registry.  Nesting is tracked per thread.
+
+Tracing is **opt-in**, and with tracing off a span without ``into`` is a
+no-op: ``span()`` returns a shared singleton context manager that touches
+no locks, takes no timestamps and allocates nothing.  Enable tracing
+programmatically with :func:`enable_tracing` or by exporting
+``REPRO_TRACE=1`` before the process starts (any value other than
+``""``/``"0"`` enables).
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, default_registry
 
@@ -61,31 +71,48 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """An active span; records ``span_seconds{span=<path>}`` on exit."""
+    """A live span: adds to ``into`` and, if traced, records its path."""
 
-    __slots__ = ("name", "registry", "path", "_started")
+    __slots__ = ("name", "registry", "into", "path", "_traced", "_started")
 
-    def __init__(self, name: str, registry: MetricsRegistry) -> None:
+    def __init__(
+        self,
+        name: str,
+        registry: Optional[MetricsRegistry],
+        into: Optional[Dict[str, float]],
+    ) -> None:
         self.name = name
         self.registry = registry
+        self.into = into
         self.path = name
+        self._traced = False
         self._started = 0.0
 
     def __enter__(self) -> "_Span":
-        stack = _span_stack()
-        if stack:
-            self.path = f"{stack[-1].path}/{self.name}"
-        stack.append(self)
+        self._traced = _enabled
+        if self._traced:
+            stack = _span_stack()
+            if stack:
+                parent = stack[-1]
+                self.path = f"{parent.path}/{self.name}"
+                if self.registry is None:
+                    self.registry = parent.registry
+            elif self.registry is None:
+                self.registry = default_registry()
+            stack.append(self)
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         elapsed = time.perf_counter() - self._started
-        stack = _span_stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        self.registry.histogram("span_seconds", span=self.path).observe(elapsed)
-        self.registry.counter("span_total", span=self.path).inc()
+        if self.into is not None:
+            self.into[self.name] = self.into.get(self.name, 0.0) + elapsed
+        if self._traced:
+            stack = _span_stack()
+            if stack and stack[-1] is self:
+                stack.pop()
+            self.registry.histogram("span_seconds", span=self.path).observe(elapsed)
+            self.registry.counter("span_total", span=self.path).inc()
 
 
 def _span_stack() -> List[_Span]:
@@ -95,16 +122,24 @@ def _span_stack() -> List[_Span]:
     return stack
 
 
-def span(name: str, registry: Optional[MetricsRegistry] = None):
-    """Context manager timing one named phase (no-op while tracing is off).
+def span(
+    name: str,
+    registry: Optional[MetricsRegistry] = None,
+    *,
+    into: Optional[Dict[str, float]] = None,
+):
+    """Context manager timing one named phase.
 
-    ``registry`` defaults to the process-global default registry; pass a
-    private one (as the runner's per-job instrumentation does) to keep a
-    unit of work's spans separable for cross-process merging.
+    ``into`` is a dict the span adds its seconds to under ``name``, whether
+    or not tracing is on.  ``registry`` is where a traced span records; it
+    defaults to the enclosing span's registry, else the default registry.
+    Pass a private one (as the runner's per-job span does) to keep a unit
+    of work's spans separable for cross-process merging.  With tracing off
+    and no ``into`` this returns the shared no-op span.
     """
-    if not _enabled:
+    if into is None and not _enabled:
         return _NULL_SPAN
-    return _Span(name, registry if registry is not None else default_registry())
+    return _Span(name, registry, into)
 
 
 __all__ = [

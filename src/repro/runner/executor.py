@@ -146,11 +146,13 @@ def execute_job(
 
     When span tracing is on (``REPRO_TRACE=1`` /
     :func:`repro.obs.enable_tracing`), the job's per-phase spans
-    (``runner.job/load_dataset`` etc.) are recorded into a job-local
-    registry and attached as ``artifact["observability"]`` — a mergeable
-    snapshot that :func:`run_suite` folds into the suite manifest.  The
-    key is absent when tracing is off, so cached artifacts and manifests
-    stay byte-stable for the executor-parity checks.
+    (``runner.job/load_dataset`` etc.) and every span nested in them (the
+    aligner's Fig. 8 stages under ``runner.job/align``, a sharded job's
+    stages) are recorded into a job-local registry and attached as
+    ``artifact["observability"]`` — a mergeable snapshot that
+    :func:`run_suite` folds into the suite manifest.  The key is absent
+    when tracing is off, so cached artifacts and manifests stay
+    byte-stable for the executor-parity checks.
     """
     from repro.core import HTCConfig
     from repro.datasets import load_dataset
@@ -190,7 +192,7 @@ def execute_job(
                 method_resolver if method_resolver is not None else resolve_method
             )
             method = resolver(job.method, config)
-            with span("load_dataset", obs_registry):
+            with span("load_dataset"):
                 if dataset_shm is not None:
                     pair, transport = cached_attach_pair(dataset_shm)
                 else:
@@ -198,7 +200,7 @@ def execute_job(
                     transport = "load"
             last_alignment: List[object] = []
             on_result = last_alignment.append if emit_artifacts_dir else None
-            with span("align", obs_registry):
+            with span("align"):
                 result = run_method(
                     method,
                     pair,
@@ -210,7 +212,7 @@ def execute_job(
             artifact["status"] = STATUS_DONE
             artifact["result"] = result.to_dict()
             if emit_artifacts_dir and last_alignment:
-                with span("emit_artifact", obs_registry):
+                with span("emit_artifact"):
                     artifact["serve_artifact"] = _emit_serve_artifact(
                         last_alignment[-1], config, job, emit_artifacts_dir
                     )

@@ -257,7 +257,7 @@ class SuiteSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SuiteSpec":
         return cls(
-            name=str(payload["name"]),
+            name=str(payload.get("name", "")),
             datasets=list(payload.get("datasets", [])),
             methods=[str(m) for m in payload.get("methods", [])],
             config=dict(payload.get("config", {})),
@@ -279,7 +279,10 @@ class SuiteSpec:
     def from_json_file(cls, path) -> "SuiteSpec":
         """Load a suite from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"suite file {path} must hold a JSON object")
+        return cls.from_dict(payload)
 
 
 __all__ = ["JobSpec", "SuiteSpec", "spec_hash", "canonical_json"]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -141,10 +140,9 @@ def align_sharded(
     overlap = shard_overlap if shard_overlap is not None else config.shard_overlap
     seed = config.random_state if isinstance(config.random_state, int) else 0
 
-    started = time.perf_counter()
-    with span("shard.partition"):
+    stage_times: Dict[str, float] = {}
+    with span("partition", into=stage_times):
         plan = build_shard_plan(pair, n_shards, overlap=overlap, seed=seed)
-    partition_s = time.perf_counter() - started
 
     cleanup = workdir is None
     workdir = Path(
@@ -169,8 +167,7 @@ def align_sharded(
             seed=seed,
             timeout=timeout,
         )
-        started = time.perf_counter()
-        with span("shard.align"):
+        with span("shard_alignment", into=stage_times):
             report = run_suite(
                 suite,
                 workdir / "runs",
@@ -182,7 +179,6 @@ def align_sharded(
                     executor if executor is not None else config.executor_backend
                 ),
             )
-        align_s = time.perf_counter() - started
 
         by_dataset = {str(a["spec"]["dataset"]): a for a in report.artifacts}
         store = report.suite_dir / "serve_artifacts"
@@ -232,20 +228,17 @@ def align_sharded(
                 + "\n  ".join(failures)
             )
 
-        started = time.perf_counter()
-        with span("shard.stitch"):
+        with span("stitch", into=stage_times):
             stitched = stitch_alignments(
                 plan, shard_indexes, pair.source.n_nodes, pair.target.n_nodes
             )
-        # Refinement allocates the run's largest working set after the
-        # shard alignments; the shard indexes must not be live under it.
-        del shard_indexes
-        stitch_s = time.perf_counter() - started
+            # Refinement allocates the run's largest working set after the
+            # shard alignments; the shard indexes must not be live under it.
+            del shard_indexes
 
-        refine_s = 0.0
-        if refine_iterations > 0:
-            started = time.perf_counter()
-            with span("shard.refine"):
+        # Entered even with no iterations, so ``refine`` is always a stage.
+        with span("refine", into=stage_times):
+            if refine_iterations > 0:
                 stitched = refine_stitched(
                     stitched,
                     pair.source,
@@ -253,15 +246,9 @@ def align_sharded(
                     iterations=refine_iterations,
                     alpha=refine_alpha,
                 )
-            refine_s = time.perf_counter() - started
 
-        stitched.stage_times = {
-            "partition": partition_s,
-            "shard_alignment": align_s,
-            "stitch": stitch_s,
-            "refine": refine_s,
-        }
-        # Always-on per-phase histograms (the spans above are opt-in);
+        stitched.stage_times = stage_times
+        # Always-on per-phase histograms (the spans' tracing is opt-in);
         # one observe per phase per sharded run — negligible next to the
         # phases themselves.
         registry = default_registry()

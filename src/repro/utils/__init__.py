@@ -1,8 +1,9 @@
 """Small shared utilities used across the HTC reproduction.
 
 The utilities are deliberately lightweight: deterministic seeding helpers,
-wall-clock stage timing, simple structured logging, and a handful of scipy
-sparse-matrix helpers that the graph and orbit packages build on.
+simple structured logging, and a handful of scipy sparse-matrix helpers that
+the graph and orbit packages build on.  Stages are timed by
+:func:`repro.obs.span` (``into=``), not here.
 """
 
 from repro.utils.logging import get_logger
@@ -14,14 +15,11 @@ from repro.utils.sparse import (
     symmetrize,
     to_csr,
 )
-from repro.utils.timing import StageTimer, Timer
 
 __all__ = [
     "get_logger",
     "seed_everything",
     "check_random_state",
-    "Timer",
-    "StageTimer",
     "to_csr",
     "sparse_from_edges",
     "symmetrize",

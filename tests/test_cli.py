@@ -106,6 +106,41 @@ class TestCommands:
         assert "0.300" in output
 
 
+class TestRunSuiteSpecErrors:
+    """A bad ``--suite`` file is a usage error, not a traceback."""
+
+    VALID = {"name": "x", "datasets": ["tiny"], "methods": ["Degree"]}
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                json.dumps({**VALID, "config": {"orbit_backend": "auto"}}),
+                "config key 'orbit_backend'",
+            ),
+            ('{"name": "x", "datasets": [', "Expecting value"),
+            (None, "No such file or directory"),
+            (json.dumps({"datasets": ["tiny"]}), "suite name must be non-empty"),
+            (json.dumps(["tiny"]), "must hold a JSON object"),
+        ],
+        ids=["unknown-key", "malformed-json", "missing-file", "no-name", "list"],
+    )
+    def test_one_line_and_exit_code_2(self, tmp_path, capsys, content, message):
+        spec = tmp_path / "suite.json"
+        if content is not None:
+            spec.write_text(content)
+        output = tmp_path / "runs"
+        code = main(["run-suite", "--suite", str(spec), "--output", str(output)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro run-suite: error: ")
+        assert message in lines[0]
+        assert not output.exists()
+
+
 class TestServeCommands:
     FAST = ["--epochs", "4", "--dim", "8", "--orbits", "2", "--neighbors", "5"]
 

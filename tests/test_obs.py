@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
-from repro.obs.tracing import enable_tracing, span, tracing_enabled
+from repro.obs.tracing import TRACE_ENV_VAR, enable_tracing, span, tracing_enabled
 from repro.serve import AlignmentService, export_result
 
 
@@ -47,6 +48,23 @@ def store(tmp_path_factory):
         metadata={"dataset": "tiny", "method": "Degree"},
     )
     return root, info.artifact_id
+
+
+def _span_totals(registry):
+    """``{span path: span_total}`` over every span ``registry`` holds."""
+    return {
+        dict(labels)["span"]: metric.value
+        for name, labels, metric in registry.collect()
+        if name == "span_total"
+    }
+
+
+def _manifest_span_paths(report):
+    """The span paths merged into a suite manifest's observability key."""
+    manifest = json.loads(report.manifest_path.read_text())
+    merged = MetricsRegistry("check")
+    merged.merge_snapshot(manifest["observability"])
+    return set(_span_totals(merged))
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +366,92 @@ class TestTracing:
         # The worker thread has its own stack: no "parent/" prefix.
         assert paths == ["child"]
 
+    def test_nested_span_records_into_parent_registry(self):
+        registry = MetricsRegistry("job")
+        enable_tracing(True)
+        before = default_registry().snapshot()
+        with span("outer", registry):
+            with span("inner"):
+                with span("leaf"):
+                    pass
+        assert _span_totals(registry) == {
+            "outer": 1,
+            "outer/inner": 1,
+            "outer/inner/leaf": 1,
+        }
+        assert default_registry().snapshot() == before
+
+    def test_given_registry_wins_over_parent(self):
+        parent, own = MetricsRegistry("parent"), MetricsRegistry("own")
+        enable_tracing(True)
+        with span("outer", parent):
+            with span("inner", own):
+                pass
+        assert _span_totals(parent) == {"outer": 1}
+        assert _span_totals(own) == {"outer/inner": 1}
+
+    def test_root_span_records_into_default_registry(self, monkeypatch):
+        import repro.obs.tracing as tracing
+
+        fallback = MetricsRegistry("default")
+        monkeypatch.setattr(tracing, "default_registry", lambda: fallback)
+        enable_tracing(True)
+        with span("root"):
+            pass
+        assert _span_totals(fallback) == {"root": 1}
+
+
+class TestSpanInto:
+    """``span(name, into=d)``: the stage timer behind ``stage_times``."""
+
+    def test_accumulates_over_reentries(self):
+        stage_times = {}
+        with span("a", into=stage_times):
+            time.sleep(0.002)
+        with span("a", into=stage_times):
+            time.sleep(0.002)
+        with span("b", into=stage_times):
+            pass
+        assert list(stage_times) == ["a", "b"]
+        assert stage_times["a"] >= 0.004
+        assert stage_times["b"] >= 0.0
+
+    def test_times_with_tracing_off_without_recording(self):
+        registry = MetricsRegistry("t")
+        before = default_registry().snapshot()
+        stage_times = {}
+        active = span("stage", registry, into=stage_times)
+        assert active is not span("stage")  # not the shared no-op
+        with active:
+            time.sleep(0.001)
+        assert stage_times["stage"] >= 0.001
+        assert len(registry) == 0
+        assert default_registry().snapshot() == before
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_records_when_the_body_raises(self, traced):
+        registry = MetricsRegistry("t")
+        enable_tracing(traced)
+        stage_times = {}
+        with pytest.raises(RuntimeError):
+            with span("failing", registry, into=stage_times):
+                raise RuntimeError("boom")
+        assert "failing" in stage_times
+        assert _span_totals(registry) == ({"failing": 1} if traced else {})
+        # The failed span left the stack: the next one is a root again.
+        with span("next", registry, into=stage_times) as active:
+            assert active.path == "next"
+
+    def test_traced_span_records_the_same_interval(self):
+        registry = MetricsRegistry("t")
+        enable_tracing(True)
+        stage_times = {}
+        with span("stage", registry, into=stage_times):
+            time.sleep(0.001)
+        histogram = registry.histogram("span_seconds", span="stage")
+        assert histogram.count == 1
+        assert histogram.sum == stage_times["stage"]
+
 
 # ----------------------------------------------------------------------
 # exposition
@@ -566,6 +670,10 @@ class TestMetricsEndpoint:
 # ----------------------------------------------------------------------
 # runner integration
 # ----------------------------------------------------------------------
+_TINY_50 = {"name": "tiny", "params": {"n_nodes": 50}}
+_FAST_HTC = {"epochs": 2, "embedding_dim": 8, "orbit_cache": "off"}
+
+
 class TestRunnerObservability:
     def test_job_spans_merged_into_manifest(self, tmp_path):
         from repro.runner.executor import run_suite
@@ -576,16 +684,66 @@ class TestRunnerObservability:
             name="obs", datasets=["tiny"], methods=["Degree"], n_runs=1, seed=0
         )
         report = run_suite(suite, tmp_path, jobs=1)
-        manifest = json.loads(report.manifest_path.read_text())
-        merged = MetricsRegistry("check")
-        merged.merge_snapshot(manifest["observability"])
-        spans = {
-            labels[0][1]
-            for name, labels, _ in merged.collect()
-            if name == "span_seconds"
-        }
+        spans = _manifest_span_paths(report)
         assert "runner.job" in spans
         assert "runner.job/align" in spans
+
+    def test_htc_job_records_fig8_stages(self, tmp_path):
+        from repro.core.aligner import (
+            STAGE_FINE_TUNING,
+            STAGE_INTEGRATION,
+            STAGE_LAPLACIAN,
+            STAGE_ORBIT_COUNTING,
+            STAGE_TRAINING,
+        )
+        from repro.runner.executor import run_suite
+        from repro.runner.spec import SuiteSpec
+
+        enable_tracing(True)
+        before = _span_totals(default_registry())
+        suite = SuiteSpec(
+            name="obs-htc", datasets=[_TINY_50], methods=["HTC"], config=_FAST_HTC
+        )
+        report = run_suite(suite, tmp_path, jobs=1)
+        assert report.counts == {"done": 1}
+        stages = (
+            STAGE_ORBIT_COUNTING,
+            STAGE_LAPLACIAN,
+            STAGE_TRAINING,
+            STAGE_FINE_TUNING,
+            STAGE_INTEGRATION,
+        )
+        expected = {f"runner.job/align/{stage}" for stage in stages}
+        assert expected <= _manifest_span_paths(report)
+        assert _span_totals(default_registry()) == before
+
+    @pytest.mark.parametrize(
+        "jobs, executor", [(1, None), (2, "process-pool")], ids=["inline", "pool"]
+    )
+    def test_sharded_job_records_shard_stages(
+        self, tmp_path, monkeypatch, jobs, executor
+    ):
+        from repro.runner.executor import run_suite
+        from repro.runner.spec import SuiteSpec
+
+        # Workers started by spawn read tracing from the environment.
+        monkeypatch.setenv(TRACE_ENV_VAR, "1")
+        enable_tracing(True)
+        before = _span_totals(default_registry())
+        suite = SuiteSpec(
+            name="obs-shard",
+            datasets=[_TINY_50],
+            methods=["HTC"],
+            config=dict(_FAST_HTC, shard_count=2),
+        )
+        report = run_suite(suite, tmp_path, jobs=jobs, executor=executor)
+        assert report.counts == {"done": 1}
+        assert report.executor == (executor or "serial")
+        spans = _manifest_span_paths(report)
+        for stage in ("partition", "shard_alignment", "stitch", "refine"):
+            assert f"runner.job/align/{stage}" in spans
+        assert "runner.job/align/stitch/stitch.merge" in spans
+        assert _span_totals(default_registry()) == before
 
     def test_manifest_clean_when_tracing_off(self, tmp_path):
         from repro.runner.executor import run_suite

@@ -411,11 +411,12 @@ class TestExecutorBackends:
         spec.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="config key 'orbit_backend'"):
             SuiteSpec.from_json_file(spec)
-        # The CLI builds the same spec before it writes anything.
+        # The CLI builds the same spec before it writes anything, and
+        # reports the error as a usage error.
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="config key 'orbit_backend'"):
-            main(["run-suite", "--suite", str(spec), "--output", str(tmp_path / "out")])
+        output = str(tmp_path / "out")
+        assert main(["run-suite", "--suite", str(spec), "--output", output]) == 2
         assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]
 
     @pytest.mark.parametrize(
