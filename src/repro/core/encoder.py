@@ -25,6 +25,7 @@ from repro.core.config import HTCConfig
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.diffusion import diffusion_matrix_family
 from repro.graph.laplacian import normalized_laplacian, orbit_laplacian
+from repro.nn.gcn import encode
 from repro.nn.layers import SharedGCNEncoder
 from repro.orbits.cache import resolve_cache
 from repro.orbits.edge_orbits import EdgeOrbitCounts
@@ -92,12 +93,13 @@ def encode_views(
 ) -> Dict[int, np.ndarray]:
     """Forward-encode ``attributes`` through every topology view (no gradients).
 
-    Returns the final-layer embedding per view id, as plain numpy arrays.
+    Returns the final-layer embedding per view id, as plain numpy arrays,
+    from the encoder's forward-only explicit pass.
     """
-    embeddings = {}
-    for view_id, laplacian in views.items():
-        embeddings[view_id] = encoder(laplacian, attributes).detach().numpy()
-    return embeddings
+    return {
+        view_id: encode(encoder, laplacian, attributes)
+        for view_id, laplacian in views.items()
+    }
 
 
 __all__ = [

@@ -8,6 +8,10 @@ After training, the per-orbit embeddings are refined independently:
 4. re-encode both graphs with the reinforced Laplacians ``R ~L R`` (Eq. 14),
 5. repeat while the number of trusted pairs keeps growing.
 
+Every encode is the encoder's forward-only explicit pass
+(:func:`repro.nn.gcn.encode`): no autograd tape, and new output arrays,
+since each view keeps its best embeddings.
+
 The output per orbit is the final alignment matrix and the maximal trusted
 pair count, which later drives the posterior importance assignment.
 """
@@ -22,6 +26,7 @@ import scipy.sparse as sp
 
 from repro.core.config import HTCConfig
 from repro.graph.laplacian import reinforced_laplacian
+from repro.nn.gcn import encode
 from repro.nn.layers import SharedGCNEncoder
 from repro.similarity.lisi import lisi_matrix
 from repro.similarity.matching import mutual_nearest_neighbors
@@ -78,8 +83,8 @@ class TrustedPairRefiner:
         reinforcement_source = np.ones(n_source)
         reinforcement_target = np.ones(n_target)
 
-        source_embedding = encoder(source_laplacian, source_attributes).detach().numpy()
-        target_embedding = encoder(target_laplacian, target_attributes).detach().numpy()
+        source_embedding = encode(encoder, source_laplacian, source_attributes)
+        target_embedding = encode(encoder, target_laplacian, target_attributes)
 
         best_matrix = self._score_matrix(source_embedding, target_embedding)
         pairs = mutual_nearest_neighbors(best_matrix)
@@ -112,12 +117,8 @@ class TrustedPairRefiner:
             reinforced_target = reinforced_laplacian(
                 target_laplacian, reinforcement_target
             )
-            source_embedding = (
-                encoder(reinforced_source, source_attributes).detach().numpy()
-            )
-            target_embedding = (
-                encoder(reinforced_target, target_attributes).detach().numpy()
-            )
+            source_embedding = encode(encoder, reinforced_source, source_attributes)
+            target_embedding = encode(encoder, reinforced_target, target_attributes)
             current_matrix = self._score_matrix(source_embedding, target_embedding)
             pairs = mutual_nearest_neighbors(current_matrix)
             current_count = len(pairs)

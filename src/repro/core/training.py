@@ -10,61 +10,60 @@ which is also the mechanism behind HTC's robustness to edge removal.
 
 An epoch encodes each graph's K views in one pass: the block-diagonal stack
 of the views is the propagation matrix of K independent GCNs that share
-weights, over the K-fold tiled attributes, and one blockwise loss node sums
-the K per-view losses.  Each graph's stack is prepared once per training as
-a :class:`~repro.nn.functional.Propagation`: the views are exactly
-symmetric, so the stack is its own transpose, ``L X`` and each view's
-``||L_k||_F^2`` are computed up front, and an epoch runs three sparse
-products per graph (the second layer forward and backward, and the loss).
+weights, over the K-fold tiled attributes, and one blockwise loss sums the K
+per-view losses.  Each graph's stack is prepared once per training as a
+:class:`~repro.nn.functional.Propagation`: the views are exactly symmetric,
+so the stack is its own transpose, ``L X`` and each view's ``||L_k||_F^2``
+are computed up front, and an epoch runs three sparse products per graph
+(the second layer forward and backward, and the loss).
+
+Each graph's half of an epoch is one explicit forward, loss and
+vector-Jacobian pass (:class:`~repro.nn.gcn.EncoderPass`) on the plain
+weight arrays, with no autograd tape.  It replays the tape's numpy
+operations in the tape's order, so losses and weights are bit-identical to
+the tape's, and it writes into a workspace allocated once per ``train``
+call: per layer an output, a gradient and (after the first) a product
+buffer, ReLU's mask, and the loss's ``L H``.  The sparse products write
+into their buffers too, through scipy's own CSR kernel where the operands
+allow it (:func:`~repro.nn.functional.sparse_product`, which falls back to
+``L.dot``).  So an epoch allocates only weight-sized arrays, and the pages
+of the large ones are faulted in once per training, not once per epoch.
 
 The two graphs' passes meet only at the shared weights, so while the
-calling thread runs the source pass (forward, loss, backward), a worker
-thread runs the target pass on a replica of the encoder: new leaf
-parameters over the same arrays, re-pointed after every optimiser step.
-Training pins BLAS to one thread (:func:`repro.backend.shm.single_blas_thread`)
-and starts the worker only where the BLAS thread budget it found was at
-least 2, so a process-pool worker capped at one thread trains serially.
-Each weight gets exactly two gradient terms, one per graph, and a sum of two
-terms does not depend on their order: losses and weights are bit-identical
-with or without the worker, on any BLAS thread count.
+calling thread runs the source pass, a worker thread runs the target pass
+over the same weight arrays, read afresh each epoch because the optimiser
+step rebinds them.  Each pass writes only into its own workspace, which is
+allocated here on the calling thread.  Training pins BLAS to one thread
+(:func:`repro.backend.shm.single_blas_thread`) and starts the worker only
+where the BLAS thread budget it found was at least 2, so a process-pool
+worker capped at one thread trains serially.  Each weight gets exactly two
+gradient terms, one per graph, and a sum of two terms does not depend on
+their order: losses and weights are bit-identical with or without the
+worker, on any BLAS thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.backend.shm import single_blas_thread
 from repro.core.config import HTCConfig
-from repro.nn.functional import Propagation, frobenius_loss
+from repro.nn.functional import Propagation
+
+# perfbench's ``loss`` probe resolves ``repro.core.training:frobenius_loss``;
+# training itself no longer calls it.
+from repro.nn.functional import frobenius_loss  # noqa: F401
+from repro.nn.gcn import EncoderPass
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
-
-
-def reconstruction_loss(
-    encoder: SharedGCNEncoder,
-    laplacian,
-    attributes: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Orbit-reconstruction loss of one graph on one view (Eq. 6-7).
-
-    ``laplacian`` is both the view the encoder propagates over and the
-    target the inner product ``H H^T`` must reconstruct.  A
-    :class:`~repro.nn.functional.Propagation` with ``blocks=K`` is the
-    block-diagonal stack of K views and gives the sum of the K per-view
-    losses; built with the tiled attributes as ``features``, it needs no
-    ``attributes`` here.
-    """
-    embedding = encoder(laplacian, attributes)
-    return frobenius_loss(embedding, laplacian)
 
 
 def _stack(
@@ -78,22 +77,13 @@ def _stack(
     )
 
 
-class _GraphPass:
-    """One graph's half of an epoch: forward, loss and backward."""
-
-    def __init__(self, encoder: SharedGCNEncoder, stack: Propagation) -> None:
-        self.encoder = encoder
-        self.stack = stack
-        self.loss: Optional[Tensor] = None
-
-    def __call__(self) -> float:
-        loss = reconstruction_loss(self.encoder, self.stack)
-        # Rebinding frees the previous epoch's graph only now, after this
-        # forward pass has allocated: freed first, glibc trims the heap and
-        # every epoch re-faults every page.
-        self.loss = loss
-        loss.backward()
-        return loss.item()
+def _half_epoch(
+    graph_pass: EncoderPass, weights: Sequence[np.ndarray]
+) -> Tuple[float, List[np.ndarray]]:
+    """One graph's loss and weight gradients for ``weights``."""
+    graph_pass.forward(weights)
+    loss = graph_pass.loss()
+    return loss, graph_pass.vjp(weights)
 
 
 class MultiOrbitTrainer:
@@ -120,21 +110,21 @@ class MultiOrbitTrainer:
         if not source_views:
             raise ValueError("training needs at least one view")
 
-        parameters = encoder.parameters()
         optimizer = Adam(
-            parameters,
+            encoder.parameters(),
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
-        replica = encoder.replica()
-        replica_parameters = replica.parameters()
+        parameters = [layer.weight for layer in encoder.layers]
+        activations = [layer.activation_name for layer in encoder.layers]
+        weights = [parameter.data for parameter in parameters]
 
         view_ids = list(source_views)
-        source_pass = _GraphPass(
-            encoder, _stack(source_views, view_ids, source_attributes)
+        source_pass = EncoderPass(
+            activations, _stack(source_views, view_ids, source_attributes), weights
         )
-        target_pass = _GraphPass(
-            replica, _stack(target_views, view_ids, target_attributes)
+        target_pass = EncoderPass(
+            activations, _stack(target_views, view_ids, target_attributes), weights
         )
 
         losses: List[float] = []
@@ -142,20 +132,24 @@ class MultiOrbitTrainer:
             ThreadPoolExecutor(max_workers=1) if budget >= 2 else nullcontext()
         ) as worker:
             for epoch in range(self.config.epochs):
-                optimizer.zero_grad()
-                replica.zero_grad()
-                pending = worker.submit(target_pass) if worker else None
-                loss = source_pass()
-                loss += pending.result() if pending else target_pass()
-                for parameter, twin in zip(parameters, replica_parameters):
-                    parameter.grad = parameter.grad + twin.grad
+                weights = [parameter.data for parameter in parameters]
+                pending = (
+                    worker.submit(_half_epoch, target_pass, weights) if worker else None
+                )
+                loss, gradients = _half_epoch(source_pass, weights)
+                target_loss, target_gradients = (
+                    pending.result() if pending else _half_epoch(target_pass, weights)
+                )
+                loss += target_loss
+                for parameter, source, target in zip(
+                    parameters, gradients, target_gradients
+                ):
+                    parameter.grad = source + target
                 optimizer.step()
-                for parameter, twin in zip(parameters, replica_parameters):
-                    twin.data = parameter.data
                 losses.append(loss)
                 if epoch % 25 == 0:
                     logger.debug("epoch %d: loss %.4f", epoch, loss)
         return losses
 
 
-__all__ = ["MultiOrbitTrainer", "reconstruction_loss"]
+__all__ = ["MultiOrbitTrainer"]

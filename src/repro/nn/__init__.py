@@ -11,7 +11,10 @@ this package implements the required pieces from scratch:
   :class:`Propagation` operand (:mod:`repro.nn.functional`),
 * :class:`Module` / :class:`Parameter` abstractions, Glorot initialisation,
   dense and GCN layers (:mod:`repro.nn.module`, :mod:`repro.nn.layers`),
-* SGD and Adam optimisers (:mod:`repro.nn.optim`).
+* SGD and Adam optimisers (:mod:`repro.nn.optim`),
+* the shared encoder's explicit forward, loss and vector-Jacobian pass
+  over preallocated buffers, which HTC trains and refines with instead of
+  the tape (:mod:`repro.nn.gcn`).
 
 Gradient correctness is verified against numerical differentiation in the
 test suite.

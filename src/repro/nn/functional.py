@@ -6,7 +6,9 @@ propagation), reductions, and the Frobenius reconstruction loss used by the
 multi-orbit-aware trainer (Eq. 7 of the paper).  The two sparse primitives,
 :func:`sparse_matmul` and :func:`frobenius_loss`, take their constant matrix
 as a :class:`Propagation` operand (or a scipy matrix they wrap in one) and
-carry explicit vector-Jacobian products.
+carry explicit vector-Jacobian products.  :func:`sparse_product` is the
+plain-array product behind a propagation's ``L X`` and the explicit encoder
+pass of :mod:`repro.nn.gcn`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.nn.tensor import Tensor
+
+try:  # scipy's own CSR kernel, private; sparse_product falls back to L.dot.
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    _csr_matvecs = None
+
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def relu(tensor: Tensor) -> Tensor:
@@ -89,6 +98,64 @@ def matmul(left: Tensor, right: Tensor) -> Tensor:
     return left @ right
 
 
+def sparse_product(
+    matrix: sp.spmatrix, dense: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``matrix @ dense`` for a scipy sparse ``matrix``, written into ``out``.
+
+    ``out`` (a new array when ``None``) is overwritten and returned.  The
+    fast path calls the kernel ``matrix.dot`` itself runs for a CSR matrix,
+    ``scipy.sparse._sparsetools.csr_matvecs``, directly on ``out``.  It is
+    taken only where that is the same computation: ``matrix`` is CSR,
+    ``matrix``, ``dense`` and ``out`` share one float dtype, and ``dense``
+    and ``out`` are C-contiguous 2-D arrays of matching shapes.  The kernel
+    adds into its output, so ``out`` is zeroed first, as ``matrix.dot``
+    zeroes the array it allocates; the result is bit-identical to
+    ``matrix.dot(dense)``.  Any other operands, or a scipy without the
+    function, take ``matrix.dot(dense)`` and copy it into ``out``.
+    """
+    rows, cols = matrix.shape
+    fast = (
+        _csr_matvecs is not None
+        and getattr(matrix, "format", None) == "csr"
+        and matrix.dtype in _FLOAT_DTYPES
+        and dense.dtype == matrix.dtype
+        and dense.ndim == 2
+        and dense.shape[0] == cols
+        and dense.flags.c_contiguous
+        and (
+            out is None
+            or (
+                out.dtype == matrix.dtype
+                and out.shape == (rows, dense.shape[1])
+                and out.flags.c_contiguous
+                and out.flags.writeable
+            )
+        )
+    )
+    if not fast:
+        product = matrix.dot(dense)
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    if out is None:
+        out = np.zeros((rows, dense.shape[1]), dtype=dense.dtype)
+    else:
+        out.fill(0)
+    _csr_matvecs(
+        rows,
+        cols,
+        dense.shape[1],
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        dense.ravel(),
+        out.ravel(),
+    )
+    return out
+
+
 class Propagation:
     """A constant sparse propagation matrix ``L``, prepared for repeated use.
 
@@ -141,7 +208,9 @@ class Propagation:
                 )
         self.matrix = matrix
         self.blocks = blocks
-        self.propagated_features = None if features is None else matrix.dot(features)
+        self.propagated_features = (
+            None if features is None else sparse_product(matrix, np.asarray(features))
+        )
         self._transpose: Optional[sp.csr_matrix] = None
         self._squared_norms: Optional[np.ndarray] = None
 
@@ -319,6 +388,7 @@ __all__ = [
     "ACTIVATIONS",
     "matmul",
     "Propagation",
+    "sparse_product",
     "sparse_matmul",
     "square",
     "sum_all",

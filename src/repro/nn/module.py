@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterator, List
 
 import numpy as np
@@ -58,18 +57,6 @@ class Module:
     def n_parameters(self) -> int:
         """Total number of scalar parameters."""
         return int(sum(p.data.size for p in self.parameters()))
-
-    def replica(self) -> "Module":
-        """A copy whose parameters are new leaves over this module's arrays.
-
-        The copy computes with the same weights but accumulates gradients on
-        parameters of its own, so two threads can run backward passes
-        through one set of weights at once.  An optimiser step rebinds each
-        parameter's ``data``: point the copy's parameters at the new arrays
-        after it.
-        """
-        shared = {id(parameter.data): parameter.data for parameter in self.parameters()}
-        return copy.deepcopy(self, shared)
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter's value keyed by dotted name."""

@@ -559,6 +559,8 @@ def run_suite(
     else:
         resolved_executor = resolve_executor_backend(requested or AUTO_BACKEND)
     backend = get_executor_backend(resolved_executor)
+    # What ran: the serial executor runs every job inline, on no worker.
+    workers = 1 if resolved_executor == SERIAL else jobs
 
     by_key = {job.job_id: job for job in pending}
 
@@ -634,7 +636,7 @@ def run_suite(
                 )
                 for job in submission
             ],
-            workers=jobs,
+            workers=workers,
             timeout=timeout,
             on_result=lambda key, artifact: _record(artifact),
             on_crash=lambda exec_job, message: _skeleton(
@@ -652,7 +654,7 @@ def run_suite(
     manifest = {
         "suite": suite.to_dict(),
         "repro_version": __version__,
-        "workers": jobs,
+        "workers": workers,
         "executor": resolved_executor,
         "resume": resume,
         "emit_artifacts": emit_artifacts,
@@ -682,7 +684,7 @@ def run_suite(
     if supports_shm:
         executor_detail = {
             "executor": resolved_executor,
-            "workers": jobs,
+            "workers": workers,
             "cpus": os.cpu_count() or 1,
             "blas_thread_cap": blas_thread_cap(jobs),
             "blas_cap_method": (
@@ -727,7 +729,7 @@ def run_suite(
         artifacts=ordered,
         wall_clock_seconds=wall_clock,
         jobs_requested=len(job_specs),
-        workers=jobs,
+        workers=workers,
         executor=resolved_executor,
         executor_detail=executor_detail,
     )

@@ -18,6 +18,7 @@ from repro.core import training
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
+from repro.nn.functional import frobenius_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.orbits.vectorized import EdgeStatistics
@@ -349,10 +350,12 @@ def summed_loss_training_losses(
 ) -> List[float]:
     """Bit-for-bit oracle for ``MultiOrbitTrainer.train`` on one BLAS thread.
 
-    Both graphs' stacked losses are summed into one node, with one backward
-    pass per epoch, all on the calling thread.  Each weight gets one
-    gradient term per graph here as in the trainer, so the sums match to
-    the bit.
+    The autograd tape's training: each graph's stack goes through
+    ``SharedGCNEncoder.forward`` and ``frobenius_loss``, both graphs' losses
+    are summed into one node, and one backward pass per epoch runs on the
+    calling thread.  The trainer's explicit pass replays the tape's numpy
+    operations, and each weight gets one gradient term per graph in both,
+    so losses and weights match to the bit.
     """
     optimizer = Adam(
         encoder.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
@@ -363,8 +366,8 @@ def summed_loss_training_losses(
     losses = []
     for _ in range(config.epochs):
         optimizer.zero_grad()
-        source_loss = training.reconstruction_loss(encoder, source_stack)
-        target_loss = training.reconstruction_loss(encoder, target_stack)
+        source_loss = frobenius_loss(encoder(source_stack), source_stack)
+        target_loss = frobenius_loss(encoder(target_stack), target_stack)
         total = source_loss + target_loss
         total.backward()
         optimizer.step()

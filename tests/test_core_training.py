@@ -18,16 +18,21 @@ import pytest
 import scipy.sparse as sp
 
 import repro.core.training as training
+import repro.nn.functional as functional
+import repro.nn.gcn as gcn
 from repro.backend.shm import single_blas_thread
 from repro.core import HTCAligner
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
-from repro.core.training import MultiOrbitTrainer, reconstruction_loss
+from repro.core.training import MultiOrbitTrainer
 from repro.datasets.synthetic import douban, tiny_pair
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.perturbation import permute_graph
+from repro.nn.functional import ACTIVATIONS, Propagation
+from repro.nn.gcn import EncoderPass
 from repro.nn.layers import SharedGCNEncoder
+from repro.nn.tensor import Tensor
 
 from _helpers import (
     openblas_thread_counts,
@@ -84,15 +89,146 @@ def _assert_matches_oracle(pair, config):
         )
 
 
+def _assert_matches_tape(inputs, config, encoder_config=None):
+    """Training equals the tape's summed-loss training bit for bit: every
+    epoch's loss and every final weight."""
+    encoder_config = encoder_config or config
+    n_attributes = inputs[2].shape[1]
+    encoder = make_encoder(n_attributes, encoder_config)
+    oracle_encoder = make_encoder(n_attributes, encoder_config)
+    losses = MultiOrbitTrainer(config).train(encoder, *inputs)
+    with single_blas_thread():
+        oracle = summed_loss_training_losses(oracle_encoder, config, *inputs)
+    assert losses == oracle
+    for name, value in oracle_encoder.state_dict().items():
+        np.testing.assert_array_equal(encoder.state_dict()[name], value)
+
+
+def _pair_inputs(pair, config):
+    return (
+        build_topology_views(pair.source, config),
+        build_topology_views(pair.target, config),
+        pair.source.attributes,
+        pair.target.attributes,
+    )
+
+
+def _count_products(monkeypatch):
+    """A counter of ``sparse_product`` calls, from a propagation's ``L X``
+    and from the encoder pass alike."""
+    calls = Counter()
+    counted = _counting(calls, "product", functional.sparse_product)
+    monkeypatch.setattr(functional, "sparse_product", counted)
+    monkeypatch.setattr(gcn, "sparse_product", counted)
+    return calls
+
+
+def _asymmetric_views(n_nodes, seeds):
+    """Views whose CSR arrays differ from their transposes'."""
+    views = {}
+    for view_id, seed in enumerate(seeds):
+        view = sp.random(n_nodes, n_nodes, density=0.1, format="csr", random_state=seed)
+        assert (view != view.T).nnz
+        views[view_id] = view
+    return views
+
+
 class TestReconstructionLoss:
     def test_positive_scalar(self):
         graph = powerlaw_cluster_graph(20, 2, n_attributes=3, random_state=0)
         config = HTCConfig(orbits=[0], embedding_dim=8)
         views = build_topology_views(graph, config)
         encoder = make_encoder(3, config)
-        loss = reconstruction_loss(encoder, views[0], graph.attributes)
-        assert loss.data.size == 1
-        assert loss.item() > 0
+        weights = [layer.weight.data for layer in encoder.layers]
+        graph_pass = EncoderPass(
+            [layer.activation_name for layer in encoder.layers],
+            Propagation(views[0], features=graph.attributes),
+            weights,
+        )
+        graph_pass.forward(weights)
+        loss = graph_pass.loss()
+        assert isinstance(loss, float)
+        assert loss > 0
+
+
+class TestTapeOracle:
+    """The explicit pass replays the tape's numpy operations, so training is
+    bit-identical to the tape's summed-loss training
+    (``summed_loss_training_losses``)."""
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_layers_and_activations(self, n_layers, activation):
+        config = HTCConfig(
+            orbits=[0, 1, 2],
+            embedding_dim=8,
+            epochs=5,
+            n_layers=n_layers,
+            activation=activation,
+            random_state=0,
+        )
+        pair = tiny_pair(n_nodes=40, random_state=0)
+        _assert_matches_tape(_pair_inputs(pair, config), config)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_activation_on_every_layer(self, activation):
+        """Encoders whose last layer is not linear, which ``make_encoder``
+        never builds."""
+        config = HTCConfig(orbits=[0, 1], embedding_dim=8, epochs=5, random_state=0)
+        pair = tiny_pair(n_nodes=40, random_state=0)
+        inputs = _pair_inputs(pair, config)
+        encoders = [
+            SharedGCNEncoder(
+                pair.source.n_attributes, [8, 8], [activation] * 2, random_state=0
+            )
+            for _ in range(2)
+        ]
+        losses = MultiOrbitTrainer(config).train(encoders[0], *inputs)
+        with single_blas_thread():
+            oracle = summed_loss_training_losses(encoders[1], config, *inputs)
+        assert losses == oracle
+        for name, value in encoders[1].state_dict().items():
+            np.testing.assert_array_equal(encoders[0].state_dict()[name], value)
+
+    def test_asymmetric_operand_uses_its_transpose(self, monkeypatch):
+        """A VJP multiplies by ``Propagation.transpose``, and the loss's
+        ``L^T H`` is a fourth product per graph and epoch."""
+        config = HTCConfig(orbits=[0, 1], embedding_dim=8, epochs=4, random_state=0)
+        attributes = tiny_pair(n_nodes=40, random_state=0).source.attributes
+        inputs = (
+            _asymmetric_views(40, [1, 2]),
+            _asymmetric_views(40, [3, 4]),
+            attributes,
+            attributes[::-1].copy(),
+        )
+        _assert_matches_tape(inputs, config)
+        calls = _count_products(monkeypatch)
+        MultiOrbitTrainer(config).train(
+            make_encoder(attributes.shape[1], config), *inputs
+        )
+        assert calls["product"] == 2 * (1 + 4 * config.epochs)
+
+    def test_fallback_without_the_kernel(self, monkeypatch):
+        """With no ``csr_matvecs`` every product takes ``L.dot``, to the
+        same bits."""
+        monkeypatch.setattr(functional, "_csr_matvecs", None)
+        config = HTCConfig(orbits=[0, 1, 2], embedding_dim=8, epochs=5, random_state=0)
+        pair = tiny_pair(n_nodes=40, random_state=0)
+        _assert_matches_tape(_pair_inputs(pair, config), config)
+
+    def test_installed_scipy_takes_the_fast_path(self, monkeypatch):
+        """Every product of training runs scipy's kernel in place; losing
+        the private function fails here rather than slowing training."""
+        assert functional._csr_matvecs is not None
+        calls = Counter()
+        kernel = _counting(calls, "kernel", functional._csr_matvecs)
+        monkeypatch.setattr(functional, "_csr_matvecs", kernel)
+        monkeypatch.setattr(
+            sp.csr_matrix, "dot", _counting(calls, "dot", sp.csr_matrix.dot)
+        )
+        config = HTCConfig(orbits=[0, 1, 2], embedding_dim=4, epochs=3, random_state=0)
+        _train(tiny_pair(n_nodes=30, random_state=0), config)
+        assert calls == {"kernel": 2 * (1 + 3 * config.epochs)}
 
 
 class TestMultiOrbitTrainer:
@@ -172,19 +308,21 @@ class TestMultiOrbitTrainer:
         # One n x n float64 array; the dense loss built several per view.
         assert peak < pair.source.n_nodes**2 * 8
 
-    def test_epoch_runs_three_sparse_products_per_graph(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["fast", "fallback"])
+    def test_epoch_runs_three_sparse_products_per_graph(self, monkeypatch, kernel):
         """Layer 2 forward and backward plus the loss's ``L H``; ``L X`` once
         per graph, and the block norms without an elementwise product."""
+        if kernel == "fallback":
+            monkeypatch.setattr(functional, "_csr_matvecs", None)
         pair = tiny_pair(n_nodes=30, random_state=0)
         config = HTCConfig(orbits=[0, 1, 2], embedding_dim=4, epochs=2, random_state=0)
         source_views = build_topology_views(pair.source, config)
         target_views = build_topology_views(pair.target, config)
         encoder = make_encoder(pair.source.n_attributes, config)
-        calls = Counter()
+        calls = _count_products(monkeypatch)
         for cls in (sp.csr_matrix, sp.csc_matrix):
-            for name in ("dot", "multiply"):
-                counted = _counting(calls, name, getattr(cls, name))
-                monkeypatch.setattr(cls, name, counted)
+            counted = _counting(calls, "multiply", cls.multiply)
+            monkeypatch.setattr(cls, "multiply", counted)
         MultiOrbitTrainer(config).train(
             encoder,
             source_views,
@@ -193,22 +331,29 @@ class TestMultiOrbitTrainer:
             pair.target.attributes,
         )
         graphs, epochs = 2, config.epochs
-        assert calls["dot"] == graphs * (1 + 3 * epochs)
+        assert calls["product"] == graphs * (1 + 3 * epochs)
         assert calls["multiply"] == 0
 
-    def test_epoch_calls_encoder_forward_and_module_loss(self, monkeypatch):
-        """Each graph's epoch goes through ``SharedGCNEncoder.forward`` and the
-        module-global ``frobenius_loss``, the functions profilers wrap."""
+    def test_epoch_calls_pass_forward_loss_and_vjp(self, monkeypatch):
+        """Each graph's epoch calls the explicit pass's ``forward``, ``loss``
+        and ``vjp`` once, looked up at call time so a profiler can wrap
+        them, and never the tape's encoder forward or loss."""
         calls = Counter()
-        forward = _counting(calls, "forward", SharedGCNEncoder.forward)
-        monkeypatch.setattr(SharedGCNEncoder, "forward", forward)
-        loss = _counting(calls, "loss", training.frobenius_loss)
-        monkeypatch.setattr(training, "frobenius_loss", loss)
+        for name in ("forward", "loss", "vjp"):
+            wrapped = _counting(calls, name, getattr(EncoderPass, name))
+            monkeypatch.setattr(EncoderPass, name, wrapped)
+        for owner, name in (
+            (SharedGCNEncoder, "forward"),
+            (training, "frobenius_loss"),
+            (Tensor, "backward"),
+        ):
+            tape = _counting(calls, "tape", getattr(owner, name))
+            monkeypatch.setattr(owner, name, tape)
         _train(
             tiny_pair(n_nodes=20, random_state=0),
-            HTCConfig(orbits=[0, 1], embedding_dim=4, epochs=1, random_state=0),
+            HTCConfig(orbits=[0, 1], embedding_dim=4, epochs=3, random_state=0),
         )
-        assert calls == {"forward": 2, "loss": 2}
+        assert calls == {"forward": 6, "loss": 6, "vjp": 6}
 
     def test_training_changes_parameters(self):
         pair = tiny_pair(n_nodes=25, random_state=1)
@@ -323,7 +468,7 @@ class TestTrainingThreads:
             pytest.skip("no OpenBLAS loaded in this process")
         set_openblas_threads(2)
         before = openblas_thread_counts()
-        seen, fail, loss = [], [], training.frobenius_loss
+        seen, fail, loss = [], [], EncoderPass.loss
         main = threading.main_thread()
 
         def probing(*args, **kwargs):
@@ -333,7 +478,7 @@ class TestTrainingThreads:
                 raise RuntimeError("pass failed")
             return loss(*args, **kwargs)
 
-        monkeypatch.setattr(training, "frobenius_loss", probing)
+        monkeypatch.setattr(EncoderPass, "loss", probing)
         pair = tiny_pair(n_nodes=30, random_state=0)
         config = HTCConfig(orbits=[0, 1], embedding_dim=4, epochs=3)
         HTCAligner(config).align(pair)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.nn.functional as functional
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views
 from repro.graph.generators import powerlaw_cluster_graph
@@ -17,6 +18,7 @@ from repro.nn.functional import (
     sigmoid,
     softmax_rows,
     sparse_matmul,
+    sparse_product,
     square,
     tanh,
 )
@@ -191,6 +193,74 @@ class TestPropagation:
         operand = Propagation(sp.identity(6, format="csr"), blocks=2)
         with pytest.raises(ValueError, match="blocks"):
             frobenius_loss(Tensor(np.zeros((6, 2))), operand, blocks=3)
+
+
+def _kernel_calls(monkeypatch):
+    """A list that gets one entry per ``csr_matvecs`` call."""
+    calls = []
+    kernel = functional._csr_matvecs
+
+    def counted(*args):
+        calls.append(args[:3])
+        return kernel(*args)
+
+    monkeypatch.setattr(functional, "_csr_matvecs", counted)
+    return calls
+
+
+class TestSparseProduct:
+    """``sparse_product`` is ``L.dot`` to the bit, written into a buffer by
+    scipy's own kernel where the operands allow it."""
+
+    @pytest.mark.parametrize("name", ["orbit-0", "reinforced-diffusion-2"])
+    def test_fast_path_writes_the_product_into_out(self, monkeypatch, name):
+        view = LIBRARY_VIEWS[name]
+        dense = np.random.default_rng(0).normal(size=(view.shape[0], 5))
+        out = np.full((view.shape[0], 5), np.nan)
+        calls = _kernel_calls(monkeypatch)
+        assert sparse_product(view, dense, out) is out
+        np.testing.assert_array_equal(out, view.dot(dense))
+        fresh = sparse_product(view, dense)
+        np.testing.assert_array_equal(fresh, view.dot(dense))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "case",
+        ["csc", "float32-dense", "fortran-dense", "strided-out", "float32-out"],
+    )
+    def test_other_operands_fall_back_to_dot(self, monkeypatch, case):
+        view = LIBRARY_VIEWS["orbit-1"]
+        rows = view.shape[0]
+        dense = np.random.default_rng(1).normal(size=(rows, 4))
+        out = np.zeros((rows, 4))
+        if case == "csc":
+            view = view.tocsc()
+        elif case == "float32-dense":
+            dense = dense.astype(np.float32)
+        elif case == "fortran-dense":
+            dense = np.asfortranarray(dense)
+        elif case == "strided-out":
+            out = np.zeros((rows, 8))[:, ::2]
+        else:
+            out = out.astype(np.float32)
+        calls = _kernel_calls(monkeypatch)
+        assert sparse_product(view, dense, out) is out
+        np.testing.assert_array_equal(out, view.dot(dense).astype(out.dtype))
+        assert calls == []
+
+    def test_without_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(functional, "_csr_matvecs", None)
+        view = LIBRARY_VIEWS["orbit-2"]
+        dense = np.random.default_rng(2).normal(size=(view.shape[0], 3))
+        out = np.ones((view.shape[0], 3))
+        np.testing.assert_array_equal(sparse_product(view, dense, out), view.dot(dense))
+        np.testing.assert_array_equal(sparse_product(view, dense), view.dot(dense))
+
+    def test_shape_mismatch_raises(self):
+        view = LIBRARY_VIEWS["orbit-0"]
+        dense = np.ones((view.shape[0], 3))
+        with pytest.raises(ValueError):
+            sparse_product(view, dense, np.zeros((view.shape[0], 2)))
 
 
 class TestSoftmaxRows:

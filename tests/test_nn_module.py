@@ -74,24 +74,3 @@ class TestModule:
 
     def test_parameter_requires_grad(self):
         assert Parameter(np.zeros(2)).requires_grad
-
-    def test_replica_shares_arrays_not_parameters(self):
-        model = _TwoLayer()
-        replica = model.replica()
-        assert type(replica) is _TwoLayer
-        pairs = list(zip(model.named_parameters(), replica.named_parameters()))
-        assert len(pairs) == 5
-        for (name, original), (replica_name, copy) in pairs:
-            assert replica_name == name
-            assert copy is not original
-            assert copy.data is original.data
-
-    def test_replica_accumulates_its_own_gradients(self):
-        model = _TwoLayer()
-        replica = model.replica()
-        inputs = Tensor(np.ones((2, 3)))
-        replica(inputs).sum().backward()
-        assert all(p.grad is None for p in model.parameters())
-        model(inputs).sum().backward()
-        for original, copy in zip(model.parameters(), replica.parameters()):
-            np.testing.assert_array_equal(copy.grad, original.grad)

@@ -334,6 +334,27 @@ class TestExecutorBackends:
         assert report.executor == "serial"
         assert load_manifest(report.suite_dir)["executor"] == "serial"
 
+    def test_single_job_with_two_workers_runs_inline_on_one(self, tmp_path):
+        """A one-job suite under ``auto`` runs inline even with ``jobs=2``,
+        and says so: no worker ran beside the calling process."""
+        report = run_suite(
+            _tiny_suite(name="exec-one-job", methods=("Degree",)), tmp_path, jobs=2
+        )
+        assert report.executor == "serial"
+        assert report.workers == 1
+        manifest = load_manifest(report.suite_dir)
+        assert (manifest["executor"], manifest["workers"]) == ("serial", 1)
+
+    @pytest.mark.parametrize(
+        "executor, workers", [("serial", 1), ("process-pool", 2)]
+    )
+    def test_workers_say_what_ran(self, tmp_path, executor, workers):
+        report = run_suite(
+            _tiny_suite(name="exec-workers"), tmp_path, jobs=2, executor=executor
+        )
+        assert report.workers == workers
+        assert load_manifest(report.suite_dir)["workers"] == workers
+
     def test_spec_hashes_identical_across_executors(self, tmp_path):
         """The executor choice must never leak into job identity."""
         suite = _tiny_suite(name="exec-hash")
