@@ -1,8 +1,8 @@
 """HTC: Higher-order Topological Consistency for Unsupervised Network Alignment.
 
 A from-scratch Python reproduction of Sun et al. (ICDE 2023).  The public API
-re-exports the pieces most users need; see the subpackages for the full
-surface:
+re-exports the pieces most users need, each imported on first use (PEP 562);
+see the subpackages for the full surface:
 
 * :mod:`repro.core` — the HTC aligner, its configuration, and ablation
   variants,
@@ -23,19 +23,41 @@ Example
 True
 """
 
-from repro.core import (
-    ABLATION_VARIANTS,
-    AlignmentResult,
-    HTCAligner,
-    HTCConfig,
-    make_variant,
-)
-from repro.datasets import GraphPair, available_datasets, load_dataset
-from repro.eval import evaluate_alignment, mean_reciprocal_rank, precision_at_q
-from repro.graph import AttributedGraph
-from repro.orbits import build_orbit_matrices, count_edge_orbits
+import importlib
 
 __version__ = "1.0.0"
+
+#: Lazily resolved exports → the subpackage that defines them, so that
+#: ``import repro`` (and every ``repro.serve``/``repro.api`` import, which
+#: reads ``__version__``) loads none of the pipeline until a name is used.
+_LAZY = {
+    "HTCAligner": "repro.core",
+    "HTCConfig": "repro.core",
+    "AlignmentResult": "repro.core",
+    "make_variant": "repro.core",
+    "ABLATION_VARIANTS": "repro.core",
+    "AttributedGraph": "repro.graph",
+    "GraphPair": "repro.datasets",
+    "load_dataset": "repro.datasets",
+    "available_datasets": "repro.datasets",
+    "count_edge_orbits": "repro.orbits",
+    "build_orbit_matrices": "repro.orbits",
+    "precision_at_q": "repro.eval",
+    "mean_reciprocal_rank": "repro.eval",
+    "evaluate_alignment": "repro.eval",
+}
+
+
+def __getattr__(name):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

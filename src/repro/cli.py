@@ -35,6 +35,11 @@ Dataset arguments accept registered names (``douban``, ``tiny``, ...) and
 prefixed names such as ``dir:/path/to/exported-pair`` (a directory written
 by ``repro.datasets.save_pair``).
 
+Each command imports the layers it runs when it runs, so ``serve``,
+``query`` and ``serve-stats`` load only the serve stack
+(:mod:`repro.serve`, :mod:`repro.api`, :mod:`repro.obs`), never the
+alignment pipeline or scipy.
+
 Examples
 --------
 ::
@@ -61,27 +66,34 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.backend import PRECISIONS, available_executor_backends
-from repro.baselines import PAPER_BASELINES, make_baseline
-from repro.core import HTCAligner, HTCConfig
-from repro.datasets import available_datasets, is_known_dataset, load_dataset
-from repro.datasets.synthetic import bn, econ
-from repro.eval.protocol import run_comparison, run_method
-from repro.eval.reporting import format_importance_ranking, format_series, format_table
-from repro.eval.robustness import run_robustness
-from repro.api.models import (
-    TOP_K_OPS,
-    artifact_list_payload,
-    make_query_request,
-    response_payload,
+
+#: The method vocabulary of :func:`repro.runner.executor.known_method_names`
+#: by name alone, so that building the parser imports no method (a test
+#: keeps the two equal).
+METHOD_NAMES = (
+    "HTC",
+    "HTC-L",
+    "HTC-H",
+    "HTC-LT",
+    "HTC-DT",
+    "HTC-binary",
+    "HTC-cosine",
+    "HTC-GDV",
+    "GAlign",
+    "FINAL",
+    "PALE",
+    "CENALP",
+    "IsoRank",
+    "REGAL",
+    "Degree",
+    "Attribute",
 )
-from repro.runner import SuiteSpec, resolve_method, run_suite
-from repro.runner.executor import known_method_names
-from repro.serve import AlignmentService, export_result, list_artifacts
-from repro.serve.artifacts import find_artifacts
 
 
 def _dataset_arg(name: str) -> str:
     """argparse type validating plain or prefixed (``dir:<path>``) names."""
+    from repro.datasets import available_datasets, is_known_dataset
+
     if not is_known_dataset(name):
         raise argparse.ArgumentTypeError(
             f"unknown dataset {name!r}; available: {available_datasets()} "
@@ -91,6 +103,8 @@ def _dataset_arg(name: str) -> str:
 
 
 def _is_prefixed(name: str) -> bool:
+    from repro.datasets import available_datasets
+
     return ":" in name and name not in available_datasets()
 
 
@@ -100,6 +114,8 @@ def _load_cli_dataset(name: str, args: argparse.Namespace, seed=None) -> object:
     Generated datasets take ``--scale``/``--seed``; ``tiny`` ignores scale;
     prefixed datasets (on-disk directories) take no parameters at all.
     """
+    from repro.datasets import load_dataset
+
     if _is_prefixed(name):
         return load_dataset(name)
     random_state = args.seed if seed is None else seed
@@ -108,7 +124,9 @@ def _load_cli_dataset(name: str, args: argparse.Namespace, seed=None) -> object:
     return load_dataset(name, scale=args.scale, random_state=random_state)
 
 
-def _config_from_args(args: argparse.Namespace) -> HTCConfig:
+def _config_from_args(args: argparse.Namespace):
+    from repro.core import HTCConfig
+
     orbits = range(args.orbits) if args.orbits is not None else None
     kwargs = {}
     # Only set when given so the HTCConfig default stays the single source.
@@ -197,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument(
         "--method",
         default="HTC",
-        help=f"one of {known_method_names()}",
+        help=f"one of {METHOD_NAMES}",
     )
     _add_model_arguments(align)
 
@@ -239,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         nargs="+",
         default=["HTC", "IsoRank", "Degree"],
-        help=f"any of {known_method_names()}",
+        help=f"any of {METHOD_NAMES}",
     )
     suite.add_argument(
         "--jobs",
@@ -278,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--dataset", required=True, type=_dataset_arg)
     export.add_argument(
-        "--method", default="HTC", help=f"one of {known_method_names()}"
+        "--method", default="HTC", help=f"one of {METHOD_NAMES}"
     )
     export.add_argument(
         "--artifact-root",
@@ -378,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_datasets() -> int:
+    from repro.datasets import available_datasets, load_dataset
+    from repro.eval.reporting import format_table
+
     rows = []
     for name in available_datasets():
         pair = load_dataset(name, scale=0.3) if name != "tiny" else load_dataset(name)
@@ -387,6 +408,11 @@ def _cmd_datasets() -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    from repro.core import HTCAligner
+    from repro.eval.protocol import run_method
+    from repro.eval.reporting import format_importance_ranking, format_table
+    from repro.runner import resolve_method
+
     config = _config_from_args(args)
     pair = _load_cli_dataset(args.dataset, args)
     method = resolve_method(args.method, config)
@@ -399,6 +425,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.baselines import PAPER_BASELINES, make_baseline
+    from repro.eval.protocol import run_comparison
+    from repro.eval.reporting import format_table
+    from repro.runner import resolve_method
+
     config = _config_from_args(args)
     pairs = [
         _load_cli_dataset(name, args, seed=index)
@@ -415,6 +446,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from repro.datasets.synthetic import bn, econ
+    from repro.eval.reporting import format_series
+    from repro.eval.robustness import run_robustness
+    from repro.runner import resolve_method
+
     config = _config_from_args(args)
     factory = econ if args.dataset == "econ" else bn
     methods = [resolve_method(name, config) for name in args.methods]
@@ -441,8 +477,10 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
+def _suite_from_args(args: argparse.Namespace):
     """Build the suite spec from a JSON file or the inline flags."""
+    from repro.runner import SuiteSpec
+
     if args.suite:
         return SuiteSpec.from_json_file(args.suite)
     datasets: List[object] = []
@@ -489,6 +527,8 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
 
 
 def _cmd_run_suite(args: argparse.Namespace) -> int:
+    from repro.runner import run_suite
+
     try:
         suite = _suite_from_args(args)
     except (OSError, ValueError) as error:
@@ -540,6 +580,9 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_artifact(args: argparse.Namespace) -> int:
+    from repro.runner import resolve_method
+    from repro.serve import export_result
+
     if args.runs != 1:
         print(
             "warning: export-artifact persists a single alignment; "
@@ -578,6 +621,9 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.api.models import TOP_K_OPS, make_query_request, response_payload
+    from repro.serve import AlignmentService
+
     service = AlignmentService()
     artifact_id = service.load(
         args.artifact_root, args.artifact, verify=not args.no_verify
@@ -619,6 +665,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_stats(args: argparse.Namespace) -> int:
+    from repro.api.models import artifact_list_payload
+    from repro.serve.artifacts import find_artifacts, list_artifacts
+
     manifests = list_artifacts(args.artifact_root)
     if not manifests:
         print(f"no artifacts under {args.artifact_root}")

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.backend.executor import AUTO_BACKEND, available_executor_backends
 from repro.backend.precision import PrecisionPolicy, resolve_policy
+from repro.nn.functional import get_activation
 from repro.orbits.cache import resolve_cache
 from repro.orbits.graphlets import EDGE_ORBIT_COUNT
 from repro.utils.random import RandomStateLike
@@ -43,7 +44,8 @@ class HTCConfig:
     n_layers:
         Number of GCN layers ``L`` (the paper finds 2 is best).
     activation:
-        Hidden-layer activation name.
+        Hidden-layer activation name, a key of
+        :data:`repro.nn.functional.ACTIVATIONS` (checked on construction).
     learning_rate, epochs, weight_decay:
         Adam settings for the multi-orbit-aware training stage.
     n_neighbors:
@@ -140,6 +142,9 @@ class HTCConfig:
             raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.n_layers < 1:
             raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        # Checked here, not only when a hidden layer is built: with
+        # n_layers=1 the encoder never reads it.
+        get_activation(self.activation)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:

@@ -76,11 +76,13 @@ class JobTimeout(Exception):
 def _htc_variant_names() -> tuple:
     from repro.core.variants import ABLATION_VARIANTS, EXTRA_ABLATION_VARIANTS
 
-    return ("HTC",) + tuple(ABLATION_VARIANTS) + tuple(EXTRA_ABLATION_VARIANTS)
+    # ABLATION_VARIANTS is Table III's row order, which ends with HTC itself.
+    names = ("HTC",) + tuple(ABLATION_VARIANTS) + tuple(EXTRA_ABLATION_VARIANTS)
+    return tuple(dict.fromkeys(names))
 
 
 def known_method_names() -> tuple:
-    """Every method name :func:`resolve_method` accepts (for help/docs)."""
+    """Every method name :func:`resolve_method` accepts, each once (for help/docs)."""
     from repro.baselines import PAPER_BASELINES
 
     return _htc_variant_names() + tuple(PAPER_BASELINES) + ("Degree", "Attribute")

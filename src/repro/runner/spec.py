@@ -25,24 +25,13 @@ editing any knob of a job invalidates exactly that job's artifact.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import HTCConfig
-from repro.utils.naming import slugify
-
-
-def canonical_json(payload: object) -> str:
-    """Stable JSON encoding (sorted keys, no whitespace drift)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def spec_hash(payload: object) -> str:
-    """Content hash of a JSON-serialisable spec."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+from repro.utils.naming import canonical_json, slugify, spec_hash
 
 
 def _slug(text: str) -> str:

@@ -40,16 +40,19 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.backend.precision import as_score_matrix
-from repro.core.config import HTCConfig
-from repro.core.result import AlignmentResult
-from repro.runner.spec import canonical_json, spec_hash
 from repro.serve.index import DEFAULT_INDEX_K, SparseTopKIndex, build_index
-from repro.utils.naming import slugify
+from repro.utils.naming import canonical_json, slugify, spec_hash
+
+if TYPE_CHECKING:
+    # Imported where used, so that serving an artifact never loads the
+    # pipeline (``repro.core`` imports the aligner and scipy).
+    from repro.core.config import HTCConfig
+    from repro.core.result import AlignmentResult
 
 #: Current artifact schema.  Major bumps break readers.  1.1 added the
 #: top-level ``dtype`` field (the precision policy the scores were computed
@@ -133,6 +136,8 @@ def serialize_config(config: HTCConfig) -> Dict[str, object]:
 
 def deserialize_config(payload: Dict[str, object]) -> HTCConfig:
     """Rebuild an :class:`HTCConfig`, ignoring unknown fields."""
+    from repro.core.config import HTCConfig
+
     known = {spec.name for spec in dataclasses.fields(HTCConfig)}
     kwargs = {k: v for k, v in dict(payload).items() if k in known}
     for name in ("orbits", "diffusion_orders"):
@@ -350,6 +355,8 @@ def export_result(
     paper baselines return); bare matrices are wrapped into a minimal result
     so every method's output is servable under the same artifact contract.
     """
+    from repro.core.result import AlignmentResult
+
     if not isinstance(raw_result, AlignmentResult):
         # Preserve a float32 matrix (the reduced-precision policy); promote
         # everything non-float to float64 as before.
@@ -515,6 +522,8 @@ def load_artifact(
                 f"artifact {artifact_id!r} is index-only (no dense alignment "
                 'matrix is stored); load it with mode="serve"'
             )
+        from repro.core.result import AlignmentResult
+
         result = AlignmentResult.from_payload(
             result_arrays, dict(manifest.get("scalars", {}))
         )

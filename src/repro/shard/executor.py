@@ -86,6 +86,32 @@ def _save_shard_dataset(subpair: GraphPair, pairs_dir: Path, index: int) -> Path
     return shard_dir
 
 
+def _merge_shard_spans(artifacts: List[Dict[str, object]], enclosing) -> None:
+    """Fold the shard jobs' traced spans into the enclosing span's registry.
+
+    Each shard job records its spans (the aligner's Fig. 8 stages among
+    them) into a registry of its own, the runner's per-job one, so they
+    reach the sharded job only through here.  An inline job's span paths
+    already nest under ``enclosing``; a pool worker's start at
+    ``runner.job`` and are re-rooted under it.  Untraced, this is a no-op.
+    """
+    if enclosing.registry is None:
+        return
+    prefix = f"{enclosing.path}/"
+    for artifact in artifacts:
+        snapshot = artifact.get("observability")
+        if not isinstance(snapshot, dict):
+            continue
+        metrics = []
+        for entry in snapshot.get("metrics", []):
+            labels = dict(entry.get("labels", {}))
+            path = labels.get("span")
+            if path is not None and not path.startswith(prefix):
+                labels["span"] = prefix + path
+            metrics.append(dict(entry, labels=labels))
+        enclosing.registry.merge_snapshot(dict(snapshot, metrics=metrics))
+
+
 def align_sharded(
     pair: GraphPair,
     config: Optional[HTCConfig] = None,
@@ -167,7 +193,7 @@ def align_sharded(
             seed=seed,
             timeout=timeout,
         )
-        with span("shard_alignment", into=stage_times):
+        with span("shard_alignment", into=stage_times) as shard_span:
             report = run_suite(
                 suite,
                 workdir / "runs",
@@ -179,6 +205,7 @@ def align_sharded(
                     executor if executor is not None else config.executor_backend
                 ),
             )
+        _merge_shard_spans(report.artifacts, shard_span)
 
         by_dataset = {str(a["spec"]["dataset"]): a for a in report.artifacts}
         store = report.suite_dir / "serve_artifacts"

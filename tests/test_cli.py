@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from repro.api.core import ApiState, dispatch
-from repro.cli import build_parser, main
+from repro.cli import METHOD_NAMES, build_parser, main
+from repro.core import HTCConfig
+from repro.runner import resolve_method
+from repro.runner.executor import known_method_names
 from repro.serve import export_result
 
 
@@ -31,6 +34,24 @@ class TestParser:
             ["robustness", "--dataset", "bn", "--ratios", "0.1", "0.3"]
         )
         assert args.ratios == [0.1, 0.3]
+
+
+class TestMethodVocabulary:
+    def test_each_name_once_and_every_name_resolves(self):
+        names = known_method_names()
+        assert len(names) == len(set(names)) == 16
+        config = HTCConfig(epochs=1, embedding_dim=4)
+        for name in names:
+            assert resolve_method(name, config) is not None
+
+    def test_parser_reads_the_same_vocabulary(self):
+        assert METHOD_NAMES == known_method_names()
+
+    @pytest.mark.parametrize("command", ["align", "export-artifact", "run-suite"])
+    def test_help_lists_htc_once(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert capsys.readouterr().out.count("'HTC'") == 1
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HTCConfig
+from repro.nn.functional import ACTIVATIONS
 
 
 class TestHTCConfig:
@@ -103,6 +104,21 @@ class TestExecutorBackendField:
             "('auto', 'process-pool', 'process-pool-shm', 'serial')"
             in str(excinfo.value)
         )
+
+
+class TestActivationField:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_unknown_activation_rejected(self, n_layers):
+        # With one layer the encoder never builds a hidden activation, so
+        # only the config can catch the name.
+        with pytest.raises(ValueError, match="unknown activation 'bogus'") as excinfo:
+            HTCConfig(activation="bogus", n_layers=n_layers)
+        for name in ACTIVATIONS:
+            assert repr(name) in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_every_activation_accepted(self, name):
+        assert HTCConfig(activation=name).activation == name
 
 
 class TestPrecisionFields:

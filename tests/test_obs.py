@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 from repro.api.core import ApiState, RawResponse, dispatch, handle_metrics
+from repro.core.aligner import (
+    STAGE_FINE_TUNING,
+    STAGE_INTEGRATION,
+    STAGE_LAPLACIAN,
+    STAGE_ORBIT_COUNTING,
+    STAGE_TRAINING,
+)
 from repro.obs.exposition import (
     PROMETHEUS_CONTENT_TYPE,
     json_snapshot,
@@ -672,6 +679,13 @@ class TestMetricsEndpoint:
 # ----------------------------------------------------------------------
 _TINY_50 = {"name": "tiny", "params": {"n_nodes": 50}}
 _FAST_HTC = {"epochs": 2, "embedding_dim": 8, "orbit_cache": "off"}
+_FIG8_STAGES = (
+    STAGE_ORBIT_COUNTING,
+    STAGE_LAPLACIAN,
+    STAGE_TRAINING,
+    STAGE_FINE_TUNING,
+    STAGE_INTEGRATION,
+)
 
 
 class TestRunnerObservability:
@@ -743,7 +757,35 @@ class TestRunnerObservability:
         for stage in ("partition", "shard_alignment", "stitch", "refine"):
             assert f"runner.job/align/{stage}" in spans
         assert "runner.job/align/stitch/stitch.merge" in spans
+        # The shard jobs' own Fig. 8 stages, merged from their registries.
+        shard_job = "runner.job/align/shard_alignment/runner.job"
+        assert {f"{shard_job}/align/{stage}" for stage in _FIG8_STAGES} <= spans
         assert _span_totals(default_registry()) == before
+
+    def test_shard_jobs_in_a_pool_nest_under_the_sharded_span(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.config import HTCConfig
+        from repro.datasets.synthetic import tiny_pair
+        from repro.shard.executor import align_sharded
+
+        monkeypatch.setenv(TRACE_ENV_VAR, "1")
+        enable_tracing(True)
+        registry = MetricsRegistry("sharded")
+        with span("outer", registry):
+            align_sharded(
+                tiny_pair(n_nodes=50),
+                HTCConfig(**_FAST_HTC),
+                shard_count=2,
+                jobs=2,
+                executor="process-pool",
+                workdir=tmp_path,
+            )
+        spans = set(_span_totals(registry))
+        shard_job = "outer/shard_alignment/runner.job"
+        assert {f"{shard_job}/align/{stage}" for stage in _FIG8_STAGES} <= spans
+        assert _span_totals(registry)[shard_job] == 2
+        assert not any(path.startswith("runner.job") for path in spans)
 
     def test_manifest_clean_when_tracing_off(self, tmp_path):
         from repro.runner.executor import run_suite

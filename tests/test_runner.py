@@ -480,6 +480,14 @@ class TestExecutorBackends:
         assert report.counts == {"failed": 2}
         assert all("epochs must be >= 1" in a["error"] for a in report.artifacts)
 
+    def test_bad_activation_fails_each_job(self, tmp_path):
+        suite = _tiny_suite(
+            name="bad-activation", config={"activation": "bogus", "n_layers": 1}
+        )
+        report = run_suite(suite, tmp_path, jobs=1)
+        assert report.counts == {"failed": 2}
+        assert all("unknown activation 'bogus'" in a["error"] for a in report.artifacts)
+
 
 class TestWorkerCrashRecovery:
     """A dying worker fails its own job, never the suite (all backends)."""
