@@ -160,8 +160,9 @@ def test_unknown_attribute_raises():
         repro.utils.nope
 
 
-def test_utils_sparse_names_resolve_lazily():
-    names = ("to_csr", "sparse_from_edges", "symmetrize", "is_symmetric", "row_normalize")
-    for name in names:
-        assert getattr(repro.utils, name) is getattr(sparse, name)
+def test_every_utils_name_resolves():
+    for name in repro.utils.__all__:
         assert name in dir(repro.utils)
+        value = getattr(repro.utils, name)
+        if hasattr(sparse, name):
+            assert value is getattr(sparse, name)
