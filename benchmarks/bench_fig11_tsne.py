@@ -41,12 +41,8 @@ def _run_tsne_analysis():
 
     before_stats = {}
     for orbit in ORBITS_TO_VISUALISE:
-        source_embedding = source_encoder(
-            source_views[orbit], pair.source.attributes
-        ).numpy()
-        target_embedding = target_encoder(
-            target_views[orbit], pair.target.attributes
-        ).numpy()
+        source_embedding = source_encoder(source_views[orbit], pair.source.attributes)
+        target_embedding = target_encoder(target_views[orbit], pair.target.attributes)
         before_stats[orbit] = anchor_overlap_statistics(
             source_embedding, target_embedding, anchors, random_state=0
         )

@@ -10,7 +10,9 @@ plain adjacency with orbit-weighted views).
 Implementation notes: the encoder, reconstruction objective, and optimiser
 are the same substrates HTC uses (``repro.nn``); augmentation drops a fraction
 of edges from each graph and adds the augmented views' reconstruction losses,
-and the final score matrix averages per-layer cosine similarities.
+and the final score matrix averages per-layer cosine similarities.  Each
+view has its own :class:`~repro.nn.gcn.EncoderPass`; the views' gradients are
+summed last view first, as a tape's backward over the summed loss sums them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.datasets.pair import GraphPair
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.laplacian import normalized_laplacian
 from repro.graph.perturbation import remove_edges
-from repro.nn.functional import Propagation, frobenius_loss
+from repro.nn.functional import Propagation
+from repro.nn.gcn import EncoderPass
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
 from repro.similarity.measures import cosine_similarity
@@ -100,16 +103,23 @@ class GAlign(BaseAligner):
             activations=["relu"] * (self.n_layers - 1) + ["identity"],
             random_state=rng,
         )
-        optimizer = Adam(encoder.parameters(), lr=self.learning_rate)
+        optimizer = Adam(encoder.weights, lr=self.learning_rate)
+        passes = [
+            EncoderPass(encoder.activations, view, encoder.weights)
+            for view in source_views + target_views
+        ]
 
         for _ in range(self.epochs):
-            optimizer.zero_grad()
-            total = None
-            for view in source_views + target_views:
-                loss = frobenius_loss(encoder(view), view)
-                total = loss if total is None else total + loss
-            total.backward()
-            optimizer.step()
+            weights = encoder.weights
+            view_gradients = []
+            for view_pass in passes:
+                view_pass.forward(weights)
+                view_pass.loss()
+                view_gradients.append(view_pass.vjp(weights))
+            gradients = view_gradients[-1]
+            for terms in reversed(view_gradients[:-1]):
+                gradients = [total + term for total, term in zip(gradients, terms)]
+            encoder.weights = optimizer.step(weights, gradients)
 
         # Multi-order alignment: average the per-layer similarity matrices of
         # the un-augmented views.
@@ -117,9 +127,7 @@ class GAlign(BaseAligner):
         target_layers = encoder(target_views[0], all_layers=True)
         scores = np.zeros((pair.source.n_nodes, pair.target.n_nodes))
         for source_layer, target_layer in zip(source_layers, target_layers):
-            scores += cosine_similarity(
-                source_layer.detach().numpy(), target_layer.detach().numpy()
-            )
+            scores += cosine_similarity(source_layer, target_layer)
         return scores / len(source_layers)
 
 

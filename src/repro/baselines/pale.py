@@ -7,8 +7,9 @@ anchor links.  Alignment scores are similarities between mapped source
 embeddings and target embeddings.
 
 This implementation uses the shared spectral embedding
-(:mod:`repro.baselines.embedding`) for phase 1 and trains the phase-2 MLP with
-the library's autograd substrate.
+(:mod:`repro.baselines.embedding`) for phase 1 and trains a one-hidden-layer
+ReLU MLP for phase 2 with Adam on the mean squared error, by its closed-form
+gradient.
 """
 
 from __future__ import annotations
@@ -18,26 +19,42 @@ import numpy as np
 from repro.baselines.base import AnchorList, BaseAligner
 from repro.baselines.embedding import spectral_embedding
 from repro.datasets.pair import GraphPair
-from repro.nn.functional import mse_loss, relu
-from repro.nn.layers import Linear
-from repro.nn.module import Module
+from repro.nn.init import glorot_uniform
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.similarity.measures import cosine_similarity
 from repro.utils.random import RandomStateLike, check_random_state
 
 
-class _MappingMLP(Module):
-    """One-hidden-layer mapping network from source space to target space."""
+def _map(weights, inputs):
+    """The mapping MLP's hidden layer ``relu(x W1 + b1)``, its ReLU mask,
+    and its output ``h W2 + b2``."""
+    w1, b1, w2, b2 = weights
+    hidden = inputs @ w1 + b1
+    mask = hidden > 0
+    hidden = hidden * mask
+    return hidden, mask, hidden @ w2 + b2
 
-    def __init__(self, dim: int, hidden: int, random_state=None) -> None:
-        super().__init__()
-        rng = check_random_state(random_state)
-        self.input_layer = Linear(dim, hidden, random_state=rng)
-        self.output_layer = Linear(hidden, dim, random_state=rng)
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return self.output_layer(relu(self.input_layer(inputs)))
+def _mse_gradients(weights, inputs, targets):
+    """The gradients of ``mean((y - targets)^2)`` with respect to ``weights``.
+
+    Each operation is the one an autograd tape runs for the loss: the error
+    is ``y + (-t)``, the squared error's two factors each contribute
+    ``s * error`` with ``s = 1 / size``, and a bias gradient sums its
+    layer's gradient over the rows.
+    """
+    w1, _, w2, _ = weights
+    hidden, mask, outputs = _map(weights, inputs)
+    error = outputs + (-targets)
+    scale = 1.0 / error.size
+    output_gradient = scale * error + scale * error
+    hidden_gradient = (output_gradient @ w2.T) * mask
+    return [
+        inputs.T @ hidden_gradient,
+        hidden_gradient.sum(axis=0),
+        hidden.T @ output_gradient,
+        output_gradient.sum(axis=0),
+    ]
 
 
 class PALE(BaseAligner):
@@ -83,22 +100,21 @@ class PALE(BaseAligner):
             return cosine_similarity(source_embedding, target_embedding)
 
         dim = source_embedding.shape[1]
-        mapper = _MappingMLP(dim, self.hidden_dim, random_state=self.random_state)
-        optimizer = Adam(mapper.parameters(), lr=self.learning_rate)
+        rng = check_random_state(self.random_state)
+        w1 = glorot_uniform(dim, self.hidden_dim, rng)
+        w2 = glorot_uniform(self.hidden_dim, dim, rng)
+        weights = [w1, np.zeros(self.hidden_dim, w1.dtype), w2, np.zeros(dim, w2.dtype)]
+        optimizer = Adam(weights, lr=self.learning_rate)
 
         anchor_source = np.array([i for i, _ in train_anchors], dtype=np.int64)
         anchor_target = np.array([j for _, j in train_anchors], dtype=np.int64)
-        inputs = Tensor(source_embedding[anchor_source])
+        inputs = source_embedding[anchor_source]
         targets = target_embedding[anchor_target]
 
         for _ in range(self.epochs):
-            optimizer.zero_grad()
-            predictions = mapper(inputs)
-            loss = mse_loss(predictions, targets)
-            loss.backward()
-            optimizer.step()
+            weights = optimizer.step(weights, _mse_gradients(weights, inputs, targets))
 
-        mapped = mapper(Tensor(source_embedding)).detach().numpy()
+        _, _, mapped = _map(weights, source_embedding)
         return cosine_similarity(mapped, target_embedding)
 
 

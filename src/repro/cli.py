@@ -425,7 +425,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.baselines import PAPER_BASELINES, make_baseline
+    from repro.baselines import PAPER_BASELINES
     from repro.eval.protocol import run_comparison
     from repro.eval.reporting import format_table
     from repro.runner import resolve_method
@@ -435,8 +435,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _load_cli_dataset(name, args, seed=index)
         for index, name in enumerate(args.datasets)
     ]
-    methods = [resolve_method("HTC", config)]
-    methods += [make_baseline(name) for name in PAPER_BASELINES]
+    methods = [resolve_method(name, config) for name in ("HTC", *PAPER_BASELINES)]
     results = run_comparison(methods, pairs, n_runs=args.runs, random_state=args.seed)
     for pair in pairs:
         rows = [r.as_row() for r in results if r.dataset == pair.name]

@@ -25,7 +25,6 @@ from repro.core.config import HTCConfig
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.diffusion import diffusion_matrix_family
 from repro.graph.laplacian import normalized_laplacian, orbit_laplacian
-from repro.nn.gcn import encode
 from repro.nn.layers import SharedGCNEncoder
 from repro.orbits.cache import resolve_cache
 from repro.orbits.edge_orbits import EdgeOrbitCounts
@@ -97,8 +96,7 @@ def encode_views(
     from the encoder's forward-only explicit pass.
     """
     return {
-        view_id: encode(encoder, laplacian, attributes)
-        for view_id, laplacian in views.items()
+        view_id: encoder(laplacian, attributes) for view_id, laplacian in views.items()
     }
 
 

@@ -102,8 +102,9 @@ class MultiOrbitTrainer:
     ) -> List[float]:
         """Run Algorithm 1 and return the per-epoch total losses.
 
-        The encoder is modified in place; embeddings can afterwards be
-        obtained with :func:`repro.core.encoder.encode_views`.
+        Each epoch rebinds ``encoder.weights`` to the optimiser's updated
+        arrays; embeddings can afterwards be obtained with
+        :func:`repro.core.encoder.encode_views`.
         """
         if set(source_views) != set(target_views):
             raise ValueError("source and target must expose the same view ids")
@@ -111,20 +112,20 @@ class MultiOrbitTrainer:
             raise ValueError("training needs at least one view")
 
         optimizer = Adam(
-            encoder.parameters(),
+            encoder.weights,
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
-        parameters = [layer.weight for layer in encoder.layers]
-        activations = [layer.activation_name for layer in encoder.layers]
-        weights = [parameter.data for parameter in parameters]
-
         view_ids = list(source_views)
         source_pass = EncoderPass(
-            activations, _stack(source_views, view_ids, source_attributes), weights
+            encoder.activations,
+            _stack(source_views, view_ids, source_attributes),
+            encoder.weights,
         )
         target_pass = EncoderPass(
-            activations, _stack(target_views, view_ids, target_attributes), weights
+            encoder.activations,
+            _stack(target_views, view_ids, target_attributes),
+            encoder.weights,
         )
 
         losses: List[float] = []
@@ -132,7 +133,7 @@ class MultiOrbitTrainer:
             ThreadPoolExecutor(max_workers=1) if budget >= 2 else nullcontext()
         ) as worker:
             for epoch in range(self.config.epochs):
-                weights = [parameter.data for parameter in parameters]
+                weights = encoder.weights
                 pending = (
                     worker.submit(_half_epoch, target_pass, weights) if worker else None
                 )
@@ -141,11 +142,9 @@ class MultiOrbitTrainer:
                     pending.result() if pending else _half_epoch(target_pass, weights)
                 )
                 loss += target_loss
-                for parameter, source, target in zip(
-                    parameters, gradients, target_gradients
-                ):
-                    parameter.grad = source + target
-                optimizer.step()
+                encoder.weights = optimizer.step(
+                    weights, [a + b for a, b in zip(gradients, target_gradients)]
+                )
                 losses.append(loss)
                 if epoch % 25 == 0:
                     logger.debug("epoch %d: loss %.4f", epoch, loss)

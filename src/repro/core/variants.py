@@ -6,7 +6,7 @@ Paper variants
 * **HTC-H** — all orbits (multi-orbit-aware training), no fine-tuning,
 * **HTC-LT** — low-order only, with trusted-pair fine-tuning,
 * **HTC-DT** — diffusion matrices instead of GOMs, with fine-tuning,
-* **HTC** (a.k.a. HTC-HT) — the full method.
+* **HTC** — the full method (the paper's table calls it HTC-HT).
 
 Additional design ablations (EXPERIMENTS.md, "Ablation findings")
 ------------------------------------------------------------------
@@ -23,9 +23,21 @@ from typing import Dict, Optional
 from repro.core.aligner import HTCAligner
 from repro.core.config import HTCConfig
 
+_FULL = {"topology_mode": "orbit", "use_refinement": True}
 
-def _base(config: Optional[HTCConfig]) -> HTCConfig:
-    return config if config is not None else HTCConfig()
+#: Every HTC variant's name and the config fields it sets, the full method
+#: first: the one vocabulary of :func:`make_variant` and of the HTC names in
+#: :func:`repro.runner.executor.known_method_names`.
+VARIANTS = {
+    "HTC": _FULL,
+    "HTC-L": {"topology_mode": "adjacency", "use_refinement": False},
+    "HTC-H": {"topology_mode": "orbit", "use_refinement": False},
+    "HTC-LT": {"topology_mode": "adjacency", "use_refinement": True},
+    "HTC-DT": {"topology_mode": "diffusion", "use_refinement": True},
+    "HTC-binary": {**_FULL, "weighted_orbits": False},
+    "HTC-cosine": {**_FULL, "use_lisi": False},
+    "HTC-GDV": {**_FULL, "augment_with_gdv": True},
+}
 
 
 def make_variant(name: str, config: Optional[HTCConfig] = None) -> HTCAligner:
@@ -34,31 +46,14 @@ def make_variant(name: str, config: Optional[HTCConfig] = None) -> HTCAligner:
     ``config`` provides the shared hyper-parameters (embedding size, epochs,
     ...); the variant overrides only the fields it ablates.
     """
-    base = _base(config)
-    builders = {
-        "HTC": lambda: base.updated(topology_mode="orbit", use_refinement=True),
-        "HTC-HT": lambda: base.updated(topology_mode="orbit", use_refinement=True),
-        "HTC-L": lambda: base.updated(topology_mode="adjacency", use_refinement=False),
-        "HTC-H": lambda: base.updated(topology_mode="orbit", use_refinement=False),
-        "HTC-LT": lambda: base.updated(topology_mode="adjacency", use_refinement=True),
-        "HTC-DT": lambda: base.updated(topology_mode="diffusion", use_refinement=True),
-        "HTC-binary": lambda: base.updated(
-            topology_mode="orbit", use_refinement=True, weighted_orbits=False
-        ),
-        "HTC-cosine": lambda: base.updated(
-            topology_mode="orbit", use_refinement=True, use_lisi=False
-        ),
-        "HTC-GDV": lambda: base.updated(
-            topology_mode="orbit", use_refinement=True, augment_with_gdv=True
-        ),
-    }
     try:
-        variant_config = builders[name]()
+        fields = VARIANTS[name]
     except KeyError as error:
         raise KeyError(
-            f"unknown variant {name!r}; available: {sorted(builders)}"
+            f"unknown variant {name!r}; available: {sorted(VARIANTS)}"
         ) from error
-    aligner = HTCAligner(variant_config)
+    base = config if config is not None else HTCConfig()
+    aligner = HTCAligner(base.updated(**fields))
     aligner.name = name
     return aligner
 
@@ -76,6 +71,7 @@ def all_variants(config: Optional[HTCConfig] = None) -> Dict[str, HTCAligner]:
 
 
 __all__ = [
+    "VARIANTS",
     "make_variant",
     "all_variants",
     "ABLATION_VARIANTS",

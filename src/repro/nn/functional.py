@@ -1,19 +1,21 @@
-"""Functional operations on :class:`repro.nn.Tensor`.
+"""Propagation operands, the sparse product, and the tape's GCN primitives.
 
-These cover exactly what the library's models need: non-linearities, matrix
-products (including the sparse-constant product used for Laplacian
-propagation), reductions, and the Frobenius reconstruction loss used by the
-multi-orbit-aware trainer (Eq. 7 of the paper).  The two sparse primitives,
-:func:`sparse_matmul` and :func:`frobenius_loss`, take their constant matrix
-as a :class:`Propagation` operand (or a scipy matrix they wrap in one) and
-carry explicit vector-Jacobian products.  :func:`sparse_product` is the
-plain-array product behind a propagation's ``L X`` and the explicit encoder
-pass of :mod:`repro.nn.gcn`.
+:class:`Propagation` prepares a constant propagation matrix for repeated
+use, and :func:`sparse_product` is the plain-array product behind a
+propagation's ``L X`` and the explicit encoder pass of :mod:`repro.nn.gcn`.
+The rest are operations on :class:`repro.nn.Tensor`, the autograd tape that
+the test suite checks the explicit pass against: the activations (whose
+names, in :data:`ACTIVATIONS`, are the encoder's activation vocabulary),
+the sparse-constant product :func:`sparse_matmul` and the Frobenius
+reconstruction loss :func:`frobenius_loss` of Eq. 7.  The two sparse
+primitives take their constant matrix as a :class:`Propagation` operand (or
+a scipy matrix they wrap in one) and carry explicit vector-Jacobian
+products.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,11 +93,6 @@ def get_activation(name: str):
         raise ValueError(
             f"unknown activation {name!r}; available: {sorted(ACTIVATIONS)}"
         ) from error
-
-
-def matmul(left: Tensor, right: Tensor) -> Tensor:
-    """Dense matrix product (differentiable in both arguments)."""
-    return left @ right
 
 
 def sparse_product(
@@ -282,37 +279,6 @@ def sparse_matmul(sparse, dense: Tensor) -> Tensor:
     return out
 
 
-def square(tensor: Tensor) -> Tensor:
-    """Element-wise square."""
-    return tensor * tensor
-
-
-def sum_all(tensor: Tensor) -> Tensor:
-    """Sum of all elements (scalar tensor)."""
-    return tensor.sum()
-
-
-def mean(tensor: Tensor) -> Tensor:
-    """Mean of all elements (scalar tensor)."""
-    return tensor.mean()
-
-
-def softmax_rows(tensor: Tensor) -> Tensor:
-    """Row-wise softmax (differentiable), used by attention-style baselines."""
-    shifted = tensor.data - tensor.data.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    value = exp / exp.sum(axis=1, keepdims=True)
-    out = Tensor(value, requires_grad=tensor.requires_grad, _parents=(tensor,))
-
-    def backward(gradient: np.ndarray) -> None:
-        if tensor.requires_grad:
-            dot = (gradient * value).sum(axis=1, keepdims=True)
-            tensor._accumulate(value * (gradient - dot))
-
-    out._backward = backward
-    return out
-
-
 def frobenius_loss(embedding: Tensor, target, blocks: Optional[int] = None) -> Tensor:
     """Reconstruction loss ``||H H^T - target||_F`` of Eq. 7, matrix-free.
 
@@ -371,14 +337,6 @@ def frobenius_loss(embedding: Tensor, target, blocks: Optional[int] = None) -> T
     return out
 
 
-def mse_loss(prediction: Tensor, target: Union[np.ndarray, Tensor]) -> Tensor:
-    """Mean squared error between ``prediction`` and a constant ``target``."""
-    if isinstance(target, Tensor):
-        target = target.data
-    diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
-
-
 __all__ = [
     "relu",
     "tanh",
@@ -386,14 +344,8 @@ __all__ = [
     "identity",
     "get_activation",
     "ACTIVATIONS",
-    "matmul",
     "Propagation",
     "sparse_product",
     "sparse_matmul",
-    "square",
-    "sum_all",
-    "mean",
-    "softmax_rows",
     "frobenius_loss",
-    "mse_loss",
 ]

@@ -1,8 +1,9 @@
 """The shared GCN encoder as one explicit forward and vector-Jacobian pass.
 
-:class:`EncoderPass` runs a :class:`~repro.nn.layers.SharedGCNEncoder`-shaped
-stack on plain weight arrays, with no autograd tape.  Each method replays the
-numpy operations the tape runs for ``encoder(L)`` followed by
+:class:`EncoderPass` runs a GCN stack on plain weight arrays, such as a
+:class:`~repro.nn.layers.SharedGCNEncoder`'s, with no autograd tape.  Each
+method replays the numpy operations the tape (:class:`~repro.nn.tensor.Tensor`)
+runs for a GCN forward followed by
 :func:`~repro.nn.functional.frobenius_loss` and ``backward()``, in the
 tape's order, so its losses and weight gradients are bit-identical to the
 tape's:
@@ -141,19 +142,24 @@ class EncoderPass:
         return self._layers
 
     def forward(
-        self, weights: Sequence[np.ndarray], features: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """The encoder's output ``H`` for ``weights``.
+        self,
+        weights: Sequence[np.ndarray],
+        features: Optional[np.ndarray] = None,
+        all_layers: bool = False,
+    ):
+        """The encoder's output ``H`` for ``weights``; with ``all_layers``,
+        the list of every layer's output.
 
         With ``features=None`` layer 0 computes ``f((L X) W_0)`` from the
         operand's ``L X``; with ``features`` it computes ``f(L (X W_0))``.
-        A training pass returns its output buffer, which the next call
-        overwrites; a forward-only pass returns a new array.
+        A training pass returns its output buffers, which the next call
+        overwrites; a forward-only pass returns new arrays.
         """
         if features is None and self.operand.propagated_features is None:
             raise ValueError("features are required unless the operand holds L X")
         matrix = self.operand.matrix
         hidden = None
+        outputs = []
         for index, (weight, name) in enumerate(zip(weights, self.activations)):
             buffers = self._layers[index] if self._layers is not None else None
             output = buffers.output if buffers is not None else None
@@ -167,7 +173,8 @@ class EncoderPass:
                 )
             _activate(name, value, buffers.mask if buffers is not None else None)
             hidden = value
-        return hidden
+            outputs.append(value)
+        return outputs if all_layers else hidden
 
     def loss(self) -> float:
         """``sum_k ||H_k H_k^T - L_k||_F`` of the last forward's ``H``.
@@ -240,16 +247,4 @@ class EncoderPass:
         return gradients
 
 
-def encode(encoder, matrix, features: Optional[np.ndarray] = None) -> np.ndarray:
-    """``encoder``'s output on ``matrix`` as a new array, with no tape.
-
-    The forward-only :class:`EncoderPass` over the encoder's current
-    weights; ``features=None`` needs a
-    :class:`~repro.nn.functional.Propagation` built with features.
-    """
-    layers = encoder.layers
-    forward_only = EncoderPass([layer.activation_name for layer in layers], matrix)
-    return forward_only.forward([layer.weight.data for layer in layers], features)
-
-
-__all__ = ["EncoderPass", "encode"]
+__all__ = ["EncoderPass"]

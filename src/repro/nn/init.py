@@ -25,9 +25,4 @@ def glorot_uniform(
     return weights.astype(get_default_dtype(), copy=False)
 
 
-def zeros(*shape: int) -> np.ndarray:
-    """All-zero initialisation (in the module default dtype)."""
-    return np.zeros(shape, dtype=get_default_dtype())
-
-
-__all__ = ["glorot_uniform", "zeros"]
+__all__ = ["glorot_uniform"]

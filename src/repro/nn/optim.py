@@ -1,80 +1,31 @@
-"""Gradient-descent optimisers (SGD and Adam).
-
-Both operate on lists of :class:`repro.nn.Parameter` and follow the standard
-update rules; Adam matches Kingma & Ba (2014), which is what the paper trains
-with.
-"""
+"""The Adam optimiser (Kingma & Ba, 2014), which the paper trains with, on
+plain weight arrays."""
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.nn.module import Parameter
 
+class Adam:
+    """Adam over a list of weight arrays.
 
-class Optimizer:
-    """Base optimiser: holds parameters and clears their gradients."""
-
-    def __init__(self, parameters: Iterable[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        """Reset gradients of all managed parameters."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
+    The constructor sizes the moment estimates from ``weights``;
+    :meth:`step` takes the current weights and their gradients, in the same
+    order, and returns the updated weights as new arrays.
+    """
 
     def __init__(
         self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """Apply one SGD update using the current gradients."""
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += parameter.grad
-                update = velocity
-            else:
-                update = parameter.grad
-            parameter.data = parameter.data - self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2014)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
+        weights: Sequence[np.ndarray],
         lr: float = 0.01,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters)
+        if not weights:
+            raise ValueError("optimizer received no weights")
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         beta1, beta2 = betas
@@ -88,29 +39,31 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
-        self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
+        self._first_moment = [np.zeros_like(weight) for weight in weights]
+        self._second_moment = [np.zeros_like(weight) for weight in weights]
 
-    def step(self) -> None:
-        """Apply one Adam update using the current gradients."""
+    def step(
+        self, weights: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """One Adam update of ``weights`` by ``gradients``; the weights
+        themselves are not modified."""
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for parameter, m, v in zip(
-            self.parameters, self._first_moment, self._second_moment
+        updated = []
+        for weight, gradient, m, v in zip(
+            weights, gradients, self._first_moment, self._second_moment
         ):
-            if parameter.grad is None:
-                continue
-            gradient = parameter.grad
             if self.weight_decay > 0:
-                gradient = gradient + self.weight_decay * parameter.data
+                gradient = gradient + self.weight_decay * weight
             m *= self.beta1
             m += (1.0 - self.beta1) * gradient
             v *= self.beta2
             v += (1.0 - self.beta2) * gradient**2
             m_hat = m / bias1
             v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            updated.append(weight - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        return updated
 
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]

@@ -73,19 +73,12 @@ class JobTimeout(Exception):
     """Raised inside a worker when a job exceeds its wall-clock budget."""
 
 
-def _htc_variant_names() -> tuple:
-    from repro.core.variants import ABLATION_VARIANTS, EXTRA_ABLATION_VARIANTS
-
-    # ABLATION_VARIANTS is Table III's row order, which ends with HTC itself.
-    names = ("HTC",) + tuple(ABLATION_VARIANTS) + tuple(EXTRA_ABLATION_VARIANTS)
-    return tuple(dict.fromkeys(names))
-
-
 def known_method_names() -> tuple:
     """Every method name :func:`resolve_method` accepts, each once (for help/docs)."""
     from repro.baselines import PAPER_BASELINES
+    from repro.core.variants import VARIANTS
 
-    return _htc_variant_names() + tuple(PAPER_BASELINES) + ("Degree", "Attribute")
+    return tuple(VARIANTS) + tuple(PAPER_BASELINES) + ("Degree", "Attribute")
 
 
 def resolve_method(name: str, config) -> object:
@@ -94,10 +87,12 @@ def resolve_method(name: str, config) -> object:
     The single source of the method vocabulary, shared by the CLI and the
     suite runner.  An HTC config with ``shard_count`` set routes through the
     partition–align–stitch subsystem (:mod:`repro.shard`) transparently.
+    GAlign takes its model settings from ``config`` (the fields its
+    constructor shares with it); the other baselines run at their defaults.
     """
     from repro.baselines import make_baseline
     from repro.core import HTCAligner
-    from repro.core.variants import make_variant
+    from repro.core.variants import VARIANTS, make_variant
 
     if name == "HTC":
         if getattr(config, "shard_count", None):
@@ -105,8 +100,11 @@ def resolve_method(name: str, config) -> object:
 
             return ShardedAligner(config)
         return HTCAligner(config)
-    if name in _htc_variant_names():
+    if name in VARIANTS:
         return make_variant(name, config)
+    if name == "GAlign":
+        names = ("embedding_dim", "n_layers", "epochs", "learning_rate", "random_state")
+        return make_baseline(name, **{field: getattr(config, field) for field in names})
     return make_baseline(name)
 
 

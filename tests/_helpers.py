@@ -18,7 +18,8 @@ from repro.core import training
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import erdos_renyi_graph, powerlaw_cluster_graph
-from repro.nn.functional import frobenius_loss
+from repro.nn.functional import frobenius_loss, get_activation, relu, sparse_matmul
+from repro.nn.init import glorot_uniform
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.orbits.vectorized import EdgeStatistics
@@ -33,6 +34,7 @@ from repro.similarity.measures import (
     cosine_similarity,
     pearson_similarity,
 )
+from repro.utils.random import check_random_state
 
 #: Block budgets of the similarity engine under test, as functions of the
 #: number of targets: one window per block, two windows per block, and the
@@ -345,32 +347,63 @@ def comprehension_mutual_nearest_neighbors(score_matrix):
     ]
 
 
+def tape_encode(weights, activations, laplacian, features=None, all_layers=False):
+    """Oracle for ``SharedGCNEncoder.forward``: the GCN forward on the tape.
+
+    ``weights`` are :class:`Tensor` leaves.  Layer 0 computes
+    ``f((L X) W_0)`` from the operand's ``L X`` when ``features`` is None
+    and ``f(L (X W_0))`` otherwise; each later layer ``f(L (H W))``.
+    Returns the last layer's output, or every layer's with ``all_layers``.
+    """
+    hidden = None if features is None else Tensor(np.asarray(features))
+    outputs = []
+    for weight, name in zip(weights, activations):
+        if hidden is None:
+            if getattr(laplacian, "propagated_features", None) is None:
+                raise ValueError("features are required unless the operand has L X")
+            propagated = Tensor(laplacian.propagated_features) @ weight
+        else:
+            propagated = sparse_matmul(laplacian, hidden @ weight)
+        hidden = get_activation(name)(propagated)
+        outputs.append(hidden)
+    return outputs if all_layers else hidden
+
+
+def tape_leaves(weights):
+    """``weights`` as tape leaves that collect gradients (sharing memory)."""
+    return [Tensor(weight, requires_grad=True) for weight in weights]
+
+
 def summed_loss_training_losses(
     encoder, config, source_views, target_views, source_attributes, target_attributes
 ) -> List[float]:
     """Bit-for-bit oracle for ``MultiOrbitTrainer.train`` on one BLAS thread.
 
     The autograd tape's training: each graph's stack goes through
-    ``SharedGCNEncoder.forward`` and ``frobenius_loss``, both graphs' losses
-    are summed into one node, and one backward pass per epoch runs on the
+    :func:`tape_encode` and ``frobenius_loss``, both graphs' losses are
+    summed into one node, and one backward pass per epoch runs on the
     calling thread.  The trainer's explicit pass replays the tape's numpy
     operations, and each weight gets one gradient term per graph in both,
-    so losses and weights match to the bit.
+    so losses and weights match to the bit.  Rebinds ``encoder.weights``.
     """
     optimizer = Adam(
-        encoder.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
+        encoder.weights, lr=config.learning_rate, weight_decay=config.weight_decay
     )
     view_ids = list(source_views)
     source_stack = training._stack(source_views, view_ids, source_attributes)
     target_stack = training._stack(target_views, view_ids, target_attributes)
     losses = []
     for _ in range(config.epochs):
-        optimizer.zero_grad()
-        source_loss = frobenius_loss(encoder(source_stack), source_stack)
-        target_loss = frobenius_loss(encoder(target_stack), target_stack)
-        total = source_loss + target_loss
+        leaves = tape_leaves(encoder.weights)
+        total = None
+        for stack in (source_stack, target_stack):
+            embedding = tape_encode(leaves, encoder.activations, stack)
+            loss = frobenius_loss(embedding, stack)
+            total = loss if total is None else total + loss
         total.backward()
-        optimizer.step()
+        encoder.weights = optimizer.step(
+            encoder.weights, [leaf.grad for leaf in leaves]
+        )
         losses.append(total.item())
     return losses
 
@@ -386,11 +419,11 @@ def per_view_training_losses(
     compare the two at a tolerance.
     """
     optimizer = Adam(
-        encoder.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
+        encoder.weights, lr=config.learning_rate, weight_decay=config.weight_decay
     )
     losses = []
     for _ in range(config.epochs):
-        optimizer.zero_grad()
+        leaves = tape_leaves(encoder.weights)
         total = None
         for view_id in source_views:
             view_loss = None
@@ -398,14 +431,80 @@ def per_view_training_losses(
                 (source_views, source_attributes),
                 (target_views, target_attributes),
             ):
-                embedding = encoder(views[view_id], attributes)
+                embedding = tape_encode(
+                    leaves, encoder.activations, views[view_id], attributes
+                )
                 loss = dense_frobenius_loss(embedding @ embedding.T, views[view_id])
                 view_loss = loss if view_loss is None else view_loss + loss
             total = view_loss if total is None else total + view_loss
         total.backward()
-        optimizer.step()
+        encoder.weights = optimizer.step(
+            encoder.weights, [leaf.grad for leaf in leaves]
+        )
         losses.append(total.item())
     return losses
+
+
+def tape_galign_scores(galign, pair) -> np.ndarray:
+    """Bit-for-bit oracle for ``GAlign.align``: its training on the tape.
+
+    Every view's loss is summed into one node and one backward pass per
+    epoch accumulates each weight's gradient terms, in the tape's
+    reverse-topological order; the explicit per-view passes sum the same
+    terms in that order.  Weights are drawn as ``GAlign`` draws them.
+    """
+    rng = check_random_state(galign.random_state)
+    source_views = galign._views(pair.source, rng)
+    target_views = galign._views(pair.target, rng)
+    dims = [pair.source.n_attributes] + [galign.embedding_dim] * galign.n_layers
+    weights = [glorot_uniform(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
+    activations = ["relu"] * (galign.n_layers - 1) + ["identity"]
+    optimizer = Adam(weights, lr=galign.learning_rate)
+    for _ in range(galign.epochs):
+        leaves = tape_leaves(weights)
+        total = None
+        for view in source_views + target_views:
+            loss = frobenius_loss(tape_encode(leaves, activations, view), view)
+            total = loss if total is None else total + loss
+        total.backward()
+        weights = optimizer.step(weights, [leaf.grad for leaf in leaves])
+    leaves = tape_leaves(weights)
+    scores = np.zeros((pair.source.n_nodes, pair.target.n_nodes))
+    for source_layer, target_layer in zip(
+        tape_encode(leaves, activations, source_views[0], all_layers=True),
+        tape_encode(leaves, activations, target_views[0], all_layers=True),
+    ):
+        scores += cosine_similarity(source_layer.data, target_layer.data)
+    return scores / galign.n_layers
+
+
+def tape_pale_scores(pale, source_embedding, target_embedding, anchors):
+    """Bit-for-bit oracle for ``PALE.align`` with ``anchors`` on the given
+    embeddings: the mapping MLP ``relu(x W1 + b1) W2 + b2`` and its mean
+    squared error on the tape.  Weights are drawn as ``PALE`` draws them."""
+    dim = source_embedding.shape[1]
+    rng = check_random_state(pale.random_state)
+    weights = [
+        glorot_uniform(dim, pale.hidden_dim, rng),
+        np.zeros(pale.hidden_dim),
+        glorot_uniform(pale.hidden_dim, dim, rng),
+        np.zeros(dim),
+    ]
+
+    def mapping(leaves, inputs):
+        w1, b1, w2, b2 = leaves
+        return relu(inputs @ w1 + b1) @ w2 + b2
+
+    optimizer = Adam(weights, lr=pale.learning_rate)
+    inputs = Tensor(source_embedding[[i for i, _ in anchors]])
+    targets = Tensor(target_embedding[[j for _, j in anchors]])
+    for _ in range(pale.epochs):
+        leaves = tape_leaves(weights)
+        diff = mapping(leaves, inputs) - targets
+        (diff * diff).mean().backward()
+        weights = optimizer.step(weights, [leaf.grad for leaf in leaves])
+    mapped = mapping(tape_leaves(weights), Tensor(source_embedding)).data
+    return cosine_similarity(mapped, target_embedding)
 
 
 def _assemble_side(rows, cols, scores, shards, n_rows, n_cols, width):

@@ -126,6 +126,23 @@ class TestCommands:
         assert "Robustness on econ" in output
         assert "0.300" in output
 
+    def test_compare_builds_galign_at_the_model_flags(self, monkeypatch, capsys):
+        import repro.eval.protocol as protocol
+        from repro.baselines import PAPER_BASELINES
+
+        methods = []
+
+        def record(aligners, pairs, **kwargs):
+            methods.extend(aligners)
+            return []
+
+        monkeypatch.setattr(protocol, "run_comparison", record)
+        argv = ["compare", "--datasets", "tiny", "--epochs", "5", "--dim", "8"]
+        assert main(argv + ["--seed", "3"]) == 0
+        assert [method.name for method in methods] == ["HTC", *PAPER_BASELINES]
+        galign = methods[1]
+        assert (galign.embedding_dim, galign.epochs, galign.random_state) == (8, 5, 3)
+
 
 class TestRunSuiteSpecErrors:
     """A bad ``--suite`` file is a usage error, not a traceback."""

@@ -69,6 +69,12 @@ def _counting(calls, name, function):
     return wrapper
 
 
+def _assert_same_weights(encoder, oracle_encoder):
+    assert len(encoder.weights) == len(oracle_encoder.weights)
+    for weight, value in zip(encoder.weights, oracle_encoder.weights):
+        np.testing.assert_array_equal(weight, value)
+
+
 def _assert_matches_oracle(pair, config):
     """Stacked training agrees with the per-view dense oracle: losses, weights."""
     inputs = (
@@ -83,10 +89,9 @@ def _assert_matches_oracle(pair, config):
     oracle = per_view_training_losses(oracle_encoder, config, *inputs)
     assert len(losses) == config.epochs
     np.testing.assert_allclose(losses, oracle, rtol=1e-10)
-    for name, value in oracle_encoder.state_dict().items():
-        np.testing.assert_allclose(
-            encoder.state_dict()[name], value, rtol=1e-10, atol=1e-12
-        )
+    assert len(encoder.weights) == len(oracle_encoder.weights)
+    for weight, value in zip(encoder.weights, oracle_encoder.weights):
+        np.testing.assert_allclose(weight, value, rtol=1e-10, atol=1e-12)
 
 
 def _assert_matches_tape(inputs, config, encoder_config=None):
@@ -100,8 +105,7 @@ def _assert_matches_tape(inputs, config, encoder_config=None):
     with single_blas_thread():
         oracle = summed_loss_training_losses(oracle_encoder, config, *inputs)
     assert losses == oracle
-    for name, value in oracle_encoder.state_dict().items():
-        np.testing.assert_array_equal(encoder.state_dict()[name], value)
+    _assert_same_weights(encoder, oracle_encoder)
 
 
 def _pair_inputs(pair, config):
@@ -139,13 +143,12 @@ class TestReconstructionLoss:
         config = HTCConfig(orbits=[0], embedding_dim=8)
         views = build_topology_views(graph, config)
         encoder = make_encoder(3, config)
-        weights = [layer.weight.data for layer in encoder.layers]
         graph_pass = EncoderPass(
-            [layer.activation_name for layer in encoder.layers],
+            encoder.activations,
             Propagation(views[0], features=graph.attributes),
-            weights,
+            encoder.weights,
         )
-        graph_pass.forward(weights)
+        graph_pass.forward(encoder.weights)
         loss = graph_pass.loss()
         assert isinstance(loss, float)
         assert loss > 0
@@ -187,8 +190,7 @@ class TestTapeOracle:
         with single_blas_thread():
             oracle = summed_loss_training_losses(encoders[1], config, *inputs)
         assert losses == oracle
-        for name, value in encoders[1].state_dict().items():
-            np.testing.assert_array_equal(encoders[0].state_dict()[name], value)
+        _assert_same_weights(*encoders)
 
     def test_asymmetric_operand_uses_its_transpose(self, monkeypatch):
         """A VJP multiplies by ``Propagation.transpose``, and the loss's
@@ -337,7 +339,8 @@ class TestMultiOrbitTrainer:
     def test_epoch_calls_pass_forward_loss_and_vjp(self, monkeypatch):
         """Each graph's epoch calls the explicit pass's ``forward``, ``loss``
         and ``vjp`` once, looked up at call time so a profiler can wrap
-        them, and never the tape's encoder forward or loss."""
+        them, and never the encoder's forward-only encode or the tape's
+        loss and backward."""
         calls = Counter()
         for name in ("forward", "loss", "vjp"):
             wrapped = _counting(calls, name, getattr(EncoderPass, name))
@@ -361,7 +364,7 @@ class TestMultiOrbitTrainer:
         source_views = build_topology_views(pair.source, config)
         target_views = build_topology_views(pair.target, config)
         encoder = make_encoder(pair.source.n_attributes, config)
-        before = encoder.state_dict()
+        before = [weight.copy() for weight in encoder.weights]
         MultiOrbitTrainer(config).train(
             encoder,
             source_views,
@@ -369,9 +372,8 @@ class TestMultiOrbitTrainer:
             pair.source.attributes,
             pair.target.attributes,
         )
-        after = encoder.state_dict()
-        assert any(
-            not np.array_equal(before[name], after[name]) for name in before
+        assert all(
+            not np.array_equal(old, new) for old, new in zip(before, encoder.weights)
         )
 
 
@@ -443,8 +445,7 @@ class TestTrainingThreads:
         with single_blas_thread():
             oracle = summed_loss_training_losses(oracle_encoder, SPLIT_CONFIG, *inputs)
         np.testing.assert_array_equal(losses, oracle)
-        for name, value in oracle_encoder.state_dict().items():
-            np.testing.assert_array_equal(encoder.state_dict()[name], value)
+        _assert_same_weights(encoder, oracle_encoder)
 
     def test_budgets_of_two_and_one_align_to_equal_bits(self, monkeypatch):
         pair = tiny_pair(n_nodes=150, random_state=0)
@@ -550,7 +551,7 @@ class TestTheory:
         views = build_topology_views(graph, config)
         encoder = make_encoder(2, config)
         for view in views.values():
-            embedding = encoder(view, graph.attributes).numpy()
+            embedding = encoder(view, graph.attributes)
             np.testing.assert_allclose(embedding[1], embedding[2], atol=1e-10)
             np.testing.assert_allclose(embedding[1], embedding[3], atol=1e-10)
 
@@ -566,8 +567,8 @@ class TestTheory:
         encoder = make_encoder(5, config)
 
         for orbit in config.resolved_orbits:
-            source_embedding = encoder(source_views[orbit], source.attributes).numpy()
-            target_embedding = encoder(target_views[orbit], target.attributes).numpy()
+            source_embedding = encoder(source_views[orbit], source.attributes)
+            target_embedding = encoder(target_views[orbit], target.attributes)
             np.testing.assert_allclose(
                 source_embedding, target_embedding[mapping], atol=1e-8
             )
@@ -584,8 +585,8 @@ class TestTheory:
             encoder, source_views, target_views, source.attributes, target.attributes
         )
         for orbit in config.resolved_orbits:
-            source_embedding = encoder(source_views[orbit], source.attributes).numpy()
-            target_embedding = encoder(target_views[orbit], target.attributes).numpy()
+            source_embedding = encoder(source_views[orbit], source.attributes)
+            target_embedding = encoder(target_views[orbit], target.attributes)
             np.testing.assert_allclose(
                 source_embedding, target_embedding[mapping], atol=1e-8
             )
@@ -600,6 +601,6 @@ class TestTheory:
         target_views = build_topology_views(target, config)
         encoder_a = SharedGCNEncoder(4, [6, 6], random_state=0)
         encoder_b = SharedGCNEncoder(4, [6, 6], random_state=99)
-        source_embedding = encoder_a(source_views[0], source.attributes).numpy()
-        target_embedding = encoder_b(target_views[0], target.attributes).numpy()
+        source_embedding = encoder_a(source_views[0], source.attributes)
+        target_embedding = encoder_b(target_views[0], target.attributes)
         assert not np.allclose(source_embedding, target_embedding[mapping], atol=1e-3)

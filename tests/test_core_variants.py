@@ -6,6 +6,7 @@ from repro.core.config import HTCConfig
 from repro.core.variants import (
     ABLATION_VARIANTS,
     EXTRA_ABLATION_VARIANTS,
+    VARIANTS,
     all_variants,
     make_variant,
 )
@@ -55,9 +56,13 @@ class TestMakeVariant:
         assert aligner.config.embedding_dim == 7
         assert aligner.config.epochs == 3
 
-    def test_unknown_variant(self):
+    @pytest.mark.parametrize("name", ["HTC-XYZ", "HTC-HT"])
+    def test_unknown_variant(self, name):
         with pytest.raises(KeyError):
-            make_variant("HTC-XYZ")
+            make_variant(name)
+
+    def test_table_names_are_variants(self):
+        assert set(ABLATION_VARIANTS) | set(EXTRA_ABLATION_VARIANTS) == set(VARIANTS)
 
     def test_extra_variants_listed(self):
         assert "HTC-binary" in EXTRA_ABLATION_VARIANTS

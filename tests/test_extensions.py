@@ -49,8 +49,8 @@ class TestGDVAugmentation:
         encoder = make_encoder(source_attrs.shape[1], config)
         source_views = build_topology_views(source, config)
         target_views = build_topology_views(target, config)
-        source_embedding = encoder(source_views[0], source_attrs).numpy()
-        target_embedding = encoder(target_views[0], target_attrs).numpy()
+        source_embedding = encoder(source_views[0], source_attrs)
+        target_embedding = encoder(target_views[0], target_attrs)
         np.testing.assert_allclose(source_embedding, target_embedding[mapping], atol=1e-8)
 
     def test_augmentation_not_worse_on_clean_pair(self):

@@ -13,13 +13,10 @@ from repro.nn.functional import (
     Propagation,
     frobenius_loss,
     get_activation,
-    mse_loss,
     relu,
     sigmoid,
-    softmax_rows,
     sparse_matmul,
     sparse_product,
-    square,
     tanh,
 )
 from repro.nn.tensor import Tensor
@@ -263,27 +260,6 @@ class TestSparseProduct:
             sparse_product(view, dense, np.zeros((view.shape[0], 2)))
 
 
-class TestSoftmaxRows:
-    def test_rows_sum_to_one(self):
-        out = softmax_rows(Tensor(np.random.default_rng(0).normal(size=(4, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4))
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(1)
-        value = rng.normal(size=(3, 4))
-        weights = rng.normal(size=(3, 4))
-
-        def loss(v):
-            shifted = v - v.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            s = e / e.sum(axis=1, keepdims=True)
-            return float((s * weights).sum())
-
-        x = Tensor(value.copy(), requires_grad=True)
-        (softmax_rows(x) * Tensor(weights)).sum().backward()
-        np.testing.assert_allclose(x.grad, numerical_gradient(loss, value), atol=1e-5)
-
-
 def _random_embedding(n_nodes, dim, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return rng.normal(scale=0.3, size=(n_nodes, dim)).astype(dtype)
@@ -406,10 +382,3 @@ class TestLosses:
             frobenius_loss(
                 Tensor(np.ones((6, 2))), sp.csr_matrix(np.ones((6, 6))), blocks=2
             )
-
-    def test_mse_loss(self):
-        loss = mse_loss(Tensor([1.0, 3.0]), np.array([0.0, 1.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_square(self):
-        np.testing.assert_array_equal(square(Tensor([2.0, -3.0])).data, [4.0, 9.0])

@@ -1,13 +1,12 @@
-"""Tests for Linear, GCNLayer, and SharedGCNEncoder."""
+"""Tests for Glorot initialisation and SharedGCNEncoder."""
 
 import numpy as np
 import pytest
 
 from repro.graph.laplacian import normalized_laplacian
 from repro.nn.functional import Propagation
-from repro.nn.init import glorot_uniform, zeros
-from repro.nn.layers import GCNLayer, Linear, SharedGCNEncoder
-from repro.nn.tensor import Tensor
+from repro.nn.init import glorot_uniform
+from repro.nn.layers import SharedGCNEncoder
 
 
 class TestInit:
@@ -26,47 +25,6 @@ class TestInit:
         with pytest.raises(ValueError):
             glorot_uniform(0, 5)
 
-    def test_zeros(self):
-        np.testing.assert_array_equal(zeros(2, 3), np.zeros((2, 3)))
-
-
-class TestLinear:
-    def test_output_shape(self):
-        layer = Linear(3, 5, random_state=0)
-        out = layer(Tensor(np.ones((7, 3))))
-        assert out.shape == (7, 5)
-
-    def test_no_bias_option(self):
-        layer = Linear(3, 5, bias=False, random_state=0)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
-    def test_gradients_reach_parameters(self):
-        layer = Linear(2, 2, random_state=0)
-        layer(Tensor(np.ones((4, 2)))).sum().backward()
-        assert layer.weight.grad is not None
-        assert layer.bias.grad is not None
-
-
-class TestGCNLayer:
-    def test_forward_shape(self, triangle_graph):
-        laplacian = normalized_laplacian(triangle_graph.adjacency)
-        layer = GCNLayer(2, 4, random_state=0)
-        out = layer(laplacian, Tensor(np.ones((3, 2))))
-        assert out.shape == (3, 4)
-
-    def test_relu_applied(self, triangle_graph):
-        laplacian = normalized_laplacian(triangle_graph.adjacency)
-        layer = GCNLayer(2, 8, activation="relu", random_state=0)
-        out = layer(laplacian, Tensor(np.ones((3, 2))))
-        assert (out.data >= 0).all()
-
-    def test_identity_activation_can_be_negative(self, triangle_graph):
-        laplacian = normalized_laplacian(triangle_graph.adjacency)
-        layer = GCNLayer(2, 50, activation="identity", random_state=0)
-        out = layer(laplacian, Tensor(np.ones((3, 2))))
-        assert (out.data < 0).any()
-
 
 class TestSharedGCNEncoder:
     def test_output_dimension(self, triangle_graph):
@@ -84,6 +42,22 @@ class TestSharedGCNEncoder:
         assert len(layers) == 2
         assert layers[0].shape == (3, 8)
         assert layers[1].shape == (3, 4)
+        assert (layers[0] >= 0).all()
+        np.testing.assert_array_equal(layers[1], encoder(laplacian, np.ones((3, 2))))
+
+    def test_identity_last_layer_can_be_negative(self, triangle_graph):
+        encoder = SharedGCNEncoder(2, [50], random_state=0)
+        laplacian = normalized_laplacian(triangle_graph.adjacency)
+        assert encoder.activations == ["identity"]
+        assert (encoder(laplacian, np.ones((3, 2))) < 0).any()
+
+    def test_weights_are_glorot_draws_in_layer_order(self):
+        encoder = SharedGCNEncoder(5, [7, 3], random_state=0)
+        rng = np.random.default_rng(0)
+        expected = [glorot_uniform(5, 7, rng), glorot_uniform(7, 3, rng)]
+        assert len(encoder.weights) == 2
+        for weight, draw in zip(encoder.weights, expected):
+            np.testing.assert_array_equal(weight, draw)
 
     def test_shared_weights_give_identical_output_for_identical_graphs(
         self, triangle_graph
@@ -93,9 +67,9 @@ class TestSharedGCNEncoder:
         encoder = SharedGCNEncoder(2, [8, 4], random_state=0)
         laplacian = normalized_laplacian(triangle_graph.adjacency)
         attrs = np.random.default_rng(0).normal(size=(3, 2))
-        out_a = encoder(laplacian, attrs).numpy()
-        out_b = encoder(laplacian, attrs).numpy()
-        np.testing.assert_array_equal(out_a, out_b)
+        np.testing.assert_array_equal(
+            encoder(laplacian, attrs), encoder(laplacian, attrs)
+        )
 
     def test_hoisted_first_layer_matches_propagating_features(self, triangle_graph):
         """An operand holding ``L X`` gives the same layers as ``L (X W)``, up
@@ -106,7 +80,7 @@ class TestSharedGCNEncoder:
         hoisted = encoder(Propagation(laplacian, features=attrs), all_layers=True)
         direct = encoder(laplacian, attrs, all_layers=True)
         for got, expected in zip(hoisted, direct):
-            np.testing.assert_allclose(got.data, expected.data, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
     def test_missing_features_rejected(self, triangle_graph):
         encoder = SharedGCNEncoder(2, [8, 4], random_state=0)
@@ -123,6 +97,6 @@ class TestSharedGCNEncoder:
         with pytest.raises(ValueError):
             SharedGCNEncoder(4, [8, 8], activations=["relu"])
 
-    def test_parameter_count(self):
-        encoder = SharedGCNEncoder(5, [7, 3], random_state=0)
-        assert encoder.n_parameters() == 5 * 7 + 7 * 3
+    def test_unknown_activation_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            SharedGCNEncoder(4, [8, 8], activations=["relu", "swish-9000"])

@@ -1,106 +1,59 @@
-"""Tests for the SGD and Adam optimisers."""
+"""Tests for the Adam optimiser on plain weight arrays."""
 
 import numpy as np
 import pytest
 
-from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor
+from repro.nn.optim import Adam
 
 
-def _quadratic_loss(parameter):
-    """f(w) = sum((w - 3)^2), minimised at w = 3."""
-    return ((parameter - Tensor(np.full_like(parameter.data, 3.0))) ** 2).sum()
+def _quadratic_gradient(weight):
+    """Gradient of f(w) = sum((w - 3)^2), minimised at w = 3."""
+    return 2.0 * (weight - 3.0)
 
 
-class TestSGD:
-    def test_single_step_direction(self):
-        parameter = Parameter(np.array([0.0]))
-        optimizer = SGD([parameter], lr=0.1)
-        loss = _quadratic_loss(parameter)
-        loss.backward()
-        optimizer.step()
-        # Gradient at 0 is -6, so the value must increase.
-        assert parameter.data[0] > 0
-
-    def test_converges_to_minimum(self):
-        parameter = Parameter(np.zeros(3))
-        optimizer = SGD([parameter], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            _quadratic_loss(parameter).backward()
-            optimizer.step()
-        np.testing.assert_allclose(parameter.data, np.full(3, 3.0), atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        plain = Parameter(np.zeros(1))
-        momentum = Parameter(np.zeros(1))
-        opt_plain = SGD([plain], lr=0.01)
-        opt_momentum = SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            for parameter, optimizer in ((plain, opt_plain), (momentum, opt_momentum)):
-                optimizer.zero_grad()
-                _quadratic_loss(parameter).backward()
-                optimizer.step()
-        assert abs(momentum.data[0] - 3.0) < abs(plain.data[0] - 3.0)
-
-    def test_skips_parameters_without_grad(self):
-        parameter = Parameter(np.array([1.0]))
-        SGD([parameter], lr=0.1).step()
-        np.testing.assert_array_equal(parameter.data, [1.0])
-
-    def test_invalid_settings(self):
-        parameter = Parameter(np.zeros(1))
-        with pytest.raises(ValueError):
-            SGD([parameter], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([parameter], lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+def _minimise(weight, optimizer, steps):
+    for _ in range(steps):
+        (weight,) = optimizer.step([weight], [_quadratic_gradient(weight)])
+    return weight
 
 
 class TestAdam:
     def test_converges_to_minimum(self):
-        parameter = Parameter(np.zeros(4))
-        optimizer = Adam([parameter], lr=0.1)
-        for _ in range(300):
-            optimizer.zero_grad()
-            _quadratic_loss(parameter).backward()
-            optimizer.step()
-        np.testing.assert_allclose(parameter.data, np.full(4, 3.0), atol=1e-2)
+        weight = np.zeros(4)
+        weight = _minimise(weight, Adam([weight], lr=0.1), 300)
+        np.testing.assert_allclose(weight, np.full(4, 3.0), atol=1e-2)
 
     def test_weight_decay_shrinks_solution(self):
-        plain = Parameter(np.zeros(1))
-        decayed = Parameter(np.zeros(1))
-        opt_plain = Adam([plain], lr=0.05)
-        opt_decayed = Adam([decayed], lr=0.05, weight_decay=1.0)
-        for _ in range(300):
-            for parameter, optimizer in ((plain, opt_plain), (decayed, opt_decayed)):
-                optimizer.zero_grad()
-                _quadratic_loss(parameter).backward()
-                optimizer.step()
-        assert decayed.data[0] < plain.data[0]
+        plain = _minimise(np.zeros(1), Adam([np.zeros(1)], lr=0.05), 300)
+        decayed = _minimise(
+            np.zeros(1), Adam([np.zeros(1)], lr=0.05, weight_decay=1.0), 300
+        )
+        assert decayed[0] < plain[0]
 
     def test_first_step_magnitude_is_lr(self):
         # Adam's bias correction makes the very first update ~= lr in magnitude.
-        parameter = Parameter(np.array([0.0]))
-        optimizer = Adam([parameter], lr=0.1)
-        _quadratic_loss(parameter).backward()
-        optimizer.step()
-        assert abs(parameter.data[0]) == pytest.approx(0.1, rel=1e-3)
+        weight = np.array([0.0])
+        optimizer = Adam([weight], lr=0.1)
+        (updated,) = optimizer.step([weight], [_quadratic_gradient(weight)])
+        assert abs(updated[0]) == pytest.approx(0.1, rel=1e-3)
+
+    def test_step_returns_new_arrays_in_order(self):
+        weights = [np.zeros((2, 3)), np.ones(3)]
+        before = [weight.copy() for weight in weights]
+        optimizer = Adam(weights, lr=0.1)
+        updated = optimizer.step(weights, [np.ones((2, 3)), -np.ones(3)])
+        assert [w.shape for w in updated] == [(2, 3), (3,)]
+        for weight, original in zip(weights, before):
+            np.testing.assert_array_equal(weight, original)
+        assert (updated[0] < 0).all() and (updated[1] > 1).all()
 
     def test_invalid_settings(self):
-        parameter = Parameter(np.zeros(1))
+        weight = np.zeros(1)
         with pytest.raises(ValueError):
-            Adam([parameter], lr=-1.0)
+            Adam([weight], lr=-1.0)
         with pytest.raises(ValueError):
-            Adam([parameter], betas=(1.0, 0.9))
+            Adam([weight], betas=(1.0, 0.9))
         with pytest.raises(ValueError):
-            Adam([parameter], weight_decay=-0.1)
-
-    def test_zero_grad(self):
-        parameter = Parameter(np.zeros(1))
-        optimizer = Adam([parameter])
-        _quadratic_loss(parameter).backward()
-        optimizer.zero_grad()
-        assert parameter.grad is None
+            Adam([weight], weight_decay=-0.1)
+        with pytest.raises(ValueError, match="no weights"):
+            Adam([])

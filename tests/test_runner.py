@@ -168,6 +168,60 @@ class TestResolveMethod:
         with pytest.raises(KeyError):
             resolve_method("NoSuchMethod", HTCConfig())
 
+    def test_every_variant_name_resolves_and_is_listed_once(self):
+        from repro.core import HTCAligner, HTCConfig
+        from repro.core.variants import VARIANTS
+        from repro.runner.executor import known_method_names
+
+        names = known_method_names()
+        assert names[: len(VARIANTS)] == tuple(VARIANTS)
+        config = HTCConfig(epochs=2)
+        for name in VARIANTS:
+            assert names.count(name) == 1
+            method = resolve_method(name, config)
+            assert isinstance(method, HTCAligner) and method.name == name
+        for alias in ("HTC-HT", "htc"):
+            assert alias not in names
+            with pytest.raises(KeyError):
+                resolve_method(alias, config)
+
+    def test_galign_takes_the_model_settings_of_the_config(self):
+        from repro.baselines import GAlign
+        from repro.core import HTCConfig
+
+        config = HTCConfig(
+            embedding_dim=8, n_layers=3, epochs=5, learning_rate=0.02, random_state=4
+        )
+        method = resolve_method("GAlign", config)
+        assert isinstance(method, GAlign)
+        assert (
+            method.embedding_dim,
+            method.n_layers,
+            method.epochs,
+            method.learning_rate,
+            method.random_state,
+        ) == (8, 3, 5, 0.02, 4)
+        assert method.augment_ratio == GAlign().augment_ratio
+        assert vars(resolve_method("GAlign", HTCConfig())) == vars(GAlign())
+
+    def test_galign_suite_job_scores_at_the_job_settings(self, tmp_path):
+        from repro.baselines import GAlign
+        from repro.datasets import load_dataset
+        from repro.serve import load_artifact
+
+        suite = _tiny_suite(
+            name="galign", methods=("GAlign",), config={"epochs": 5, "embedding_dim": 8}
+        )
+        report = run_suite(suite, tmp_path, emit_artifacts=True)
+        (artifact,) = report.artifacts
+        assert artifact["status"] == "done"
+        emitted = artifact["serve_artifact"]["artifact_id"]
+        loaded = load_artifact(tmp_path / "galign" / "serve_artifacts", emitted)
+        (job,) = suite.jobs()
+        pair = load_dataset(job.dataset, **dict(job.dataset_params))
+        expected = GAlign(embedding_dim=8, epochs=5, random_state=job.seed).align(pair)
+        np.testing.assert_array_equal(loaded.result.alignment_matrix, expected)
+
 
 class TestExecuteJob:
     def test_successful_job_artifact(self):
